@@ -7,19 +7,19 @@ cross-validation protocols, and an identity-variance diagnostic — all
 verifiable end to end on synthetic data.
 """
 
-from .autodiff import Tape, Tensor, grad_check, softmax
-from .data import (FaceSample, LabeledDataset, Triplet, load_dataset,
-                   negative_set, positive_set, sample_triplet_batch, save_dataset)
+from .autodiff import Tape, Tensor, grad_check, softmax_rows
+from .data import (LabeledDataset, Triplet, load_dataset, negative_set, positive_set,
+                   sample_triplet_batch, save_dataset)
 from .errors import (ConfigError, DatasetError, IncompatibleDataError,
                      OptimizationError, VerificationError)
 from .evaluation import (EvalReport, Fold, SweepCell, SweepRow, evaluate_checkpoint,
                          evaluate_mae, identity_variance, lambda_grid_cells,
                          loss_set_cells, mean_absolute_error, run_protocol,
                          split_lopo, split_random, split_subject_exclusive, sweep)
-from .losses import (LossBreakdown, LossWeights, cosine_loss, kld_loss, mean_loss,
-                     softmax_ce, total_loss, triplet_margin_loss, variance_loss)
-from .model import (Model, ModelConfig, forward, forward_batch, forward_values,
-                    init_model, load_model, predict_age, predict_ages, save_model)
+from .losses import (LossBreakdown, LossWeights, ce_sum, cosine_mean, kld_mean, mean_sum,
+                     total_loss, triplet_mean, variance_sum)
+from .model import (Model, ModelConfig, forward_batch, forward_values, init_model,
+                    load_model, predict_ages, save_model)
 from .synth import (GroundTruth, SynthConfig, generate_dataset, load_ground_truth,
                     prior_baseline_mae, save_ground_truth)
 from .training import AdamState, TrainConfig, adam_step, build_batch_loss, train

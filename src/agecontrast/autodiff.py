@@ -57,9 +57,6 @@ class Tensor:
     def sum(self) -> "Tensor":
         return sum_all(self)
 
-    def dot(self, other) -> "Tensor":
-        return dot(self, other)
-
     def __add__(self, other):
         return add(self, other)
 
@@ -143,11 +140,6 @@ class Tape:
         return {node: g for node, g in enumerate(grads) if g is not None}
 
 
-def constant(values) -> Tensor:
-    """An untracked value-only tensor."""
-    return Tensor(values)
-
-
 def _lift(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -227,41 +219,12 @@ def div(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """Matrix product of two matrices; a vector enters as a (n, 1) column."""
     a, b = _lift(a), _lift(b)
     ad, bd = a.data, b.data
-    if ad.ndim == 2 and bd.ndim == 2:
-        ok = ad.shape[1] == bd.shape[0]
-    elif ad.ndim == 2 and bd.ndim == 1:
-        ok = ad.shape[1] == bd.shape[0]
-    elif ad.ndim == 1 and bd.ndim == 2:
-        ok = ad.shape[0] == bd.shape[0]
-    else:
-        ok = False
-    if not ok:
+    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
         raise ValueError(f"matmul: incompatible shapes {ad.shape} and {bd.shape}")
-
-    def pull_a(g: Array) -> Array:
-        if ad.ndim == 2 and bd.ndim == 2:
-            return g @ bd.T
-        if ad.ndim == 2 and bd.ndim == 1:
-            return np.outer(g, bd)
-        return bd @ g
-
-    def pull_b(g: Array) -> Array:
-        if ad.ndim == 1 and bd.ndim == 2:
-            return np.outer(ad, g)
-        return ad.T @ g
-
-    return _record(ad @ bd, [(a, pull_a), (b, pull_b)])
-
-
-def dot(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    ad, bd = a.data, b.data
-    if ad.ndim != 1 or bd.ndim != 1 or ad.shape != bd.shape:
-        raise ValueError(f"dot: shape mismatch {ad.shape} vs {bd.shape}")
-    return _record(np.asarray(ad @ bd),
-                   [(a, lambda g: g * bd), (b, lambda g: g * ad)])
+    return _record(ad @ bd, [(a, lambda g: g @ bd.T), (b, lambda g: ad.T @ g)])
 
 
 def relu(a) -> Tensor:
@@ -275,12 +238,6 @@ def clamp_min(a, floor: float) -> Tensor:
     a = _lift(a)
     ad = a.data
     return _record(np.maximum(ad, floor), [(a, lambda g: g * (ad > floor))])
-
-
-def exp(a) -> Tensor:
-    a = _lift(a)
-    out = np.exp(a.data)
-    return _record(out, [(a, lambda g: g * out)])
 
 
 def log(a) -> Tensor:
@@ -309,32 +266,6 @@ def row_sum(a) -> Tensor:
         raise ValueError(f"row_sum: expected a matrix, got shape {ad.shape}")
     return _record(ad.sum(axis=1),
                    [(a, lambda g: np.broadcast_to(g[:, None], ad.shape))])
-
-
-def norm_sq(a) -> Tensor:
-    a = _lift(a)
-    ad = a.data
-    return _record(np.asarray((ad * ad).sum()), [(a, lambda g: g * (2.0 * ad))])
-
-
-def norm(a) -> Tensor:
-    a = _lift(a)
-    ad = a.data
-    n = np.asarray(np.sqrt((ad * ad).sum()))
-    return _record(n, [(a, lambda g: g * (ad / n))])
-
-
-def softmax(logits) -> Tensor:
-    """Stabilized softmax of a logit vector; entries sum to one."""
-    z = _lift(logits)
-    zd = z.data
-    if zd.ndim != 1 or zd.size < 1:
-        raise ValueError(f"softmax: expected a nonempty vector, got shape {zd.shape}")
-    if not np.all(np.isfinite(zd)):
-        raise ValueError("softmax: non-finite logit")
-    e = np.exp(zd - zd.max())
-    s = e / e.sum()
-    return _record(s, [(z, lambda g: s * (g - float(g @ s)))])
 
 
 def softmax_rows(logits) -> Tensor:

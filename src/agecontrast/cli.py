@@ -16,14 +16,14 @@ import sys
 import time
 from pathlib import Path
 
-from .data import load_dataset, save_dataset
+from .data import LabeledDataset, load_dataset, save_dataset
 from .errors import ConfigError, VerificationError
 from .evaluation import (evaluate_checkpoint, lambda_grid_cells, loss_set_cells,
                          sweep)
 from .losses import (COSINE_FORMS, MEAN_FORMS, PAIR_LOSSES, LossBreakdown,
                      LossWeights)
 from .manifest import build_manifest, write_manifest
-from .model import load_model, save_model
+from .model import Model, load_model, save_model
 from .selfcheck import run_all
 from .synth import SynthConfig, generate_dataset, save_ground_truth
 from .training import TrainConfig, train
@@ -134,6 +134,25 @@ def _require_out_dir(out: str) -> Path:
     return path
 
 
+def _require_at_least(flag: str, value: int, minimum: int) -> None:
+    if value < minimum:
+        raise ConfigError(f"{flag} must be >= {minimum}, got {value}")
+
+
+def _load_checkpoint(path: str, ds: LabeledDataset) -> Model:
+    """The checkpoint at path, which must fit the dataset's sidecar."""
+    try:
+        model = load_model(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc
+    for key, expected in (("input_dim", ds.input_dim), ("num_ages", ds.num_ages)):
+        got = getattr(model.config, key)
+        if got != expected:
+            raise ConfigError(
+                f"checkpoint {path} has {key} = {got}, but the dataset has {expected}")
+    return model
+
+
 def _weights_from(resolved: dict) -> LossWeights:
     kwargs = {k: resolved[k] for k in
               ("lambda_m", "lambda_v", "lambda_c", "lambda_t", "alpha",
@@ -212,17 +231,16 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     out = _require_out_dir(args.out)
+    _require_at_least("--k", args.k, 2)
     ds = load_dataset(args.dataset)
-    model = load_model(args.checkpoint)
+    model = _load_checkpoint(args.checkpoint, ds)
     started = time.perf_counter()
-    report = evaluate_checkpoint(model, ds, args.protocol, k=args.k, seed=args.seed,
-                                 jobs=args.jobs)
+    report = evaluate_checkpoint(model, ds, args.protocol, k=args.k, seed=args.seed)
 
     report_path = out / "eval_report.json"
     report_path.write_text(json.dumps(report.to_dict(), indent=1) + "\n", encoding="utf-8")
     fold_lines = ["fold,test_size,mae"]
-    folds_meta = zip(report.fold_maes, _fold_sizes(ds, args.protocol, args.k, args.seed))
-    for i, (mae, size) in enumerate(folds_meta):
+    for i, (mae, size) in enumerate(zip(report.fold_maes, report.fold_sizes)):
         fold_lines.append(f"{i},{size},{repr(mae)}")
     csv_path = out / "eval_folds.csv"
     csv_path.write_text("\n".join(fold_lines) + "\n", encoding="utf-8")
@@ -237,13 +255,10 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _fold_sizes(ds, protocol, k, seed):
-    from .evaluation import split_protocol
-    return [len(f.test) for f in split_protocol(ds, protocol, k, seed)]
-
-
 def cmd_sweep(args) -> int:
     out = _require_out_dir(args.out)
+    _require_at_least("--k", args.k, 2)
+    _require_at_least("--jobs", args.jobs, 1)
     ds = load_dataset(args.dataset)
     file_values = parse_config_file(Path(args.config)) if args.config else {}
     flags = {
@@ -339,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--protocol", choices=["rs", "se", "lopo"], default="rs")
     ev.add_argument("--k", type=int, default=5)
     ev.add_argument("--seed", type=int, default=0)
-    ev.add_argument("--jobs", type=int, default=1)
     ev.add_argument("--out", required=True)
     ev.set_defaults(func=cmd_eval)
 

@@ -27,13 +27,6 @@ Array = np.ndarray
 
 
 @dataclass(frozen=True)
-class FaceSample:
-    x: Array
-    age: int
-    identity: str
-
-
-@dataclass(frozen=True)
 class Triplet:
     """Sample indices; p or n is None when no valid candidate exists."""
 
@@ -43,40 +36,45 @@ class Triplet:
 
 
 class LabeledDataset:
-    """Immutable sample store with exact age and identity indexes."""
+    """Immutable sample store with exact age and identity indexes.
 
-    def __init__(self, samples: Sequence[FaceSample], num_ages: int):
-        if not samples:
-            raise DatasetError("dataset must contain at least one sample")
+    Row i of ``inputs`` is sample i's input vector, ``ages[i]`` its label
+    in 1..num_ages and ``identities[i]`` its non-empty identity label. A
+    malformed row is reported by the index of the first offending sample.
+    """
+
+    def __init__(self, inputs, ages, identities: Sequence[str], num_ages: int):
         num_ages = int(num_ages)
         if num_ages < 1:
             raise DatasetError(f"num_ages must be >= 1, got {num_ages}")
-        dim = np.asarray(samples[0].x, dtype=np.float64).size
-        inputs = np.empty((len(samples), dim))
-        ages = np.empty(len(samples), dtype=np.int64)
-        identities: list[str] = []
-        for i, s in enumerate(samples):
-            x = np.asarray(s.x, dtype=np.float64)
-            if x.ndim != 1 or x.size != dim:
-                raise DatasetError(f"sample {i}: input shape {x.shape} != ({dim},)")
-            if not np.all(np.isfinite(x)):
-                raise DatasetError(f"sample {i}: non-finite input value")
-            age = int(s.age)
-            if not 1 <= age <= num_ages:
-                raise DatasetError(f"sample {i}: age {age} outside 1..{num_ages}")
-            if not s.identity:
-                raise DatasetError(f"sample {i}: empty identity label")
-            inputs[i] = x
-            ages[i] = age
-            identities.append(str(s.identity))
+        inputs = np.array(inputs, dtype=np.float64)
+        if inputs.ndim != 2:
+            raise DatasetError(
+                f"inputs must be a (samples, input_dim) matrix, got shape {inputs.shape}")
+        n = inputs.shape[0]
+        if n == 0:
+            raise DatasetError("dataset must contain at least one sample")
+        ages = np.array(ages, dtype=np.int64)
+        identities = [str(ident) for ident in identities]
+        if ages.shape != (n,) or len(identities) != n:
+            raise DatasetError(f"{n} input rows need {n} ages and identities, "
+                               f"got {ages.shape} and {len(identities)}")
+        bad = np.flatnonzero(~np.isfinite(inputs).all(axis=1))
+        if bad.size:
+            raise DatasetError(f"sample {bad[0]}: non-finite input value")
+        bad = np.flatnonzero((ages < 1) | (ages > num_ages))
+        if bad.size:
+            raise DatasetError(f"sample {bad[0]}: age {ages[bad[0]]} outside 1..{num_ages}")
+        if not all(identities):
+            raise DatasetError(f"sample {identities.index('')}: empty identity label")
         self.inputs = inputs
         self.ages = ages
         self.identities = identities
         self.num_ages = num_ages
-        self.input_dim = dim
+        self.input_dim = inputs.shape[1]
         # Integer identity codes make candidate masks cheap.
         code_of: dict[str, int] = {}
-        codes = np.empty(len(samples), dtype=np.int64)
+        codes = np.empty(n, dtype=np.int64)
         for i, ident in enumerate(identities):
             codes[i] = code_of.setdefault(ident, len(code_of))
         self._identity_code = codes
@@ -87,13 +85,6 @@ class LabeledDataset:
 
     def __len__(self) -> int:
         return len(self.identities)
-
-    def sample(self, i: int) -> FaceSample:
-        return FaceSample(self.inputs[i].copy(), int(self.ages[i]), self.identities[i])
-
-    @property
-    def samples(self) -> list[FaceSample]:
-        return [self.sample(i) for i in range(len(self))]
 
     def indices_with_age(self, age: int) -> Array:
         return self._by_age.get(int(age), np.empty(0, dtype=np.int64)).copy()
@@ -106,12 +97,11 @@ class LabeledDataset:
 
     def subset(self, indices) -> "LabeledDataset":
         idx = np.asarray(indices, dtype=np.int64)
-        return LabeledDataset(
-            [FaceSample(self.inputs[i], int(self.ages[i]), self.identities[i]) for i in idx],
-            self.num_ages)
+        return LabeledDataset(self.inputs[idx], self.ages[idx],
+                              [self.identities[i] for i in idx], self.num_ages)
 
     def verify_indexes(self) -> None:
-        """Rebuild both index maps from the sample list and compare."""
+        """Rebuild both index maps from the label arrays and compare."""
         by_age: dict[int, list[int]] = {}
         by_ident: dict[str, list[int]] = {}
         for i in range(len(self)):
@@ -122,7 +112,7 @@ class LabeledDataset:
         ok_ident = set(by_ident) == set(self._by_identity) and all(
             np.array_equal(np.array(by_ident[n]), np.sort(self._by_identity[n])) for n in by_ident)
         if not (ok_age and ok_ident):
-            raise DatasetError("index maps are not the inverse of the sample list")
+            raise DatasetError("index maps are not the inverse of the label arrays")
 
 
 def _positive_candidates(ds: LabeledDataset, anchor: int) -> Array:
@@ -237,14 +227,15 @@ def load_dataset(path) -> LabeledDataset:
     expected_header = "identity,age," + ",".join(f"v{i}" for i in range(input_dim))
     if lines[0] != expected_header:
         raise DatasetError(f"unexpected CSV header in {path}")
-    samples = []
+    inputs = np.empty((len(lines) - 1, input_dim))
+    identities: list[str] = []
+    ages: list[int] = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         parts = line.split(",")
         if len(parts) != 2 + input_dim:
             raise DatasetError(f"{path}:{lineno}: expected {2 + input_dim} fields, got {len(parts)}")
-        identity = parts[0]
         try:
             age = int(parts[1])
         except ValueError as exc:
@@ -252,8 +243,9 @@ def load_dataset(path) -> LabeledDataset:
         if not 1 <= age <= num_ages:
             raise DatasetError(f"{path}:{lineno}: age {age} outside 1..{num_ages}")
         try:
-            x = np.array([float(v) for v in parts[2:]])
+            inputs[len(ages)] = [float(v) for v in parts[2:]]
         except ValueError as exc:
             raise DatasetError(f"{path}:{lineno}: malformed feature value") from exc
-        samples.append(FaceSample(x, age, identity))
-    return LabeledDataset(samples, num_ages)
+        identities.append(parts[0])
+        ages.append(age)
+    return LabeledDataset(inputs[:len(ages)], ages, identities, num_ages)

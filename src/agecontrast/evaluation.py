@@ -38,8 +38,16 @@ ESTIMATOR_NOTES = {
 
 @dataclass(frozen=True)
 class Fold:
-    train: Array
+    """Sorted test indices of one fold over n samples; train is the rest."""
+
     test: Array
+    n: int
+
+    @property
+    def train(self) -> Array:
+        mask = np.ones(self.n, dtype=bool)
+        mask[self.test] = False
+        return np.flatnonzero(mask)
 
 
 def split_random(ds: LabeledDataset, k: int, seed: int) -> list[Fold]:
@@ -82,13 +90,7 @@ def split_lopo(ds: LabeledDataset) -> list[Fold]:
 
 
 def _folds_from_chunks(test_chunks, n: int) -> list[Fold]:
-    folds = []
-    for test in test_chunks:
-        test = np.asarray(test, dtype=np.int64)
-        mask = np.ones(n, dtype=bool)
-        mask[test] = False
-        folds.append(Fold(train=np.flatnonzero(mask), test=np.sort(test)))
-    return folds
+    return [Fold(np.sort(np.asarray(test, dtype=np.int64)), n) for test in test_chunks]
 
 
 def split_protocol(ds: LabeledDataset, protocol: str, k: int = 5, seed: int = 0) -> list[Fold]:
@@ -126,7 +128,11 @@ def identity_variance(model: Model, ds: LabeledDataset,
     across that identity's samples, averaged over coordinates; the
     result is averaged over those identities.
     """
-    f_rows, s_rows = forward_values(model, ds.inputs)
+    return _identity_variance_of(*forward_values(model, ds.inputs), ds, s_scale)
+
+
+def _identity_variance_of(f_rows: Array, s_rows: Array, ds: LabeledDataset,
+                          s_scale: float) -> tuple[float, float]:
     vf, vs = [], []
     for ident in ds.unique_identities():
         idx = ds.indices_of_identity(ident)
@@ -145,6 +151,7 @@ class EvalReport:
     k: int
     seed: int
     fold_maes: list[float]
+    fold_sizes: list[int]
     mean_mae: float
     mu_vf: float
     mu_vs: float
@@ -153,6 +160,7 @@ class EvalReport:
     notes: dict = field(default_factory=lambda: dict(ESTIMATOR_NOTES))
 
     def to_dict(self) -> dict:
+        # fold_sizes goes to the per-fold CSV, not into the report.
         return {
             "protocol": self.protocol,
             "k": self.k,
@@ -167,26 +175,23 @@ class EvalReport:
         }
 
 
-def _eval_fold_job(args) -> float:
-    model, ds, test_indices, mode = args
-    return evaluate_mae(model, ds, test_indices, mode)
-
-
 def evaluate_checkpoint(model: Model, ds: LabeledDataset, protocol: str,
-                        k: int = 5, seed: int = 0, mode: str = "mean",
-                        jobs: int = 1) -> EvalReport:
-    """Per-fold MAE of a fixed model plus its identity-variance pair."""
+                        k: int = 5, seed: int = 0, mode: str = "mean") -> EvalReport:
+    """Per-fold MAE of a fixed model plus its identity-variance pair.
+
+    The model is fixed, so one forward over the whole dataset serves
+    every fold's MAE and the identity variance.
+    """
     folds = split_protocol(ds, protocol, k, seed)
-    payloads = [(model, ds, fold.test, mode) for fold in folds]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            fold_maes = list(pool.map(_eval_fold_job, payloads))
-    else:
-        fold_maes = [_eval_fold_job(p) for p in payloads]
-    mu_vf, mu_vs = identity_variance(model, ds)
+    f_rows, s_rows = forward_values(model, ds.inputs)
+    predicted = predict_ages(s_rows, mode)
+    fold_maes = [mean_absolute_error(predicted[fold.test], ds.ages[fold.test])
+                 for fold in folds]
+    mu_vf, mu_vs = _identity_variance_of(f_rows, s_rows, ds, S_VARIANCE_SCALE)
     return EvalReport(
         protocol=protocol, k=len(folds), seed=seed,
-        fold_maes=fold_maes, mean_mae=float(np.mean(fold_maes)),
+        fold_maes=fold_maes, fold_sizes=[len(fold.test) for fold in folds],
+        mean_mae=float(np.mean(fold_maes)),
         mu_vf=mu_vf, mu_vs=mu_vs, histories=[],
         config={"checkpoint": model.config.to_dict(), "predict_mode": mode},
     )
@@ -224,7 +229,8 @@ def run_protocol(ds: LabeledDataset, cfg: TrainConfig, protocol: str,
     fold_maes = [r[0] for r in results]
     return EvalReport(
         protocol=protocol, k=len(folds), seed=split_seed,
-        fold_maes=fold_maes, mean_mae=float(np.mean(fold_maes)),
+        fold_maes=fold_maes, fold_sizes=[len(fold.test) for fold in folds],
+        mean_mae=float(np.mean(fold_maes)),
         mu_vf=float(np.mean([r[1] for r in results])),
         mu_vs=float(np.mean([r[2] for r in results])),
         histories=[r[3] for r in results],

@@ -1,10 +1,18 @@
-"""Training losses over features and age distributions.
+"""Training losses over batches of features and age distributions.
 
-Every loss returns a scalar tensor and is differentiable through the
-gradient tape; all of them are non-negative at valid inputs and zero
-exactly at their documented minimizer. ``total_loss`` combines them as
+Every loss takes one row per sample (or per pair or triplet) and returns
+a scalar tensor that is differentiable through the gradient tape. The
+supervised terms (``ce_sum``, ``mean_sum``, ``variance_sum``) sum over
+rows; the pair and triplet terms (``cosine_mean``, ``kld_mean``,
+``triplet_mean``) average over them. All are non-negative at valid inputs
+(``cosine_mean`` in its default form) and zero exactly at their
+documented minimizer. ``total_loss`` combines them as
 
     total = l_s + lambda_m*l_m + lambda_v*l_v + lambda_c*l_c + lambda_t*l_t
+
+The mean and variance terms follow Pan et al., "Mean-Variance Loss for
+Deep Age Estimation from a Face" (CVPR 2018); the triplet hinge follows
+FaceNet (Schroff et al., CVPR 2015).
 """
 
 from __future__ import annotations
@@ -19,7 +27,9 @@ from .autodiff import Tensor
 # Probability floor applied before logarithms (cross-entropy and KL).
 PROB_FLOOR = 1e-12
 
-# Feature norms below this reject the cosine loss outright.
+# Feature norms below this are raised to it inside the cosine loss, so an
+# all-zero feature row gives a cosine of 0 and passes no gradient through
+# its norm.
 NORM_FLOOR = 1e-12
 
 COSINE_FORMS = ("one_minus", "negative", "raw")
@@ -84,103 +94,110 @@ class LossBreakdown:
         return [self.l_s, self.l_m, self.l_v, self.l_c, self.l_t, self.total]
 
 
-def _labels(num_ages: int) -> np.ndarray:
-    return np.arange(1, num_ages + 1, dtype=np.float64)
+def _rows(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _check_age(y: int, num_ages: int) -> int:
-    y = int(y)
-    if not 1 <= y <= num_ages:
-        raise ValueError(f"age label {y} out of range 1..{num_ages}")
-    return y
+def _label_column(num_ages: int) -> np.ndarray:
+    return np.arange(1, num_ages + 1, dtype=np.float64)[:, None]
 
 
-def softmax_ce(s, y: int) -> Tensor:
-    """Cross-entropy -log s_y against the true label."""
-    st = s if isinstance(s, Tensor) else Tensor(s)
-    y = _check_age(y, st.data.shape[0])
-    onehot = np.zeros(st.data.shape[0])
-    onehot[y - 1] = 1.0
-    return -ad.log(ad.clamp_min(ad.dot(st, onehot), PROB_FLOOR))
+def _checked_ages(ages, num_ages: int) -> np.ndarray:
+    ages = np.asarray(ages, dtype=np.int64)
+    bad = np.flatnonzero((ages < 1) | (ages > num_ages))
+    if bad.size:
+        raise ValueError(f"age label {ages[bad[0]]} out of range 1..{num_ages}")
+    return ages
 
 
-def mean_loss(s, y: int, form: str = "squared") -> Tensor:
-    """Penalty on the distribution mean missing the true age.
+def ce_sum(s_rows, ages) -> Tensor:
+    """Summed cross-entropy -log s_y over the rows of a distribution matrix."""
+    s_rows = _rows(s_rows)
+    ages = _checked_ages(ages, s_rows.data.shape[1])
+    onehot = np.zeros(s_rows.data.shape)
+    onehot[np.arange(len(ages)), ages - 1] = 1.0
+    picked = ad.row_sum(s_rows * onehot)
+    return -ad.sum_all(ad.log(ad.clamp_min(picked, PROB_FLOOR)))
+
+
+def mean_sum(s_rows, ages, form: str = "squared") -> Tensor:
+    """Summed penalty on each row's distribution mean missing its age.
 
     "squared" is 0.5*(mean - y)^2; "absolute" is |mean - y|.
     """
-    st = s if isinstance(s, Tensor) else Tensor(s)
-    y = _check_age(y, st.data.shape[0])
-    diff = ad.dot(st, _labels(st.data.shape[0])) - float(y)
+    s_rows = _rows(s_rows)
+    num_ages = s_rows.data.shape[1]
+    ages = _checked_ages(ages, num_ages).astype(np.float64)[:, None]
+    diff = ad.matmul(s_rows, _label_column(num_ages)) - ages
     if form == "squared":
-        return 0.5 * (diff * diff)
+        return 0.5 * ad.sum_all(diff * diff)
     if form == "absolute":
-        return ad.relu(diff) + ad.relu(-diff)
-    raise ValueError(f"mean_loss: unknown form {form!r}")
+        return ad.sum_all(ad.relu(diff) + ad.relu(-diff))
+    raise ValueError(f"mean_sum: unknown form {form!r}")
 
 
-def variance_loss(s) -> Tensor:
-    """Variance of the label distribution: sum_j s_j (j - mean)^2."""
-    st = s if isinstance(s, Tensor) else Tensor(s)
-    labels = _labels(st.data.shape[0])
-    mu = ad.dot(st, labels)
-    dev = ad.sub(labels, mu)
-    return ad.dot(st, dev * dev)
+def variance_sum(s_rows) -> Tensor:
+    """Summed variance of each row's distribution, sum_j s_j (j - mean)^2.
+
+    Computed in the moment form E[j^2] - E[j]^2, which equals the
+    definition on the simplex that softmax rows satisfy by construction.
+    """
+    s_rows = _rows(s_rows)
+    labels = _label_column(s_rows.data.shape[1])
+    mu = ad.matmul(s_rows, labels)
+    second = ad.matmul(s_rows, labels * labels)
+    return ad.sum_all(second - mu * mu)
 
 
-def cosine_loss(f_a, f_p, form: str = "one_minus") -> Tensor:
-    """Positive-pair feature alignment via cosine similarity.
+def cosine_mean(f_anchor, f_pos, form: str = "one_minus") -> Tensor:
+    """Mean positive-pair feature alignment via cosine similarity.
 
-    The default "one_minus" form is 1 - cos(f_a, f_p): zero iff the
-    features are positive scalar multiples, 2 when antiparallel.
+    The default "one_minus" form is 1 - cos(f_a, f_p) per row pair: zero
+    iff the features are positive scalar multiples, 2 when antiparallel.
     "negative" (-cos) and "raw" (+cos) are ablation alternatives.
     """
-    fa = f_a if isinstance(f_a, Tensor) else Tensor(f_a)
-    fp = f_p if isinstance(f_p, Tensor) else Tensor(f_p)
-    if fa.data.shape != fp.data.shape or fa.data.ndim != 1:
-        raise ValueError(f"cosine_loss: shape mismatch {fa.data.shape} vs {fp.data.shape}")
-    na = float(np.sqrt((fa.data ** 2).sum()))
-    nb = float(np.sqrt((fp.data ** 2).sum()))
-    if na < NORM_FLOOR or nb < NORM_FLOOR:
-        raise ValueError(
-            f"cosine_loss: input norm below floor {NORM_FLOOR:g} (got {na:.3g} and {nb:.3g})")
-    cos = ad.div(ad.dot(fa, fp), ad.norm(fa) * ad.norm(fp))
+    f_anchor, f_pos = _rows(f_anchor), _rows(f_pos)
+    dots = ad.row_sum(f_anchor * f_pos)
+    # Squared norms are floored at NORM_FLOOR**2 before the sqrt, so a dead
+    # (all-zero) feature row neither divides by zero nor feeds nan through
+    # the sqrt pullback; every row with norm >= NORM_FLOOR is exact.
+    floor = NORM_FLOOR * NORM_FLOOR
+    na = ad.sqrt(ad.clamp_min(ad.row_sum(f_anchor * f_anchor), floor))
+    nb = ad.sqrt(ad.clamp_min(ad.row_sum(f_pos * f_pos), floor))
+    cos = dots / (na * nb)
     if form == "one_minus":
-        return 1.0 - cos
-    if form == "negative":
-        return -cos
-    if form == "raw":
-        return cos
-    raise ValueError(f"cosine_loss: unknown form {form!r}")
+        per_pair = 1.0 - cos
+    elif form == "negative":
+        per_pair = -cos
+    elif form == "raw":
+        per_pair = cos
+    else:
+        raise ValueError(f"cosine_mean: unknown form {form!r}")
+    return ad.sum_all(per_pair) * (1.0 / f_anchor.data.shape[0])
 
 
-def triplet_margin_loss(s_a, s_p, s_n, alpha: float) -> Tensor:
-    """Hinge on squared distances between age distributions:
-    max(||s_a - s_p||^2 - ||s_a - s_n||^2 + alpha, 0).
+def kld_mean(s_anchor, s_pos) -> Tensor:
+    """Mean KL divergence of each anchor distribution from its positive's,
+    scaled by 1/A, with entries floored at PROB_FLOOR before the logs."""
+    s_anchor, s_pos = _rows(s_anchor), _rows(s_pos)
+    num_ages = s_anchor.data.shape[1]
+    log_a = ad.log(ad.clamp_min(s_anchor, PROB_FLOOR))
+    log_p = ad.log(ad.clamp_min(s_pos, PROB_FLOOR))
+    per_pair = ad.row_sum(s_pos * (log_p - log_a)) * (1.0 / num_ages)
+    return ad.sum_all(per_pair) * (1.0 / s_anchor.data.shape[0])
+
+
+def triplet_mean(s_a, s_p, s_n, alpha: float) -> Tensor:
+    """Mean hinge on squared distances between age distributions:
+    max(||s_a - s_p||^2 - ||s_a - s_n||^2 + alpha, 0) per row triplet.
     """
-    sa = s_a if isinstance(s_a, Tensor) else Tensor(s_a)
-    sp = s_p if isinstance(s_p, Tensor) else Tensor(s_p)
-    sn = s_n if isinstance(s_n, Tensor) else Tensor(s_n)
-    if not (sa.data.shape == sp.data.shape == sn.data.shape) or sa.data.ndim != 1:
-        raise ValueError(
-            f"triplet_margin_loss: shape mismatch {sa.data.shape}/{sp.data.shape}/{sn.data.shape}")
     if not np.isfinite(alpha) or alpha < 0:
-        raise ValueError(f"triplet_margin_loss: alpha must be finite and >= 0, got {alpha}")
-    gap = ad.norm_sq(sa - sp) - ad.norm_sq(sa - sn) + float(alpha)
-    return ad.relu(gap)
-
-
-def kld_loss(s_a, s_p) -> Tensor:
-    """KL divergence of the anchor distribution from the positive's,
-    scaled by 1/A, with entries floored at 1e-12 before the logs."""
-    sa = s_a if isinstance(s_a, Tensor) else Tensor(s_a)
-    sp = s_p if isinstance(s_p, Tensor) else Tensor(s_p)
-    if sa.data.shape != sp.data.shape or sa.data.ndim != 1:
-        raise ValueError(f"kld_loss: shape mismatch {sa.data.shape} vs {sp.data.shape}")
-    num_ages = sa.data.shape[0]
-    log_a = ad.log(ad.clamp_min(sa, PROB_FLOOR))
-    log_p = ad.log(ad.clamp_min(sp, PROB_FLOOR))
-    return ad.sum_all(sp * (log_p - log_a)) * (1.0 / num_ages)
+        raise ValueError(f"triplet_mean: alpha must be finite and >= 0, got {alpha}")
+    s_a = _rows(s_a)
+    dp = s_a - s_p
+    dn = s_a - s_n
+    gap = ad.row_sum(dp * dp) - ad.row_sum(dn * dn) + float(alpha)
+    return ad.sum_all(ad.relu(gap)) * (1.0 / s_a.data.shape[0])
 
 
 def _scalar(x) -> float:

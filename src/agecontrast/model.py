@@ -129,30 +129,13 @@ def _layers(model: Model | ParamView):
     return list(zip(model.weights, model.biases))
 
 
-def forward(model: Model | ParamView, x) -> tuple[Tensor, Tensor]:
-    """Run one input vector through the network.
-
-    Returns (f, s): the extractor features and the softmax age
-    distribution. Both are recorded on the tape when the parameters are
-    tracked.
-    """
-    xt = x if isinstance(x, Tensor) else Tensor(x)
-    if xt.data.ndim != 1 or xt.data.shape[0] != model.config.input_dim:
-        raise ValueError(
-            f"forward: expected input of length {model.config.input_dim}, got shape {xt.data.shape}")
-    if not np.all(np.isfinite(xt.data)):
-        raise ValueError("forward: non-finite input value")
-    layers = _layers(model)
-    h = xt
-    for w, b in layers[:-1]:
-        h = ad.relu(ad.add(ad.matmul(h, w), b))
-    w_head, b_head = layers[-1]
-    logits = ad.add(ad.matmul(h, w_head), b_head)
-    return h, ad.softmax(logits)
-
-
 def forward_batch(model: Model | ParamView, x_rows) -> tuple[Tensor, Tensor]:
-    """forward() over a (batch, input_dim) matrix; returns (F, S) row-wise."""
+    """Run a (batch, input_dim) matrix of inputs through the network.
+
+    Returns (F, S) row-wise: the extractor features and the softmax age
+    distributions. Both are recorded on the tape when the parameters are
+    tracked; a single input is a one-row matrix.
+    """
     xt = x_rows if isinstance(x_rows, Tensor) else Tensor(x_rows)
     if xt.data.ndim != 2 or xt.data.shape[1] != model.config.input_dim:
         raise ValueError(
@@ -177,25 +160,12 @@ def forward_values(model: Model, x_rows: Array) -> tuple[Array, Array]:
     return h, e / e.sum(axis=1, keepdims=True)
 
 
-def predict_age(s, mode: str = "mean") -> float:
-    """Age estimate from a distribution over labels 1..A.
-
-    "mean" returns sum_j j*s_j (always in [1, A]); "argmax" returns the
-    modal label.
-    """
-    arr = np.asarray(s.data if isinstance(s, Tensor) else s, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValueError(f"predict_age: expected a distribution vector, got shape {arr.shape}")
-    if mode == "mean":
-        labels = np.arange(1, arr.size + 1, dtype=np.float64)
-        return float(arr @ labels)
-    if mode == "argmax":
-        return float(int(np.argmax(arr)) + 1)
-    raise ValueError(f"predict_age: unknown mode {mode!r}")
-
-
 def predict_ages(s_rows: Array, mode: str = "mean") -> Array:
-    """Row-wise predict_age over a matrix of distributions."""
+    """Age estimates from a matrix of distributions over labels 1..A.
+
+    "mean" returns each row's sum_j j*s_j (always in [1, A]); "argmax"
+    returns each row's modal label.
+    """
     s_rows = np.asarray(s_rows, dtype=np.float64)
     if mode == "mean":
         labels = np.arange(1, s_rows.shape[1] + 1, dtype=np.float64)
@@ -246,12 +216,16 @@ def save_model(model: Model, path) -> None:
 
 
 def load_model(path) -> Model:
+    """Read a checkpoint; any malformed content raises ValueError."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"load_model: unrecognized checkpoint format in {path}")
-    config = ModelConfig.from_dict(payload["config"])
-    arrays = [np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-              for entry in payload["parameters"]]
+    try:
+        config = ModelConfig.from_dict(payload["config"])
+        arrays = [np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+                  for entry in payload["parameters"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"load_model: malformed checkpoint {path}: {exc!r}") from exc
     expected = [tuple(s) for s in _param_shapes(config)]
     got = [a.shape for a in arrays]
     if got != expected:

@@ -1,10 +1,11 @@
 """Built-in verification suites.
 
 Three suites back the ``selfcheck`` command: the gradient suite compares
-every loss (and the whole composed batch loss through a tiny model)
-against the central finite-difference oracle; the sampler suite checks
-triplet constraints and candidate sets against a brute-force filter; the
-split suite asserts the fold invariants of all three protocols.
+every batched loss (and the whole composed batch loss through a tiny
+model) against the central finite-difference oracle; the sampler suite
+checks triplet constraints and candidate sets against a brute-force
+filter; the split suite asserts the fold invariants of all three
+protocols.
 
 Check points are seeded, and sampled away from non-smooth kinks (relu
 preactivations, hinge boundaries) so the difference quotient is valid.
@@ -19,10 +20,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, grad_check
-from .data import (FaceSample, LabeledDataset, Triplet, negative_set, positive_set,
+from .data import (LabeledDataset, Triplet, negative_set, positive_set,
                    sample_triplet_batch)
-from .losses import (LossWeights, cosine_loss, kld_loss, mean_loss, softmax_ce,
-                     total_loss, triplet_margin_loss, variance_loss)
+from .losses import (LossWeights, ce_sum, cosine_mean, kld_mean, mean_sum, total_loss,
+                     triplet_mean, variance_sum)
 from .model import ModelConfig, forward_values, init_model, pack_params, unpack_params
 from .synth import SynthConfig, generate_dataset
 from .training import build_batch_loss
@@ -39,87 +40,84 @@ class CheckResult:
     detail: str = ""
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max())
-    return e / e.sum()
+def _random_distributions(rng: np.random.Generator, batch: int, num_ages: int) -> np.ndarray:
+    z = rng.normal(0.0, 1.0, (batch, num_ages))
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
-def _random_distribution(rng: np.random.Generator, num_ages: int) -> np.ndarray:
-    return _softmax(rng.normal(0.0, 1.0, num_ages))
+def _blocks(x: Tensor, batch: int, *widths: int) -> list[Tensor]:
+    """Split a flat point into consecutive (batch, width) row blocks."""
+    out, start = [], 0
+    for width in widths:
+        out.append(ad.reshape(ad.slice1d(x, start, start + batch * width), (batch, width)))
+        start += batch * width
+    return out
+
+
+def _triplet_rows(rng: np.random.Generator, batch: int, num_ages: int, alpha: float):
+    """(s_a, s_p, s_n) distribution rows, every hinge clearly one-sided."""
+    rows = []
+    while len(rows) < batch:
+        sa, sp, sn = _random_distributions(rng, 3, num_ages)
+        gap = ((sa - sp) ** 2).sum() - ((sa - sn) ** 2).sum() + alpha
+        if abs(gap) > KINK_MARGIN:
+            rows.append((sa, sp, sn))
+    return [np.array(block) for block in zip(*rows)]
 
 
 def _loss_cases(rng: np.random.Generator, num_ages: int = 7, feat_dim: int = 8):
-    """Named scalar functions over a flat point, one per loss term."""
+    """Named scalar functions over a flat point holding a batch of rows,
+    one per loss term; each case takes the batch size."""
+    a, d = num_ages, feat_dim
 
-    def case_softmax_ce():
-        y = int(rng.integers(1, num_ages + 1))
-        return lambda x: softmax_ce(x, y), _random_distribution(rng, num_ages)
+    def case_ce(batch):
+        ages = rng.integers(1, a + 1, batch)
+        return (lambda x: ce_sum(ad.reshape(x, (batch, a)), ages),
+                _random_distributions(rng, batch, a).ravel())
 
-    def case_mean():
-        y = int(rng.integers(1, num_ages + 1))
-        return lambda x: mean_loss(x, y), _random_distribution(rng, num_ages)
+    def case_mean(batch):
+        ages = rng.integers(1, a + 1, batch)
+        return (lambda x: mean_sum(ad.reshape(x, (batch, a)), ages),
+                _random_distributions(rng, batch, a).ravel())
 
-    def case_variance():
-        return variance_loss, _random_distribution(rng, num_ages)
+    def case_variance(batch):
+        return (lambda x: variance_sum(ad.reshape(x, (batch, a))),
+                _random_distributions(rng, batch, a).ravel())
 
-    def case_cosine():
-        point = rng.normal(0.0, 1.0, 2 * feat_dim)
-        fn = lambda x: cosine_loss(ad.slice1d(x, 0, feat_dim),
-                                   ad.slice1d(x, feat_dim, 2 * feat_dim))
-        return fn, point
+    def case_cosine(batch):
+        return (lambda x: cosine_mean(*_blocks(x, batch, d, d)),
+                rng.normal(0.0, 1.0, 2 * batch * d))
 
-    def case_triplet():
+    def case_triplet(batch):
         alpha = 0.2
-        while True:
-            sa = _random_distribution(rng, num_ages)
-            sp = _random_distribution(rng, num_ages)
-            sn = _random_distribution(rng, num_ages)
-            gap = ((sa - sp) ** 2).sum() - ((sa - sn) ** 2).sum() + alpha
-            if abs(gap) > KINK_MARGIN:  # keep the hinge clearly one-sided
-                break
-        point = np.concatenate([sa, sp, sn])
-        a = num_ages
-        fn = lambda x: triplet_margin_loss(
-            ad.slice1d(x, 0, a), ad.slice1d(x, a, 2 * a), ad.slice1d(x, 2 * a, 3 * a), alpha)
-        return fn, point
+        point = np.concatenate([m.ravel() for m in _triplet_rows(rng, batch, a, alpha)])
+        return lambda x: triplet_mean(*_blocks(x, batch, a, a, a), alpha), point
 
-    def case_kld():
-        point = np.concatenate([_random_distribution(rng, num_ages),
-                                _random_distribution(rng, num_ages)])
-        a = num_ages
-        fn = lambda x: kld_loss(ad.slice1d(x, 0, a), ad.slice1d(x, a, 2 * a))
-        return fn, point
+    def case_kld(batch):
+        return (lambda x: kld_mean(*_blocks(x, batch, a, a)),
+                _random_distributions(rng, 2 * batch, a).ravel())
 
-    def case_total():
+    def case_total(batch):
         # All five terms over one flat point holding (s_a, s_p, s_n, f_a, f_p).
         weights = LossWeights(lambda_c=10.0, lambda_t=1.0)
-        y = int(rng.integers(1, num_ages + 1))
-        while True:
-            sa = _random_distribution(rng, num_ages)
-            sp = _random_distribution(rng, num_ages)
-            sn = _random_distribution(rng, num_ages)
-            gap = ((sa - sp) ** 2).sum() - ((sa - sn) ** 2).sum() + weights.alpha
-            if abs(gap) > KINK_MARGIN:
-                break
-        point = np.concatenate([sa, sp, sn, rng.normal(0.0, 1.0, 2 * feat_dim)])
-        a = num_ages
+        ages = rng.integers(1, a + 1, batch)
+        rows = _triplet_rows(rng, batch, a, weights.alpha)
+        point = np.concatenate([m.ravel() for m in rows]
+                               + [rng.normal(0.0, 1.0, 2 * batch * d)])
 
         def fn(x):
-            s_a = ad.slice1d(x, 0, a)
-            s_p = ad.slice1d(x, a, 2 * a)
-            s_n = ad.slice1d(x, 2 * a, 3 * a)
-            f_a = ad.slice1d(x, 3 * a, 3 * a + feat_dim)
-            f_p = ad.slice1d(x, 3 * a + feat_dim, 3 * a + 2 * feat_dim)
+            s_a, s_p, s_n, f_a, f_p = _blocks(x, batch, a, a, a, d, d)
             total, _ = total_loss(
-                softmax_ce(s_a, y), mean_loss(s_a, y), variance_loss(s_a),
-                cosine_loss(f_a, f_p), triplet_margin_loss(s_a, s_p, s_n, weights.alpha),
-                weights)
+                ce_sum(s_a, ages) * (1.0 / batch), mean_sum(s_a, ages) * (1.0 / batch),
+                variance_sum(s_a) * (1.0 / batch), cosine_mean(f_a, f_p),
+                triplet_mean(s_a, s_p, s_n, weights.alpha), weights)
             return total
 
         return fn, point
 
     return {
-        "softmax_ce": case_softmax_ce,
+        "softmax_ce": case_ce,
         "mean_loss": case_mean,
         "variance_loss": case_variance,
         "cosine_loss": case_cosine,
@@ -150,13 +148,9 @@ def _end_to_end_points(rng: np.random.Generator, config: ModelConfig, weights: L
             w += 0.1 * rng.normal(0.0, 1.0, w.shape)
         for b in model.biases:
             b += 0.1 * rng.normal(0.0, 1.0, b.shape)
-        samples = []
-        for i in range(batch * 3):
-            samples.append(FaceSample(
-                rng.normal(0.0, 1.0, config.input_dim),
-                int(rng.integers(1, config.num_ages + 1)),
-                f"p{i}"))
-        ds = LabeledDataset(samples, config.num_ages)
+        ds = LabeledDataset(rng.normal(0.0, 1.0, (batch * 3, config.input_dim)),
+                            rng.integers(1, config.num_ages + 1, batch * 3),
+                            [f"p{i}" for i in range(batch * 3)], config.num_ages)
         triplets = [Triplet(i, batch + i, 2 * batch + i) for i in range(batch)]
         if _away_from_kinks(model, ds, triplets, weights):
             return pack_params(model), ds, triplets
@@ -181,14 +175,15 @@ def _away_from_kinks(model, ds, triplets, weights) -> bool:
 
 def gradient_suite(points: int = 100, eps: float = 1e-5, tol: float = GRAD_TOL,
                    inject_fault: str | None = None) -> list[CheckResult]:
-    """grad_check every loss at seeded random points, then the composed
-    batch loss through a tiny model via one flat parameter vector."""
+    """grad_check every loss at seeded random points, alternating batches
+    of 1 and 3 rows, then the composed batch loss through a tiny model via
+    one flat parameter vector."""
     results = []
     rng = np.random.default_rng(20240)
     for name, make_case in _loss_cases(rng).items():
         worst = 0.0
-        for _ in range(points):
-            fn, point = make_case()
+        for i in range(points):
+            fn, point = make_case(1 if i % 2 == 0 else 3)
             if inject_fault == name:
                 fn = _poison_gradient(fn)
             worst = max(worst, grad_check(fn, point, eps))

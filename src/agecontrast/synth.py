@@ -18,7 +18,7 @@ import json
 
 import numpy as np
 
-from .data import FaceSample, LabeledDataset
+from .data import LabeledDataset
 from .errors import ConfigError
 
 Array = np.ndarray
@@ -119,10 +119,11 @@ def generate_dataset(cfg: SynthConfig, seed: int) -> tuple[LabeledDataset, Groun
     bins = feasible_bins(cfg)
     probs = np.array([w for _, _, w in bins])
     child_seeds = np.random.SeedSequence(seed).spawn(cfg.num_identities)
-    samples: list[FaceSample] = []
+    num_samples = cfg.num_identities * cfg.samples_per_identity
+    inputs = np.zeros((num_samples, cfg.input_dim))
+    ages = np.empty(num_samples, dtype=np.int64)
     codes: dict[str, Array] = {}
-    sample_identities: list[str] = []
-    sample_ages: list[int] = []
+    identities: list[str] = []
     for i in range(cfg.num_identities):
         ident = f"id{i:05d}"
         rng = np.random.default_rng(child_seeds[i])
@@ -132,15 +133,14 @@ def generate_dataset(cfg: SynthConfig, seed: int) -> tuple[LabeledDataset, Groun
             b = int(rng.choice(len(bins), p=probs))
             lo, hi, _ = bins[b]
             age = int(rng.integers(lo, hi + 1))
-            x = np.zeros(cfg.input_dim)
+            x = inputs[len(identities)]
             x[:cfg.identity_dims] = code
             x[cfg.identity_dims:cfg.identity_dims + cfg.age_dims] = age_curve(age, cfg)
             x += cfg.noise_std * rng.standard_normal(cfg.input_dim)
-            samples.append(FaceSample(x, age, ident))
-            sample_identities.append(ident)
-            sample_ages.append(age)
-    truth = GroundTruth(codes, sample_identities, np.array(sample_ages, dtype=np.int64))
-    return LabeledDataset(samples, cfg.num_ages), truth
+            ages[len(identities)] = age
+            identities.append(ident)
+    truth = GroundTruth(codes, identities, ages)
+    return LabeledDataset(inputs, ages, identities, cfg.num_ages), truth
 
 
 def prior_baseline_mae(ds: LabeledDataset, median_age: float | None = None) -> float:

@@ -18,8 +18,8 @@ from . import autodiff as ad
 from .autodiff import Array, Tape, Tensor
 from .data import LabeledDataset, Triplet, has_triplet_negatives, iter_epoch_batches
 from .errors import IncompatibleDataError, OptimizationError
-from .losses import (NORM_FLOOR, PROB_FLOOR, LossBreakdown, LossWeights,
-                     total_loss)
+from .losses import (LossBreakdown, LossWeights, ce_sum, cosine_mean, kld_mean,
+                     mean_sum, total_loss, triplet_mean, variance_sum)
 from .model import Model, ModelConfig, ParamView, forward_batch, init_model
 
 
@@ -112,62 +112,6 @@ def adam_step(model: Model, grads: list[Array], state: AdamState,
 # ---------------------------------------------------------------------------
 # Batched loss composition
 
-def _batch_ce_sum(s_rows: Tensor, ages: Array) -> Tensor:
-    onehot = np.zeros(s_rows.data.shape)
-    onehot[np.arange(len(ages)), np.asarray(ages) - 1] = 1.0
-    picked = ad.row_sum(s_rows * onehot)
-    return -ad.sum_all(ad.log(ad.clamp_min(picked, PROB_FLOOR)))
-
-
-def _batch_mean_sum(s_rows: Tensor, ages: Array, form: str) -> Tensor:
-    labels = np.arange(1, s_rows.data.shape[1] + 1, dtype=np.float64)
-    diff = ad.matmul(s_rows, labels) - np.asarray(ages, dtype=np.float64)
-    if form == "squared":
-        return 0.5 * ad.sum_all(diff * diff)
-    return ad.sum_all(ad.relu(diff) + ad.relu(-diff))
-
-
-def _batch_var_sum(s_rows: Tensor) -> Tensor:
-    # Moment form E[j^2] - E[j]^2; equal to the per-sample definition on
-    # the simplex, which softmax rows satisfy by construction.
-    labels = np.arange(1, s_rows.data.shape[1] + 1, dtype=np.float64)
-    mu = ad.matmul(s_rows, labels)
-    second = ad.matmul(s_rows, labels * labels)
-    return ad.sum_all(second - mu * mu)
-
-
-def _batch_cosine_mean(f_anchor: Tensor, f_pos: Tensor, form: str) -> Tensor:
-    dots = ad.row_sum(f_anchor * f_pos)
-    # The squared norms are floored before the sqrt so a dead (all-zero)
-    # feature row neither divides by zero nor feeds nan through the sqrt
-    # pullback; such a pair contributes a constant and no gradient.
-    na = ad.sqrt(ad.clamp_min(ad.row_sum(f_anchor * f_anchor), NORM_FLOOR))
-    nb = ad.sqrt(ad.clamp_min(ad.row_sum(f_pos * f_pos), NORM_FLOOR))
-    cos = dots / (na * nb)
-    if form == "one_minus":
-        per_pair = 1.0 - cos
-    elif form == "negative":
-        per_pair = -cos
-    else:
-        per_pair = cos
-    return ad.sum_all(per_pair) * (1.0 / f_anchor.data.shape[0])
-
-
-def _batch_kld_mean(s_anchor: Tensor, s_pos: Tensor) -> Tensor:
-    num_ages = s_anchor.data.shape[1]
-    log_a = ad.log(ad.clamp_min(s_anchor, PROB_FLOOR))
-    log_p = ad.log(ad.clamp_min(s_pos, PROB_FLOOR))
-    per_pair = ad.row_sum(s_pos * (log_p - log_a)) * (1.0 / num_ages)
-    return ad.sum_all(per_pair) * (1.0 / s_anchor.data.shape[0])
-
-
-def _batch_triplet_mean(s_a: Tensor, s_p: Tensor, s_n: Tensor, alpha: float) -> Tensor:
-    dp = s_a - s_p
-    dn = s_a - s_n
-    gap = ad.row_sum(dp * dp) - ad.row_sum(dn * dn) + float(alpha)
-    return ad.sum_all(ad.relu(gap)) * (1.0 / s_a.data.shape[0])
-
-
 def build_batch_loss(params: Model | ParamView, ds: LabeledDataset,
                      triplets: list[Triplet], weights: LossWeights,
                      supervise_all: bool = False):
@@ -202,26 +146,26 @@ def build_batch_loss(params: Model | ParamView, ds: LabeledDataset,
         if s_n is not None:
             supervised.append((s_n, ds.ages[neg_indices]))
     count = sum(len(ages) for _, ages in supervised)
-    l_s = _sum_terms(_batch_ce_sum(rows, ages) for rows, ages in supervised) * (1.0 / count)
-    l_m = (_sum_terms(_batch_mean_sum(rows, ages, weights.mean_form) for rows, ages in supervised)
+    l_s = _sum_terms(ce_sum(rows, ages) for rows, ages in supervised) * (1.0 / count)
+    l_m = (_sum_terms(mean_sum(rows, ages, weights.mean_form) for rows, ages in supervised)
            * (1.0 / count)) if weights.lambda_m > 0 else 0.0
-    l_v = (_sum_terms(_batch_var_sum(rows) for rows, _ in supervised)
+    l_v = (_sum_terms(variance_sum(rows) for rows, _ in supervised)
            * (1.0 / count)) if weights.lambda_v > 0 else 0.0
 
     l_c = 0.0
     if weights.lambda_c > 0 and pos_rows:
         sel = [bi for bi, _ in pos_rows]
         if weights.pair_loss == "cosine":
-            l_c = _batch_cosine_mean(ad.take_rows(f_a, sel), f_p, weights.cosine_form)
+            l_c = cosine_mean(ad.take_rows(f_a, sel), f_p, weights.cosine_form)
         else:
-            l_c = _batch_kld_mean(ad.take_rows(s_a, sel), s_p)
+            l_c = kld_mean(ad.take_rows(s_a, sel), s_p)
 
     l_t = 0.0
     if weights.lambda_t > 0 and trip_rows:
         pos_slot = {bi: k for k, (bi, _) in enumerate(pos_rows)}
         a_sel = [bi for bi, _, _ in trip_rows]
         p_sel = [pos_slot[bi] for bi, _, _ in trip_rows]
-        l_t = _batch_triplet_mean(
+        l_t = triplet_mean(
             ad.take_rows(s_a, a_sel), ad.take_rows(s_p, p_sel), s_n, weights.alpha)
 
     return total_loss(l_s, l_m, l_v, l_c, l_t, weights)

@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
-from agecontrast.data import FaceSample, LabeledDataset
+from agecontrast.data import LabeledDataset
 from agecontrast.synth import SynthConfig, generate_dataset
 
 
 def make_dataset(ages, identities, num_ages, input_dim=4, seed=0):
     """Hand-rolled dataset with given labels and random inputs."""
     rng = np.random.default_rng(seed)
-    samples = [FaceSample(rng.normal(0.0, 1.0, input_dim), age, ident)
-               for age, ident in zip(ages, identities)]
-    return LabeledDataset(samples, num_ages)
+    return LabeledDataset(rng.normal(0.0, 1.0, (len(ages), input_dim)), ages,
+                          identities, num_ages)
 
 
 @pytest.fixture(scope="session")

@@ -13,8 +13,8 @@ from agecontrast.cli import main
 from agecontrast.data import negative_set, positive_set, sample_triplet_batch
 from agecontrast.evaluation import (run_protocol, split_lopo, split_protocol,
                                     split_subject_exclusive)
-from agecontrast.losses import (LossWeights, cosine_loss, kld_loss,
-                                triplet_margin_loss, variance_loss)
+from agecontrast.losses import (LossWeights, cosine_mean, kld_mean, triplet_mean,
+                                variance_sum)
 from agecontrast.evaluation import evaluate_mae, identity_variance, mean_absolute_error
 from agecontrast.manifest import sha256_file
 from agecontrast.selfcheck import gradient_suite
@@ -115,25 +115,22 @@ def test_criterion_4_loss_fixed_points():
     problems = []
 
     for _ in range(20):
-        z = rng.normal(0, 1, 8)
-        s = np.exp(z - z.max())
-        s /= s.sum()
-        if kld_loss(s, s).item() != 0.0:
+        z = rng.normal(0, 1, (4, 8))
+        s = np.exp(z - z.max(axis=1, keepdims=True))
+        s /= s.sum(axis=1, keepdims=True)
+        if kld_mean(s, s).item() != 0.0:
             problems.append("kld(s,s) != 0")
-        f = rng.normal(0, 1, 8)
+        f = rng.normal(0, 1, (4, 8))
         for c in (1e-6, 0.5, 7.0, 1e5):
-            if cosine_loss(f, c * f).item() > 1e-12:
+            if cosine_mean(f, c * f).item() > 1e-12:
                 problems.append("cosine(f, c*f) above 1e-12")
-    for j in range(6):
-        onehot = np.zeros(6)
-        onehot[j] = 1.0
-        if variance_loss(onehot).item() != 0.0:
-            problems.append("variance(one-hot) != 0")
+    if variance_sum(np.eye(6)).item() != 0.0:
+        problems.append("variance(one-hot) != 0")
     for _ in range(20):
-        sa, sp, sn = (rng.dirichlet(np.ones(6)) for _ in range(3))
+        sa, sp, sn = (rng.dirichlet(np.ones(6))[None, :] for _ in range(3))
         alpha = float(rng.uniform(0, 0.5))
         margin_ok = ((sa - sn) ** 2).sum() >= ((sa - sp) ** 2).sum() + alpha
-        if margin_ok and triplet_margin_loss(sa, sp, sn, alpha).item() != 0.0:
+        if margin_ok and triplet_mean(sa, sp, sn, alpha).item() != 0.0:
             problems.append("satisfied triplet margin not 0")
     y = rng.uniform(1, 9, 50)
     if mean_absolute_error(y, y) != 0.0:

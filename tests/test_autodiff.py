@@ -12,27 +12,27 @@ def test_relu_values():
     npt.assert_array_equal(ad.relu([-1.0, 0.0, 2.0]).data, [0.0, 0.0, 2.0])
 
 
-def test_dot_value():
-    assert ad.dot([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]).item() == 14.0
-
-
 def test_matmul_identity():
     m = np.arange(12, dtype=float).reshape(3, 4)
     npt.assert_array_equal(ad.matmul(np.eye(3), m).data, m)
 
 
 def test_matmul_vector_cases():
+    # vectors enter as (n, 1) columns or (1, n) rows; bare 1-D operands are rejected
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
     v = np.array([5.0, 6.0])
-    npt.assert_array_equal(ad.matmul(a, v).data, a @ v)
-    npt.assert_array_equal(ad.matmul(v, a).data, v @ a)
+    npt.assert_array_equal(ad.matmul(a, v[:, None]).data[:, 0], a @ v)
+    npt.assert_array_equal(ad.matmul(v[None, :], a).data[0], v @ a)
+    for x, y in ((a, v), (v, a)):
+        with pytest.raises(ValueError, match="matmul"):
+            ad.matmul(x, y)
 
 
 @pytest.mark.parametrize("op,shapes", [
     ("add", ((3,), (4,))),
     ("mul", ((2, 2), (3,))),
     ("matmul", ((2, 3), (2, 3))),
-    ("dot", ((3,), (4,))),
+    ("sub", ((3,), (4,))),
     ("add_rowvec", ((2, 3), (2,))),
 ])
 def test_shape_mismatch_diagnostics(op, shapes):
@@ -55,31 +55,32 @@ def test_mixed_tapes_rejected():
 
 class TestSoftmax:
     def test_symmetry(self):
-        npt.assert_allclose(ad.softmax([0.0, 0.0, 0.0]).data, [1 / 3] * 3)
+        npt.assert_allclose(ad.softmax_rows([[0.0, 0.0, 0.0]]).data, [[1 / 3] * 3])
 
     def test_limit_case(self):
-        s = ad.softmax([7.0, 107.0]).data
-        assert abs(s[1] - 1.0) < 1e-12
+        s = ad.softmax_rows([[7.0, 107.0], [107.0, 7.0]]).data
+        assert abs(s[0, 1] - 1.0) < 1e-12 and abs(s[1, 0] - 1.0) < 1e-12
 
     def test_direct_evaluation(self):
-        z = np.array([1.0, 2.0, 3.0])
-        expected = np.exp(z) / np.exp(z).sum()
-        npt.assert_allclose(ad.softmax(z).data, expected, rtol=1e-14)
+        z = np.array([[1.0, 2.0, 3.0], [-1.0, 0.0, 4.0]])
+        expected = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+        npt.assert_allclose(ad.softmax_rows(z).data, expected, rtol=1e-14)
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            s = ad.softmax(rng.normal(0, 5, 9)).data
-            assert abs(s.sum() - 1.0) < 1e-12
+            s = ad.softmax_rows(rng.normal(0, 5, (3, 9))).data
+            npt.assert_allclose(s.sum(axis=1), 1.0, rtol=0, atol=1e-12)
             assert np.all(s > 0)
 
     def test_shift_invariance_bitwise(self):
-        z = np.array([1.0, 2.0, 3.0])
-        npt.assert_array_equal(ad.softmax(z).data, ad.softmax(z + 100.0).data)
+        z = np.array([[1.0, 2.0, 3.0], [0.5, -2.0, 7.0]])
+        shift = np.array([[100.0], [-40.0]])
+        npt.assert_array_equal(ad.softmax_rows(z).data, ad.softmax_rows(z + shift).data)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
-            ad.softmax([1.0, np.inf])
+            ad.softmax_rows([[1.0, np.inf]])
         with pytest.raises(ValueError, match="non-finite"):
             ad.softmax_rows([[1.0, np.nan]])
 
@@ -94,7 +95,7 @@ class TestBackward:
     def test_dot_self_gradient(self):
         tape = Tape()
         x = tape.watch([1.0, 2.0])
-        grads = tape.backward(ad.dot(x, x))
+        grads = tape.backward(ad.sum_all(ad.mul(x, x)))
         npt.assert_array_equal(grads[x.node], [2.0, 4.0])
 
     def test_fanout_accumulates(self):
@@ -118,7 +119,7 @@ class TestBackward:
 
 class TestGradCheck:
     def test_sum_of_squares(self):
-        assert grad_check(lambda x: ad.dot(x, x), [1.0, 2.0, 3.0]) < 1e-7
+        assert grad_check(lambda x: ad.sum_all(x * x), [1.0, 2.0, 3.0]) < 1e-7
 
     def test_constant_function(self):
         assert grad_check(lambda x: Tensor(4.0), [1.0, 2.0]) == 0.0
@@ -129,7 +130,7 @@ class TestGradCheck:
 
     def test_eps_must_be_positive(self):
         with pytest.raises(ValueError, match="eps"):
-            grad_check(lambda x: ad.dot(x, x), [1.0], eps=0.0)
+            grad_check(lambda x: ad.sum_all(x * x), [1.0], eps=0.0)
 
 
 def _signed_away_from(rng, n, margin=5e-2, scale=1.0):
@@ -141,60 +142,61 @@ def _primitive_cases(rng):
     through a random constant so the pullback sees a non-uniform gradient."""
     c4 = rng.normal(0, 1, 4)
     c3 = rng.normal(0, 1, 3)
+    c31 = rng.normal(0, 1, (3, 1))
     c34 = rng.normal(0, 1, (3, 4))
     c32 = rng.normal(0, 1, (3, 2))
 
     def split(x, k):
         return ad.slice1d(x, 0, k), ad.slice1d(x, k, 2 * k)
 
+    def reduce(t, c):
+        return ad.sum_all(ad.mul(t, c))
+
     return {
-        "add": (lambda x: ad.dot(ad.add(*split(x, 4)), c4), rng.normal(0, 1, 8)),
+        "add": (lambda x: reduce(ad.add(*split(x, 4)), c4), rng.normal(0, 1, 8)),
         "add_scalar_bcast": (
-            lambda x: ad.dot(ad.add(ad.slice1d(x, 0, 4), ad.slice1d(x, 4, 5)), c4),
+            lambda x: reduce(ad.add(ad.slice1d(x, 0, 4), ad.slice1d(x, 4, 5)), c4),
             rng.normal(0, 1, 5)),
-        "sub": (lambda x: ad.dot(ad.sub(*split(x, 4)), c4), rng.normal(0, 1, 8)),
-        "mul": (lambda x: ad.dot(ad.mul(*split(x, 4)), c4), rng.normal(0, 1, 8)),
-        "div": (lambda x: ad.dot(ad.div(*split(x, 4)), c4),
+        "sub": (lambda x: reduce(ad.sub(*split(x, 4)), c4), rng.normal(0, 1, 8)),
+        "mul": (lambda x: reduce(ad.mul(*split(x, 4)), c4), rng.normal(0, 1, 8)),
+        "div": (lambda x: reduce(ad.div(*split(x, 4)), c4),
                 np.concatenate([rng.normal(0, 1, 4), rng.uniform(1.0, 2.0, 4)])),
         "matmul_2d2d": (
-            lambda x: ad.sum_all(ad.mul(ad.matmul(
+            lambda x: reduce(ad.matmul(
                 ad.reshape(ad.slice1d(x, 0, 12), (3, 4)),
-                ad.reshape(ad.slice1d(x, 12, 20), (4, 2))), c32)),
+                ad.reshape(ad.slice1d(x, 12, 20), (4, 2))), c32),
             rng.normal(0, 1, 20)),
-        "matmul_2d1d": (
-            lambda x: ad.dot(ad.matmul(
-                ad.reshape(ad.slice1d(x, 0, 12), (3, 4)), ad.slice1d(x, 12, 16)), c3),
+        "matmul_2d_column": (
+            lambda x: reduce(ad.matmul(
+                ad.reshape(ad.slice1d(x, 0, 12), (3, 4)),
+                ad.reshape(ad.slice1d(x, 12, 16), (4, 1))), c31),
             rng.normal(0, 1, 16)),
-        "matmul_1d2d": (
-            lambda x: ad.dot(ad.matmul(
-                ad.slice1d(x, 0, 3), ad.reshape(ad.slice1d(x, 3, 15), (3, 4))), c4),
+        "matmul_row_2d": (
+            lambda x: reduce(ad.matmul(
+                ad.reshape(ad.slice1d(x, 0, 3), (1, 3)),
+                ad.reshape(ad.slice1d(x, 3, 15), (3, 4))), c4[None, :]),
             rng.normal(0, 1, 15)),
-        "relu": (lambda x: ad.dot(ad.relu(x), c4), _signed_away_from(rng, 4)),
-        "clamp_min": (lambda x: ad.dot(ad.clamp_min(x, 0.5), c4),
+        "relu": (lambda x: reduce(ad.relu(x), c4), _signed_away_from(rng, 4)),
+        "clamp_min": (lambda x: reduce(ad.clamp_min(x, 0.5), c4),
                       0.5 + _signed_away_from(rng, 4)),
-        "exp": (lambda x: ad.dot(ad.exp(x), c4), rng.uniform(-2, 2, 4)),
-        "log": (lambda x: ad.dot(ad.log(x), c4), rng.uniform(0.1, 3.0, 4)),
-        "sqrt": (lambda x: ad.dot(ad.sqrt(x), c4), rng.uniform(0.1, 3.0, 4)),
+        "log": (lambda x: reduce(ad.log(x), c4), rng.uniform(0.1, 3.0, 4)),
+        "sqrt": (lambda x: reduce(ad.sqrt(x), c4), rng.uniform(0.1, 3.0, 4)),
         "sum_all": (lambda x: ad.sum_all(ad.mul(x, c4)), rng.normal(0, 1, 4)),
-        "row_sum": (lambda x: ad.dot(ad.row_sum(ad.reshape(x, (3, 4))), c3),
+        "row_sum": (lambda x: reduce(ad.row_sum(ad.reshape(x, (3, 4))), c3),
                     rng.normal(0, 1, 12)),
-        "dot": (lambda x: ad.dot(*split(x, 4)), rng.normal(0, 1, 8)),
-        "norm": (lambda x: ad.norm(x), 0.5 + rng.uniform(0, 1, 4)),
-        "norm_sq": (lambda x: ad.norm_sq(x), rng.normal(0, 1, 4)),
-        "softmax": (lambda x: ad.dot(ad.softmax(x), c4), rng.normal(0, 2, 4)),
         "softmax_rows": (
-            lambda x: ad.sum_all(ad.mul(ad.softmax_rows(ad.reshape(x, (3, 4))), c34)),
+            lambda x: reduce(ad.softmax_rows(ad.reshape(x, (3, 4))), c34),
             rng.normal(0, 2, 12)),
         "add_rowvec": (
-            lambda x: ad.sum_all(ad.mul(ad.add_rowvec(
-                ad.reshape(ad.slice1d(x, 0, 12), (3, 4)), ad.slice1d(x, 12, 16)), c34)),
+            lambda x: reduce(ad.add_rowvec(
+                ad.reshape(ad.slice1d(x, 0, 12), (3, 4)), ad.slice1d(x, 12, 16)), c34),
             rng.normal(0, 1, 16)),
         "take_rows": (
-            lambda x: ad.sum_all(ad.mul(ad.take_rows(ad.reshape(x, (4, 3)), [2, 0, 2]), c34.T[:3])),
+            lambda x: reduce(ad.take_rows(ad.reshape(x, (4, 3)), [2, 0, 2]), c34.T[:3]),
             rng.normal(0, 1, 12)),
-        "reshape": (lambda x: ad.sum_all(ad.mul(ad.reshape(x, (2, 2)), c34[:2, :2])),
+        "reshape": (lambda x: reduce(ad.reshape(x, (2, 2)), c34[:2, :2]),
                     rng.normal(0, 1, 4)),
-        "slice1d": (lambda x: ad.dot(ad.slice1d(x, 1, 5), c4), rng.normal(0, 1, 6)),
+        "slice1d": (lambda x: reduce(ad.slice1d(x, 1, 5), c4), rng.normal(0, 1, 6)),
     }
 
 
@@ -224,7 +226,8 @@ def test_tape_replay_determinism():
         tape = Tape()
         x = tape.watch(rng.normal(0, 1, (4, 3)))
         w = tape.watch(rng.normal(0, 1, (3, 2)))
-        loss = ad.norm_sq(ad.relu(ad.matmul(x, w)))
+        h = ad.relu(ad.matmul(x, w))
+        loss = ad.sum_all(ad.mul(h, h))
         grads = tape.backward(loss)
         return loss.data.copy(), grads[x.node].copy(), grads[w.node].copy()
 

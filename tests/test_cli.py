@@ -11,7 +11,7 @@ import pytest
 
 from agecontrast.cli import main
 from agecontrast.manifest import sha256_file
-from agecontrast.model import init_model, load_model
+from agecontrast.model import ModelConfig, init_model, load_model, save_model
 from agecontrast.selfcheck import run_all
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -188,6 +188,69 @@ class TestEval:
         out.mkdir()
         assert main(["eval", "--checkpoint", str(train_out / "checkpoint.json"),
                      "--dataset", str(csv), "--protocol", "lopo", "--out", str(out)]) == 2
+
+
+class TestEvalBoundary:
+    """Bad eval/sweep arguments exit 2 with one error line, no traceback."""
+
+    @pytest.fixture()
+    def checkpoint(self, tiny_dataset, tmp_path):
+        out = tmp_path / "t"
+        out.mkdir()
+        assert main(["train", "--dataset", str(tiny_dataset), "--epochs", "0",
+                     "--out", str(out)]) == 0
+        return out / "checkpoint.json"
+
+    def _eval(self, checkpoint, dataset, tmp_path, *extra):
+        out = tmp_path / "e"
+        out.mkdir(exist_ok=True)
+        return main(["eval", "--checkpoint", str(checkpoint), "--dataset", str(dataset),
+                     "--out", str(out), *extra])
+
+    @pytest.mark.parametrize("k", ["1", "0"])
+    def test_k_below_two_exits_2(self, checkpoint, tiny_dataset, tmp_path, capsys, k):
+        assert self._eval(checkpoint, tiny_dataset, tmp_path, "--k", k) == 2
+        assert "error: --k must be >= 2" in capsys.readouterr().err
+
+    def test_non_json_checkpoint_exits_2(self, tiny_dataset, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("not json {")
+        assert self._eval(bad, tiny_dataset, tmp_path) == 2
+        assert "error: cannot read checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload", [
+        '[]',
+        '{"format": "agecontrast-checkpoint-v1"}',
+        '{"format": "agecontrast-checkpoint-v1", "config": {"input_dim": 10, '
+        '"hidden_widths": [4], "feature_dim": 4, "num_ages": 12}, "parameters": [{}]}',
+    ])
+    def test_schema_broken_checkpoint_exits_2(self, tiny_dataset, tmp_path, capsys, payload):
+        bad = tmp_path / "bad.json"
+        bad.write_text(payload)
+        assert self._eval(bad, tiny_dataset, tmp_path) == 2
+        assert "error: cannot read checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["input_dim", "num_ages"])
+    def test_checkpoint_dataset_mismatch_exits_2(self, checkpoint, tiny_dataset, tmp_path,
+                                                 capsys, key):
+        model = load_model(checkpoint)
+        dims = {**model.config.to_dict(), key: getattr(model.config, key) + 1}
+        save_model(init_model(ModelConfig.from_dict(dims), 0), checkpoint)
+        assert self._eval(checkpoint, tiny_dataset, tmp_path) == 2
+        assert f"error: checkpoint {checkpoint} has {key}" in capsys.readouterr().err
+
+    def test_eval_jobs_flag_is_gone(self, checkpoint, tiny_dataset, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            self._eval(checkpoint, tiny_dataset, tmp_path, "--jobs", "2")
+        assert exc.value.code == 2
+
+    def test_sweep_zero_jobs_exits_2(self, tiny_dataset, tmp_path, capsys):
+        out = tmp_path / "s"
+        out.mkdir()
+        assert main(["sweep", "--dataset", str(tiny_dataset), "--loss-sets", "--jobs", "0",
+                     "--out", str(out)]) == 2
+        assert "error: --jobs must be >= 1" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
 
 class TestSweep:

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from agecontrast.data import (FaceSample, LabeledDataset, has_triplet_negatives,
+from agecontrast.data import (LabeledDataset, has_triplet_negatives,
                               iter_epoch_batches, load_dataset, negative_set,
                               positive_set, sample_triplet_batch, save_dataset)
 from agecontrast.errors import DatasetError
@@ -137,10 +137,11 @@ class TestIndexes:
 
     def test_indexes_survive_shuffles(self, grid_dataset):
         rng = np.random.default_rng(8)
-        samples = grid_dataset.samples
+        g = grid_dataset
         for _ in range(5):
-            order = rng.permutation(len(samples))
-            ds = LabeledDataset([samples[i] for i in order], grid_dataset.num_ages)
+            order = rng.permutation(len(g))
+            ds = LabeledDataset(g.inputs[order], g.ages[order],
+                                [g.identities[i] for i in order], g.num_ages)
             ds.verify_indexes()
             for a in range(len(ds)):
                 assert positive_set(ds, a) == brute_positive(ds, a)
@@ -153,13 +154,35 @@ class TestIndexes:
 
     def test_validation(self):
         with pytest.raises(DatasetError, match="age"):
-            LabeledDataset([FaceSample(np.ones(2), 7, "A")], num_ages=5)
+            LabeledDataset(np.ones((1, 2)), [7], ["A"], num_ages=5)
         with pytest.raises(DatasetError, match="identity"):
-            LabeledDataset([FaceSample(np.ones(2), 3, "")], num_ages=5)
+            LabeledDataset(np.ones((1, 2)), [3], [""], num_ages=5)
         with pytest.raises(DatasetError, match="finite"):
-            LabeledDataset([FaceSample(np.array([1.0, np.inf]), 3, "A")], num_ages=5)
+            LabeledDataset(np.array([[1.0, np.inf]]), [3], ["A"], num_ages=5)
         with pytest.raises(DatasetError, match="at least one"):
-            LabeledDataset([], num_ages=5)
+            LabeledDataset(np.ones((0, 2)), [], [], num_ages=5)
+        with pytest.raises(DatasetError, match="2 input rows"):
+            LabeledDataset(np.ones((2, 2)), [1], ["A", "B"], num_ages=5)
+        with pytest.raises(DatasetError, match="matrix"):
+            LabeledDataset(np.ones(2), [1, 1], ["A", "B"], num_ages=5)
+
+    def test_validation_names_first_bad_sample(self):
+        inputs = np.ones((4, 2))
+        inputs[2, 1] = np.nan
+        inputs[3, 0] = np.inf
+        with pytest.raises(DatasetError, match="sample 2: non-finite"):
+            LabeledDataset(inputs, [1, 1, 1, 1], list("ABCD"), num_ages=5)
+        with pytest.raises(DatasetError, match="sample 1: age 0 outside 1..5"):
+            LabeledDataset(np.ones((3, 2)), [1, 0, 9], list("ABC"), num_ages=5)
+        with pytest.raises(DatasetError, match="sample 3: empty identity"):
+            LabeledDataset(np.ones((4, 2)), [1, 1, 1, 1], ["A", "B", "C", ""], num_ages=5)
+
+    def test_constructor_copies_its_arrays(self):
+        inputs, ages = np.ones((2, 2)), np.array([1, 2])
+        ds = LabeledDataset(inputs, ages, ["A", "B"], num_ages=5)
+        inputs[0, 0] = 7.0
+        ages[0] = 5
+        assert ds.inputs[0, 0] == 1.0 and ds.ages[0] == 1
 
 
 class TestCsvRoundTrip:

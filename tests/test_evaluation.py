@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from agecontrast.errors import IncompatibleDataError
-from agecontrast.evaluation import (evaluate_checkpoint, evaluate_mae,
+from agecontrast.evaluation import (Fold, evaluate_checkpoint, evaluate_mae,
                                     identity_variance, lambda_grid_cells,
                                     loss_set_cells, mean_absolute_error, run_protocol,
                                     split_lopo, split_protocol, split_random,
@@ -111,6 +111,12 @@ class TestSplitLopo:
             split_lopo(ds)
 
 
+def test_fold_train_is_the_complement_of_test():
+    fold = Fold(np.array([1, 4]), 6)
+    npt.assert_array_equal(fold.train, [0, 2, 3, 5])
+    assert fold.n == 6
+
+
 def test_split_protocol_dispatch(small_synth):
     _, ds, _ = small_synth
     assert len(split_protocol(ds, "rs", 4, 0)) == 4
@@ -152,14 +158,9 @@ class TestMae:
 
 
 def make_oracle_dataset(a):
-    from agecontrast.data import FaceSample, LabeledDataset
-    samples = []
-    for age in range(1, a + 1):
-        for ident in ("A", "B"):
-            x = np.zeros(a)
-            x[age - 1] = 1.0
-            samples.append(FaceSample(x, age, ident))
-    return LabeledDataset(samples, a)
+    from agecontrast.data import LabeledDataset
+    ages = np.repeat(np.arange(1, a + 1), 2)
+    return LabeledDataset(np.eye(a)[ages - 1], ages, ["A", "B"] * a, a)
 
 
 def make_oracle_model(a):
@@ -218,6 +219,20 @@ class TestProtocolRuns:
         assert report.mean_mae == pytest.approx(float(np.mean(report.fold_maes)), rel=1e-15)
         assert report.histories == []
         assert "variance" in report.notes
+        assert "fold_sizes" not in report.to_dict()
+
+    @pytest.mark.parametrize("protocol", ["rs", "se", "lopo"])
+    def test_checkpoint_eval_matches_per_fold_forwards(self, small_synth, protocol):
+        # one whole-dataset forward scores every fold; BLAS may round a
+        # fold-sized forward differently in the last bit
+        _, ds, _ = small_synth
+        model = init_model(ModelConfig(ds.input_dim, (8,), 6, ds.num_ages), 3)
+        report = evaluate_checkpoint(model, ds, protocol, k=4, seed=1)
+        folds = split_protocol(ds, protocol, 4, 1)
+        assert report.fold_sizes == [len(f.test) for f in folds]
+        expected = [evaluate_mae(model, ds, f.test) for f in folds]
+        npt.assert_allclose(report.fold_maes, expected, rtol=1e-13)
+        assert (report.mu_vf, report.mu_vs) == identity_variance(model, ds)
 
     def test_run_protocol_deterministic(self, small_synth):
         _, ds, _ = small_synth

@@ -1,79 +1,90 @@
 """Loss suite: values against direct-evaluation oracles, fixed points,
-invariances, gradients, and the weighted composition."""
+invariances, gradients, the weighted composition, and property tests
+against the plain-numpy per-sample reference."""
 
 import math
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agecontrast import autodiff as ad
-from agecontrast.autodiff import grad_check
-from agecontrast.losses import (LossBreakdown, LossWeights, cosine_loss, kld_loss,
-                                mean_loss, softmax_ce, total_loss,
-                                triplet_margin_loss, variance_loss)
+from agecontrast.autodiff import Tape, grad_check
+from agecontrast.losses import (LossBreakdown, LossWeights, ce_sum, cosine_mean, kld_mean,
+                                mean_sum, total_loss, triplet_mean, variance_sum)
+
+import loss_reference as ref
+
+row = np.atleast_2d
 
 
-def rand_dist(rng, n):
-    z = rng.normal(0, 1, n)
-    e = np.exp(z - z.max())
-    return e / e.sum()
+def rand_dist(rng, n, rows=None):
+    z = rng.normal(0, 1, n if rows is None else (rows, n))
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 class TestSoftmaxCE:
     def test_perfect_prediction(self):
         s = np.zeros(4)
         s[2] = 1.0
-        assert softmax_ce(s, 3).item() == 0.0
+        assert ce_sum(row(s), [3]).item() == 0.0
 
     def test_uniform(self):
-        assert softmax_ce(np.full(6, 1 / 6), 2).item() == pytest.approx(math.log(6), rel=1e-12)
+        assert ce_sum(np.full((1, 6), 1 / 6), [2]).item() == pytest.approx(math.log(6), rel=1e-12)
 
     def test_direct_evaluation(self):
-        assert softmax_ce([0.1, 0.9], 1).item() == pytest.approx(-math.log(0.1), rel=1e-12)
+        assert ce_sum([[0.1, 0.9]], [1]).item() == pytest.approx(-math.log(0.1), rel=1e-12)
+        assert ce_sum([[0.1, 0.9], [0.5, 0.5]], [1, 2]).item() == pytest.approx(
+            -math.log(0.1) - math.log(0.5), rel=1e-12)
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            softmax_ce([0.5, 0.5], 3)
+            ce_sum([[0.5, 0.5]], [3])
         with pytest.raises(ValueError, match="out of range"):
-            softmax_ce([0.5, 0.5], 0)
+            ce_sum([[0.5, 0.5], [0.5, 0.5]], [1, 0])
+        with pytest.raises(ValueError, match="out of range"):
+            mean_sum([[0.5, 0.5]], [3])
 
 
 class TestMeanLoss:
     def test_exact_mean_is_zero(self):
         s = np.zeros(9)
         s[4] = 1.0
-        assert mean_loss(s, 5).item() == 0.0
+        assert mean_sum(row(s), [5]).item() == 0.0
 
     def test_direct_evaluation(self):
-        assert mean_loss([0.5, 0.5], 1).item() == pytest.approx(0.125, abs=1e-15)
+        assert mean_sum([[0.5, 0.5]], [1]).item() == pytest.approx(0.125, abs=1e-15)
 
     def test_symmetric_mean(self):
-        assert mean_loss(np.full(3, 1 / 3), 2).item() == pytest.approx(0.0, abs=1e-15)
+        assert mean_sum(np.full((1, 3), 1 / 3), [2]).item() == pytest.approx(0.0, abs=1e-15)
 
     def test_absolute_form(self):
-        assert mean_loss([0.5, 0.5], 1, form="absolute").item() == pytest.approx(0.5, abs=1e-12)
+        assert mean_sum([[0.5, 0.5]], [1], form="absolute").item() == pytest.approx(
+            0.5, abs=1e-12)
+        with pytest.raises(ValueError, match="form"):
+            mean_sum([[0.5, 0.5]], [1], form="cubic")
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            s = rand_dist(rng, 7)
-            y = int(rng.integers(1, 8))
-            mean = (np.arange(1, 8) * s).sum()
-            assert mean_loss(s, y).item() == pytest.approx(0.5 * (mean - y) ** 2, rel=1e-12)
+            s = rand_dist(rng, 7, rows=3)
+            y = rng.integers(1, 8, 3)
+            means = s @ np.arange(1, 8)
+            assert mean_sum(s, y).item() == pytest.approx(
+                (0.5 * (means - y) ** 2).sum(), rel=1e-12)
 
 
 class TestVarianceLoss:
     def test_one_hot_is_zero(self):
-        for j in range(5):
-            s = np.zeros(5)
-            s[j] = 1.0
-            assert variance_loss(s).item() == 0.0
+        assert variance_sum(np.eye(5)).item() == 0.0
 
     def test_uniform_three(self):
-        assert variance_loss(np.full(3, 1 / 3)).item() == pytest.approx(2 / 3, rel=1e-12)
+        assert variance_sum(np.full((1, 3), 1 / 3)).item() == pytest.approx(2 / 3, rel=1e-12)
 
     def test_bimodal(self):
-        assert variance_loss([0.5, 0.0, 0.5]).item() == pytest.approx(1.0, rel=1e-12)
+        assert variance_sum([[0.5, 0.0, 0.5]]).item() == pytest.approx(1.0, rel=1e-12)
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(1)
@@ -82,68 +93,92 @@ class TestVarianceLoss:
             s = rand_dist(rng, 8)
             mu = (labels * s).sum()
             expected = (s * (labels - mu) ** 2).sum()
-            assert variance_loss(s).item() == pytest.approx(expected, rel=1e-12)
-            assert variance_loss(s).item() >= 0.0
+            assert variance_sum(row(s)).item() == pytest.approx(expected, rel=1e-12)
+            assert variance_sum(row(s)).item() >= 0.0
 
 
 class TestCosineLoss:
     def test_parallel_is_zero(self):
         f = np.array([1.0, 2.0, -3.0])
-        assert cosine_loss(f, 2.0 * f).item() == pytest.approx(0.0, abs=1e-12)
+        assert cosine_mean(row(f), row(2.0 * f)).item() == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal_is_one(self):
-        assert cosine_loss([1.0, 0.0], [0.0, 5.0]).item() == pytest.approx(1.0, abs=1e-12)
+        assert cosine_mean([[1.0, 0.0]], [[0.0, 5.0]]).item() == pytest.approx(1.0, abs=1e-12)
 
     def test_antiparallel_is_two(self):
         f = np.array([0.3, -0.7])
-        assert cosine_loss(f, -f).item() == pytest.approx(2.0, abs=1e-12)
+        assert cosine_mean(row(f), row(-f)).item() == pytest.approx(2.0, abs=1e-12)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(2)
-        fa, fp = rng.normal(0, 1, 6), rng.normal(0, 1, 6)
-        base = cosine_loss(fa, fp).item()
+        fa, fp = rng.normal(0, 1, (2, 6)), rng.normal(0, 1, (2, 6))
+        base = cosine_mean(fa, fp).item()
         for c in (1e-3, 0.5, 3.0, 1e4):
-            assert abs(cosine_loss(c * fa, fp).item() - base) < 1e-12
-            assert abs(cosine_loss(fa, c * fp).item() - base) < 1e-12
+            assert abs(cosine_mean(c * fa, fp).item() - base) < 1e-12
+            assert abs(cosine_mean(fa, c * fp).item() - base) < 1e-12
 
     def test_range(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            v = cosine_loss(rng.normal(0, 1, 4), rng.normal(0, 1, 4)).item()
+            v = cosine_mean(rng.normal(0, 1, (3, 4)), rng.normal(0, 1, (3, 4))).item()
             assert 0.0 <= v <= 2.0
 
-    def test_zero_norm_rejected(self):
-        with pytest.raises(ValueError, match="norm below floor"):
-            cosine_loss(np.zeros(3), np.ones(3))
+    def test_tiny_norm_row_is_exact(self):
+        # A norm of 1e-8 is far above NORM_FLOOR, so the cosine is exact.
+        assert cosine_mean([[1e-8, 0.0, 0.0]], [[1.0, 0.0, 0.0]]).item() == 0.0
+        assert cosine_mean([[1e-8, 0.0, 0.0]], [[0.0, 1.0, 0.0]]).item() == 1.0
+        fa, fp = np.array([3e-9, -4e-9, 1e-9]), np.array([0.2, 0.7, -1.0])
+        assert cosine_mean(row(fa), row(fp)).item() == pytest.approx(
+            ref.cosine(fa, fp), rel=1e-14)
+
+    def test_zero_row_is_finite(self):
+        tape = Tape()
+        fa, fp = tape.watch(np.zeros((2, 3))), tape.watch(np.ones((2, 3)))
+        loss = cosine_mean(fa, fp)
+        assert loss.item() == 1.0  # cos = 0 for the dead rows
+        grads = tape.backward(loss)
+        assert all(np.all(np.isfinite(grads[t.node])) for t in (fa, fp))
+
+    def test_zero_row_leaves_other_rows_exact(self):
+        fa = np.array([[0.0, 0.0], [1.0, 0.0]])
+        fp = np.array([[1.0, 1.0], [1.0, 1.0]])
+        expected = (1.0 + (1.0 - 1.0 / math.sqrt(2.0))) / 2.0
+        assert cosine_mean(fa, fp).item() == pytest.approx(expected, rel=1e-14)
 
     def test_alternative_forms(self):
-        fa, fp = np.array([1.0, 0.0]), np.array([1.0, 1.0])
+        fa, fp = np.array([[1.0, 0.0]]), np.array([[1.0, 1.0]])
         cos = 1.0 / math.sqrt(2.0)
-        assert cosine_loss(fa, fp, form="negative").item() == pytest.approx(-cos, rel=1e-12)
-        assert cosine_loss(fa, fp, form="raw").item() == pytest.approx(cos, rel=1e-12)
+        assert cosine_mean(fa, fp, form="negative").item() == pytest.approx(-cos, rel=1e-12)
+        assert cosine_mean(fa, fp, form="raw").item() == pytest.approx(cos, rel=1e-12)
+        with pytest.raises(ValueError, match="form"):
+            cosine_mean(fa, fp, form="angle")
 
 
 class TestTripletMarginLoss:
     def test_margin_satisfied(self):
-        s = np.array([0.6, 0.4])
-        sn = np.array([0.1, 0.9])  # ||s - sn||^2 = 0.5
-        assert triplet_margin_loss(s, s, sn, 0.2).item() == 0.0
+        s = np.array([[0.6, 0.4]])
+        sn = np.array([[0.1, 0.9]])  # ||s - sn||^2 = 0.5
+        assert triplet_mean(s, s, sn, 0.2).item() == 0.0
 
     def test_all_equal_hinge(self):
-        s = np.array([0.5, 0.5])
-        assert triplet_margin_loss(s, s, s, 0.2).item() == pytest.approx(0.2, rel=1e-12)
+        s = np.array([[0.5, 0.5]])
+        assert triplet_mean(s, s, s, 0.2).item() == pytest.approx(0.2, rel=1e-12)
 
     def test_direct_evaluation(self):
-        v = triplet_margin_loss([1.0, 0.0], [0.0, 1.0], [1.0, 0.0], 0.0).item()
+        v = triplet_mean([[1.0, 0.0]], [[0.0, 1.0]], [[1.0, 0.0]], 0.0).item()
         assert v == pytest.approx(2.0, rel=1e-12)
+        # the mean over rows: hinges 2.0 and 0.0
+        v = triplet_mean([[1.0, 0.0], [0.5, 0.5]], [[0.0, 1.0], [0.5, 0.5]],
+                         [[1.0, 0.0], [0.0, 1.0]], 0.0).item()
+        assert v == pytest.approx(1.0, rel=1e-12)
 
     def test_monotone_in_distances(self):
         # loss = max(dpos - dneg + alpha, 0) on squared distances by construction
         def hinge(dpos_sq, dneg_sq, alpha=0.3):
-            sa = np.zeros(3)
-            sp = np.array([math.sqrt(dpos_sq), 0.0, 0.0])
-            sn = np.array([0.0, math.sqrt(dneg_sq), 0.0])
-            return triplet_margin_loss(sa, sp, sn, alpha).item()
+            sa = np.zeros((1, 3))
+            sp = np.array([[math.sqrt(dpos_sq), 0.0, 0.0]])
+            sn = np.array([[0.0, math.sqrt(dneg_sq), 0.0]])
+            return triplet_mean(sa, sp, sn, alpha).item()
 
         grid = [0.0, 0.1, 0.5, 1.0, 2.0]
         for dneg in grid:
@@ -154,52 +189,52 @@ class TestTripletMarginLoss:
             assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_negative_alpha_rejected(self):
-        s = np.array([0.5, 0.5])
+        s = np.array([[0.5, 0.5]])
         with pytest.raises(ValueError, match="alpha"):
-            triplet_margin_loss(s, s, s, -0.1)
+            triplet_mean(s, s, s, -0.1)
 
 
 class TestKLDLoss:
     def test_identical_is_exactly_zero(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
-            s = rand_dist(rng, 6)
-            assert kld_loss(s, s).item() == 0.0
+            s = rand_dist(rng, 6, rows=2)
+            assert kld_mean(s, s).item() == 0.0
 
     def test_nonnegative(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
-            assert kld_loss(rand_dist(rng, 5), rand_dist(rng, 5)).item() >= 0.0
+            assert kld_mean(rand_dist(rng, 5, rows=2), rand_dist(rng, 5, rows=2)).item() >= 0.0
 
     def test_direct_evaluation(self):
         expected = 0.5 * (0.5 * math.log(0.5 / 0.9) + 0.5 * math.log(0.5 / 0.1))
-        assert kld_loss([0.9, 0.1], [0.5, 0.5]).item() == pytest.approx(expected, rel=1e-12)
+        assert kld_mean([[0.9, 0.1]], [[0.5, 0.5]]).item() == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(0.255413, abs=5e-7)
 
     def test_clamped_zero_entries_stay_finite(self):
-        v = kld_loss([1.0, 0.0], [0.5, 0.5]).item()
+        v = kld_mean([[1.0, 0.0]], [[0.5, 0.5]]).item()
         assert np.isfinite(v) and v > 0
 
 
 class TestGradients:
     # The 100-point sweep lives in the selfcheck/acceptance suites; these
-    # are quick spot checks per loss.
+    # are quick spot checks per loss on two-row batches.
     def test_each_loss(self):
         rng = np.random.default_rng(6)
+
+        def rows(x, k, start=0):
+            return ad.reshape(ad.slice1d(x, start * 2 * k, (start + 1) * 2 * k), (2, k))
+
         for _ in range(5):
-            s = rand_dist(rng, 6)
-            y = int(rng.integers(1, 7))
-            assert grad_check(lambda x: softmax_ce(x, y), s) < 1e-4
-            assert grad_check(lambda x: mean_loss(x, y), s) < 1e-4
-            assert grad_check(variance_loss, s) < 1e-4
-            point = rng.normal(0, 1, 10)
-            assert grad_check(
-                lambda x: cosine_loss(ad.slice1d(x, 0, 5), ad.slice1d(x, 5, 10)),
-                point) < 1e-4
-            pair = np.concatenate([rand_dist(rng, 6), rand_dist(rng, 6)])
-            assert grad_check(
-                lambda x: kld_loss(ad.slice1d(x, 0, 6), ad.slice1d(x, 6, 12)),
-                pair) < 1e-4
+            s = rand_dist(rng, 6, rows=2).ravel()
+            y = rng.integers(1, 7, 2)
+            assert grad_check(lambda x: ce_sum(rows(x, 6), y), s) < 1e-4
+            assert grad_check(lambda x: mean_sum(rows(x, 6), y), s) < 1e-4
+            assert grad_check(lambda x: variance_sum(rows(x, 6)), s) < 1e-4
+            point = rng.normal(0, 1, 20)
+            assert grad_check(lambda x: cosine_mean(rows(x, 5), rows(x, 5, 1)), point) < 1e-4
+            pair = rand_dist(rng, 6, rows=4).ravel()
+            assert grad_check(lambda x: kld_mean(rows(x, 6), rows(x, 6, 1)), pair) < 1e-4
 
 
 class TestTotalLoss:
@@ -234,8 +269,9 @@ class TestTotalLoss:
         s = rand_dist(np.random.default_rng(8), 5)
 
         def f(x):
-            total, _ = total_loss(softmax_ce(x, 2), mean_loss(x, 2),
-                                  variance_loss(x), ad.norm_sq(x), 0.0, w)
+            rows = ad.reshape(x, (1, 5))
+            total, _ = total_loss(ce_sum(rows, [2]), mean_sum(rows, [2]),
+                                  variance_sum(rows), ad.sum_all(x * x), 0.0, w)
             return total
 
         assert grad_check(f, s) < 1e-4
@@ -256,3 +292,76 @@ def test_breakdown_row_round_trip():
     bd = LossBreakdown(1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
     assert bd.as_row() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
     assert LossBreakdown.FIELDS == ("l_s", "l_m", "l_v", "l_c", "l_t", "total")
+
+
+# ---------------------------------------------------------------------------
+# Properties: a batch of B rows against B single-row calls and against the
+# plain-numpy per-sample reference.
+
+CLOSE = dict(rel=1e-12, abs=1e-12)
+PROPERTY = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def batches(draw):
+    """(distribution rows x3, labels, feature rows x2) for one batch; rows
+    may hold exact zeros and a row of zero weights becomes uniform."""
+    b = draw(st.integers(1, 4))
+    k = draw(st.integers(2, 8))
+    d = draw(st.integers(1, 6))
+    weights = hnp.arrays(np.float64, (b, k), elements=st.floats(0.0, 1.0))
+    dists = []
+    for _ in range(3):
+        w = draw(weights)
+        w = np.where(w.sum(axis=1, keepdims=True) > 0, w, 1.0)
+        dists.append(w / w.sum(axis=1, keepdims=True))
+    ages = draw(hnp.arrays(np.int64, b, elements=st.integers(1, k)))
+    features = hnp.arrays(np.float64, (b, d), elements=st.floats(-1e3, 1e3))
+    return dists, ages, draw(features), draw(features)
+
+
+def _each_row(fn, *arrays):
+    return [fn(*(a[i:i + 1] for a in arrays)).item() for i in range(len(arrays[0]))]
+
+
+@PROPERTY
+@given(batches(), st.sampled_from(["squared", "absolute"]),
+       st.sampled_from(["one_minus", "negative", "raw"]), st.floats(0.0, 1.0))
+def test_batch_equals_its_single_row_calls(batch, mean_form, cosine_form, alpha):
+    (s_a, s_p, s_n), ages, f_a, f_p = batch
+    sums = {
+        "ce": (lambda s, y: ce_sum(s, y), (s_a, ages)),
+        "mean": (lambda s, y: mean_sum(s, y, mean_form), (s_a, ages)),
+        "variance": (variance_sum, (s_a,)),
+    }
+    for name, (fn, args) in sums.items():
+        assert fn(*args).item() == pytest.approx(sum(_each_row(fn, *args)), **CLOSE), name
+    means = {
+        "cosine": (lambda a, p: cosine_mean(a, p, cosine_form), (f_a, f_p)),
+        "kld": (kld_mean, (s_a, s_p)),
+        "triplet": (lambda a, p, n: triplet_mean(a, p, n, alpha), (s_a, s_p, s_n)),
+    }
+    for name, (fn, args) in means.items():
+        assert fn(*args).item() == pytest.approx(np.mean(_each_row(fn, *args)), **CLOSE), name
+
+
+@PROPERTY
+@given(batches(), st.sampled_from(["squared", "absolute"]),
+       st.sampled_from(["one_minus", "negative", "raw"]), st.floats(0.0, 1.0))
+def test_batch_matches_numpy_reference(batch, mean_form, cosine_form, alpha):
+    (s_a, s_p, s_n), ages, f_a, f_p = batch
+    rows = range(len(ages))
+    checks = [
+        ("ce", ce_sum(s_a, ages), sum(ref.ce(s_a[i], ages[i]) for i in rows)),
+        ("mean", mean_sum(s_a, ages, mean_form),
+         sum(ref.mean(s_a[i], ages[i], mean_form) for i in rows)),
+        ("variance", variance_sum(s_a), sum(ref.variance(s_a[i]) for i in rows)),
+        ("cosine", cosine_mean(f_a, f_p, cosine_form),
+         np.mean([ref.cosine(f_a[i], f_p[i], cosine_form) for i in rows])),
+        ("kld", kld_mean(s_a, s_p), np.mean([ref.kld(s_a[i], s_p[i]) for i in rows])),
+        ("triplet", triplet_mean(s_a, s_p, s_n, alpha),
+         np.mean([ref.triplet(s_a[i], s_p[i], s_n[i], alpha) for i in rows])),
+    ]
+    for name, got, want in checks:
+        # the variance's moment form cancels terms of size up to A^2
+        assert got.item() == pytest.approx(want, rel=1e-10, abs=1e-10), name

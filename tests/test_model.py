@@ -6,9 +6,11 @@ import pytest
 
 from agecontrast import autodiff as ad
 from agecontrast.autodiff import Tape, grad_check
-from agecontrast.model import (Model, ModelConfig, forward, forward_batch,
-                               forward_values, init_model, load_model, pack_params,
-                               predict_age, predict_ages, save_model, unpack_params)
+from agecontrast.model import (ModelConfig, forward_batch, forward_values, init_model,
+                               load_model, pack_params, predict_ages, save_model,
+                               unpack_params)
+
+import loss_reference as ref
 
 TINY = ModelConfig(input_dim=8, hidden_widths=(16,), feature_dim=8, num_ages=5)
 
@@ -45,42 +47,38 @@ def test_init_weight_variance_tracks_fan_in():
 
 def test_forward_shapes_and_distribution():
     m = init_model(TINY, 2)
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        f, s = forward(m, rng.normal(0, 1, 8))
-        assert f.data.shape == (8,) and s.data.shape == (5,)
-        assert abs(s.data.sum() - 1.0) < 1e-12
+    x_rows = np.random.default_rng(0).normal(0, 1, (10, 8))
+    f, s = forward_batch(m, x_rows)
+    assert f.data.shape == (10, 8) and s.data.shape == (10, 5)
+    npt.assert_allclose(s.data.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 def test_forward_zero_head_is_uniform():
     m = init_model(TINY, 2)
     m.weights[-1][:] = 0.0
-    _, s = forward(m, np.ones(8))
-    npt.assert_allclose(s.data, np.full(5, 0.2), rtol=1e-15)
+    _, s = forward_batch(m, np.ones((1, 8)))
+    npt.assert_allclose(s.data, np.full((1, 5), 0.2), rtol=1e-15)
 
 
 def test_forward_rejects_bad_input():
     m = init_model(TINY, 2)
-    with pytest.raises(ValueError, match="length 8"):
-        forward(m, np.ones(9))
+    with pytest.raises(ValueError, match=r"\(n, 8\)"):
+        forward_batch(m, np.ones((1, 9)))
+    with pytest.raises(ValueError, match=r"\(n, 8\)"):
+        forward_batch(m, np.ones(8))
     with pytest.raises(ValueError, match="finite"):
-        forward(m, np.array([np.nan] + [0.0] * 7))
+        forward_batch(m, np.array([[np.nan] + [0.0] * 7]))
 
 
 def test_forward_matches_straight_line_reimplementation():
-    # Independent second implementation of the same matrices.
+    # Independent second implementation of the same matrices, one row at a time.
     m = init_model(TINY, 11)
-    rng = np.random.default_rng(1)
-    for _ in range(5):
-        x = rng.normal(0, 1, 8)
-        f, s = forward(m, x)
-        h = x.copy()
-        for w, b in list(zip(m.weights, m.biases))[:-1]:
-            h = np.maximum(h @ w + b, 0.0)
-        z = h @ m.weights[-1] + m.biases[-1]
-        ez = np.exp(z - z.max())
-        npt.assert_allclose(f.data, h, rtol=1e-13)
-        npt.assert_allclose(s.data, ez / ez.sum(), rtol=1e-13)
+    x_rows = np.random.default_rng(1).normal(0, 1, (5, 8))
+    f, s = forward_batch(m, x_rows)
+    for i, x in enumerate(x_rows):
+        f_ref, s_ref = ref.forward(m, x)
+        npt.assert_allclose(f.data[i], f_ref, rtol=1e-13)
+        npt.assert_allclose(s.data[i], s_ref, rtol=1e-13)
 
 
 def test_forward_batch_and_values_agree_with_forward():
@@ -91,31 +89,35 @@ def test_forward_batch_and_values_agree_with_forward():
     npt.assert_allclose(fb.data, fv, rtol=1e-13)
     npt.assert_allclose(sb.data, sv, rtol=1e-13)
     for i in range(6):
-        fi, si = forward(m, x_rows[i])
-        npt.assert_allclose(fb.data[i], fi.data, rtol=1e-12)
-        npt.assert_allclose(sb.data[i], si.data, rtol=1e-12)
+        fi, si = forward_batch(m, x_rows[i:i + 1])
+        npt.assert_allclose(fb.data[i], fi.data[0], rtol=1e-12)
+        npt.assert_allclose(sb.data[i], si.data[0], rtol=1e-12)
+
+
+def _predict(s, mode="mean"):
+    return predict_ages(np.atleast_2d(s), mode)[0]
 
 
 class TestPredictAge:
     def test_one_hot(self):
         s = np.zeros(10)
         s[6] = 1.0
-        assert predict_age(s) == 7.0
+        assert _predict(s) == 7.0
 
     def test_uniform(self):
-        assert predict_age(np.full(5, 0.2)) == pytest.approx(3.0, abs=1e-12)
+        assert _predict(np.full(5, 0.2)) == pytest.approx(3.0, abs=1e-12)
 
     def test_direct_evaluation(self):
-        assert predict_age(np.array([0.2, 0.8])) == pytest.approx(1.8, abs=1e-12)
+        assert _predict(np.array([0.2, 0.8])) == pytest.approx(1.8, abs=1e-12)
 
     def test_argmax_mode(self):
-        assert predict_age(np.array([0.2, 0.8]), mode="argmax") == 2.0
+        assert _predict(np.array([0.2, 0.8]), mode="argmax") == 2.0
+        with pytest.raises(ValueError, match="mode"):
+            _predict(np.array([0.2, 0.8]), mode="median")
 
     def test_range(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            s = rng.dirichlet(np.ones(7))
-            assert 1.0 <= predict_age(s) <= 7.0
+        ages = predict_ages(np.random.default_rng(3).dirichlet(np.ones(7), size=50))
+        assert np.all((1.0 <= ages) & (ages <= 7.0))
 
     def test_monotone_under_upward_mass_shift(self):
         rng = np.random.default_rng(4)
@@ -127,14 +129,14 @@ class TestPredictAge:
             shifted = s.copy()
             shifted[j] -= delta
             shifted[k] += delta
-            assert predict_age(shifted) >= predict_age(s) - 1e-12
+            assert _predict(shifted) >= _predict(s) - 1e-12
 
     def test_batch_agrees(self):
         rng = np.random.default_rng(5)
         rows = rng.dirichlet(np.ones(6), size=9)
         ages = predict_ages(rows)
         for i in range(9):
-            assert ages[i] == pytest.approx(predict_age(rows[i]), abs=1e-12)
+            assert ages[i] == pytest.approx(float(rows[i] @ np.arange(1, 7)), abs=1e-12)
 
 
 def test_checkpoint_round_trip_bitwise(tmp_path):
@@ -156,6 +158,12 @@ def test_load_rejects_foreign_files(tmp_path):
     path.write_text('{"format": "something-else"}')
     with pytest.raises(ValueError, match="format"):
         load_model(path)
+    path.write_text('[1, 2]')
+    with pytest.raises(ValueError, match="format"):
+        load_model(path)
+    path.write_text('{"format": "agecontrast-checkpoint-v1", "config": {}}')
+    with pytest.raises(ValueError, match="malformed"):
+        load_model(path)
 
 
 def test_pack_unpack_round_trip():
@@ -171,12 +179,12 @@ def test_pack_unpack_round_trip():
 
 def test_unpacked_forward_is_differentiable_end_to_end():
     m = init_model(TINY, 19)
-    x = np.random.default_rng(6).normal(0, 1, 8)
+    x_rows = np.random.default_rng(6).normal(0, 1, (2, 8))
 
     def loss_of(flat):
         view = unpack_params(flat, TINY)
-        _, s = forward(view, x)
-        return ad.norm_sq(s)
+        _, s = forward_batch(view, x_rows)
+        return ad.sum_all(s * s)
 
     assert grad_check(loss_of, pack_params(m)) < 1e-4
 
@@ -185,7 +193,7 @@ def test_tracked_forward_populates_tape():
     m = init_model(TINY, 23)
     tape = Tape()
     view = m.track(tape)
-    f, s = forward(view, np.ones(8))
+    f, s = forward_batch(view, np.ones((1, 8)))
     assert f.tracked and s.tracked
     grads = tape.backward(ad.sum_all(f))
     assert view.weights[0].node in grads

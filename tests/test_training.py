@@ -6,14 +6,14 @@ import pytest
 
 from agecontrast.data import Triplet
 from agecontrast.errors import IncompatibleDataError, OptimizationError
-from agecontrast.losses import (LossWeights, cosine_loss, kld_loss, mean_loss,
-                                softmax_ce, triplet_margin_loss, variance_loss)
-from agecontrast.model import ModelConfig, forward, init_model
+from agecontrast.losses import LossWeights
+from agecontrast.model import ModelConfig, init_model
 from agecontrast.synth import SynthConfig, generate_dataset
 from agecontrast.training import (AdamState, TrainConfig, adam_step,
                                   build_batch_loss, train)
 
 from conftest import make_dataset
+import loss_reference as ref
 
 TINY = ModelConfig(input_dim=6, hidden_widths=(10,), feature_dim=6, num_ages=5)
 
@@ -165,10 +165,10 @@ class TestTrain:
 
 class TestBatchLossAgainstPerSample:
     """The batched training composition must equal the mean of the
-    per-sample loss functions evaluated one at a time."""
+    plain-numpy per-sample reference evaluated one sample at a time."""
 
     def _per_sample_means(self, model, ds, triplets, weights, supervise_all=False):
-        outs = {i: forward(model, ds.inputs[i]) for i in
+        outs = {i: ref.forward(model, ds.inputs[i]) for i in
                 sorted({j for t in triplets for j in (t.a, t.p, t.n) if j is not None})}
         supervised = [t.a for t in triplets]
         if supervise_all:
@@ -176,20 +176,19 @@ class TestBatchLossAgainstPerSample:
             # any pair, negatives only of complete triplets
             supervised += [t.p for t in triplets if t.p is not None]
             supervised += [t.n for t in triplets if t.p is not None and t.n is not None]
-        l_s = np.mean([softmax_ce(outs[i][1], int(ds.ages[i])).item() for i in supervised])
-        l_m = np.mean([mean_loss(outs[i][1], int(ds.ages[i]), weights.mean_form).item()
+        l_s = np.mean([ref.ce(outs[i][1], int(ds.ages[i])) for i in supervised])
+        l_m = np.mean([ref.mean(outs[i][1], int(ds.ages[i]), weights.mean_form)
                        for i in supervised])
-        l_v = np.mean([variance_loss(outs[i][1]).item() for i in supervised])
+        l_v = np.mean([ref.variance(outs[i][1]) for i in supervised])
         pairs = [t for t in triplets if t.p is not None]
         if weights.pair_loss == "cosine":
-            l_c = np.mean([cosine_loss(outs[t.a][0], outs[t.p][0], weights.cosine_form).item()
+            l_c = np.mean([ref.cosine(outs[t.a][0], outs[t.p][0], weights.cosine_form)
                            for t in pairs]) if pairs else 0.0
         else:
-            l_c = np.mean([kld_loss(outs[t.a][1], outs[t.p][1]).item()
+            l_c = np.mean([ref.kld(outs[t.a][1], outs[t.p][1])
                            for t in pairs]) if pairs else 0.0
         trips = [t for t in triplets if t.p is not None and t.n is not None]
-        l_t = np.mean([triplet_margin_loss(outs[t.a][1], outs[t.p][1], outs[t.n][1],
-                                           weights.alpha).item()
+        l_t = np.mean([ref.triplet(outs[t.a][1], outs[t.p][1], outs[t.n][1], weights.alpha)
                        for t in trips]) if trips else 0.0
         return l_s, l_m, l_v, l_c, l_t
 
