@@ -20,8 +20,7 @@ from .data import LabeledDataset, load_dataset, save_dataset
 from .errors import ConfigError, VerificationError
 from .evaluation import (evaluate_checkpoint, lambda_grid_cells, loss_set_cells,
                          sweep)
-from .losses import (COSINE_FORMS, MEAN_FORMS, PAIR_LOSSES, LossBreakdown,
-                     LossWeights)
+from .losses import PAIR_LOSSES, LossBreakdown, LossWeights
 from .manifest import build_manifest, write_manifest
 from .model import Model, load_model, save_model
 from .selfcheck import run_all
@@ -35,15 +34,6 @@ def _parse_int(v: str) -> int:
 
 def _parse_float(v: str) -> float:
     return float(v)
-
-
-def _parse_bool(v: str) -> bool:
-    lowered = v.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {v!r}")
 
 
 def _parse_int_list(v: str) -> tuple[int, ...]:
@@ -85,11 +75,8 @@ TRAIN_SCHEMA = {
     "lambda_t": _parse_float,
     "alpha": _parse_float,
     "pair_loss": _choice(PAIR_LOSSES),
-    "cosine_form": _choice(COSINE_FORMS),
-    "mean_form": _choice(MEAN_FORMS),
     "hidden_widths": _parse_int_list,
     "feature_dim": _parse_int,
-    "supervise_all_triplet_members": _parse_bool,
     "triplets_per_anchor": _parse_int,
 }
 
@@ -156,14 +143,14 @@ def _load_checkpoint(path: str, ds: LabeledDataset) -> Model:
 def _weights_from(resolved: dict) -> LossWeights:
     kwargs = {k: resolved[k] for k in
               ("lambda_m", "lambda_v", "lambda_c", "lambda_t", "alpha",
-               "pair_loss", "cosine_form", "mean_form") if k in resolved}
+               "pair_loss") if k in resolved}
     return LossWeights(**kwargs)
 
 
 def _train_config_from(resolved: dict) -> TrainConfig:
     kwargs = {k: resolved[k] for k in
               ("learning_rate", "epochs", "batch_size", "seed", "hidden_widths",
-               "feature_dim", "supervise_all_triplet_members", "triplets_per_anchor")
+               "feature_dim", "triplets_per_anchor")
               if k in resolved}
     return TrainConfig(weights=_weights_from(resolved), **kwargs)
 

@@ -78,16 +78,11 @@ class LabeledDataset:
         for i, ident in enumerate(identities):
             codes[i] = code_of.setdefault(ident, len(code_of))
         self._identity_code = codes
-        self._by_age: dict[int, Array] = {
-            int(a): np.flatnonzero(ages == a) for a in np.unique(ages)}
         self._by_identity: dict[str, Array] = {
             ident: np.flatnonzero(codes == code) for ident, code in code_of.items()}
 
     def __len__(self) -> int:
         return len(self.identities)
-
-    def indices_with_age(self, age: int) -> Array:
-        return self._by_age.get(int(age), np.empty(0, dtype=np.int64)).copy()
 
     def indices_of_identity(self, identity: str) -> Array:
         return self._by_identity.get(identity, np.empty(0, dtype=np.int64)).copy()
@@ -99,20 +94,6 @@ class LabeledDataset:
         idx = np.asarray(indices, dtype=np.int64)
         return LabeledDataset(self.inputs[idx], self.ages[idx],
                               [self.identities[i] for i in idx], self.num_ages)
-
-    def verify_indexes(self) -> None:
-        """Rebuild both index maps from the label arrays and compare."""
-        by_age: dict[int, list[int]] = {}
-        by_ident: dict[str, list[int]] = {}
-        for i in range(len(self)):
-            by_age.setdefault(int(self.ages[i]), []).append(i)
-            by_ident.setdefault(self.identities[i], []).append(i)
-        ok_age = set(by_age) == set(self._by_age) and all(
-            np.array_equal(np.array(by_age[a]), np.sort(self._by_age[a])) for a in by_age)
-        ok_ident = set(by_ident) == set(self._by_identity) and all(
-            np.array_equal(np.array(by_ident[n]), np.sort(self._by_identity[n])) for n in by_ident)
-        if not (ok_age and ok_ident):
-            raise DatasetError("index maps are not the inverse of the label arrays")
 
 
 def _positive_candidates(ds: LabeledDataset, anchor: int) -> Array:
@@ -136,11 +117,15 @@ def negative_set(ds: LabeledDataset, anchor: int) -> set[int]:
 
 
 def has_triplet_negatives(ds: LabeledDataset) -> bool:
-    """Whether any anchor has at least one negative candidate."""
-    for anchor in range(len(ds)):
-        if _negative_candidates(ds, anchor).size:
-            return True
-    return False
+    """Whether any anchor has at least one negative candidate.
+
+    That holds iff the dataset has >= 2 ages and >= 2 identities. "Only
+    if" is the definition of a negative. "If": take i, j of different
+    ages; if their identities differ, j is a negative of i; otherwise any
+    k of another identity differs in age from i or from j, so k is a
+    negative of that sample.
+    """
+    return len(np.unique(ds.ages)) >= 2 and len(ds._by_identity) >= 2
 
 
 def _draw(rng: np.random.Generator, candidates: Array) -> int | None:
@@ -164,11 +149,7 @@ def _triplets_for(ds: LabeledDataset, anchors: Array, rng: np.random.Generator,
 def sample_triplet_batch(ds: LabeledDataset, batch_size: int, seed: int) -> list[Triplet]:
     """One seeded batch: anchors uniform without replacement, p and n
     uniform over the candidate sets (None where a set is empty)."""
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    rng = np.random.default_rng(seed)
-    anchors = rng.permutation(len(ds))[:batch_size]
-    return _triplets_for(ds, anchors, rng, 1)
+    return next(iter_epoch_batches(ds, batch_size, np.random.default_rng(seed)))
 
 
 def iter_epoch_batches(ds: LabeledDataset, batch_size: int, rng: np.random.Generator,
@@ -214,12 +195,13 @@ def load_dataset(path) -> LabeledDataset:
     meta_path = _meta_path(path)
     if not meta_path.exists():
         raise DatasetError(f"missing metadata sidecar: {meta_path}")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
     try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
         input_dim = int(meta["input_dim"])
         num_ages = int(meta["num_ages"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DatasetError(f"metadata sidecar {meta_path} must define input_dim and num_ages") from exc
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise DatasetError(f"metadata sidecar {meta_path} must be JSON defining "
+                           "input_dim and num_ages") from exc
 
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines:

@@ -57,7 +57,7 @@ def split_random(ds: LabeledDataset, k: int, seed: int) -> list[Fold]:
     if k < 2:
         raise ValueError(f"split_random: k must be >= 2, got {k}")
     if k > n:
-        raise ValueError(f"split_random: k={k} exceeds dataset size {n}")
+        raise IncompatibleDataError(f"random split needs >= {k} samples, dataset has {n}")
     perm = np.random.default_rng(seed).permutation(n)
     return _folds_from_chunks(np.array_split(perm, k), n)
 
@@ -111,13 +111,13 @@ def mean_absolute_error(predicted, actual) -> float:
     return float(np.mean(np.abs(predicted - actual)))
 
 
-def evaluate_mae(model: Model, ds: LabeledDataset, test_indices, mode: str = "mean") -> float:
+def evaluate_mae(model: Model, ds: LabeledDataset, test_indices) -> float:
     """MAE of the model's age estimates over the given sample indices."""
     idx = np.asarray(test_indices, dtype=np.int64)
     if idx.size == 0:
         raise ValueError("evaluate_mae: empty test set")
     _, s_rows = forward_values(model, ds.inputs[idx])
-    return mean_absolute_error(predict_ages(s_rows, mode), ds.ages[idx])
+    return mean_absolute_error(predict_ages(s_rows), ds.ages[idx])
 
 
 def identity_variance(model: Model, ds: LabeledDataset,
@@ -176,7 +176,7 @@ class EvalReport:
 
 
 def evaluate_checkpoint(model: Model, ds: LabeledDataset, protocol: str,
-                        k: int = 5, seed: int = 0, mode: str = "mean") -> EvalReport:
+                        k: int = 5, seed: int = 0) -> EvalReport:
     """Per-fold MAE of a fixed model plus its identity-variance pair.
 
     The model is fixed, so one forward over the whole dataset serves
@@ -184,7 +184,7 @@ def evaluate_checkpoint(model: Model, ds: LabeledDataset, protocol: str,
     """
     folds = split_protocol(ds, protocol, k, seed)
     f_rows, s_rows = forward_values(model, ds.inputs)
-    predicted = predict_ages(s_rows, mode)
+    predicted = predict_ages(s_rows)
     fold_maes = [mean_absolute_error(predicted[fold.test], ds.ages[fold.test])
                  for fold in folds]
     mu_vf, mu_vs = _identity_variance_of(f_rows, s_rows, ds, S_VARIANCE_SCALE)
@@ -193,7 +193,7 @@ def evaluate_checkpoint(model: Model, ds: LabeledDataset, protocol: str,
         fold_maes=fold_maes, fold_sizes=[len(fold.test) for fold in folds],
         mean_mae=float(np.mean(fold_maes)),
         mu_vf=mu_vf, mu_vs=mu_vs, histories=[],
-        config={"checkpoint": model.config.to_dict(), "predict_mode": mode},
+        config={"checkpoint": model.config.to_dict(), "predict_mode": "mean"},
     )
 
 

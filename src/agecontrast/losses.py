@@ -5,8 +5,8 @@ a scalar tensor that is differentiable through the gradient tape. The
 supervised terms (``ce_sum``, ``mean_sum``, ``variance_sum``) sum over
 rows; the pair and triplet terms (``cosine_mean``, ``kld_mean``,
 ``triplet_mean``) average over them. All are non-negative at valid inputs
-(``cosine_mean`` in its default form) and zero exactly at their
-documented minimizer. ``total_loss`` combines them as
+and zero exactly at their documented minimizer. ``total_loss`` combines
+them as
 
     total = l_s + lambda_m*l_m + lambda_v*l_v + lambda_c*l_c + lambda_t*l_t
 
@@ -32,19 +32,16 @@ PROB_FLOOR = 1e-12
 # its norm.
 NORM_FLOOR = 1e-12
 
-COSINE_FORMS = ("one_minus", "negative", "raw")
-MEAN_FORMS = ("squared", "absolute")
 PAIR_LOSSES = ("cosine", "kld")
 
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Weights for the combined objective, plus formulation switches.
+    """Weights for the combined objective.
 
     lambda_c weights the positive-pair loss (cosine by default, KL when
     pair_loss="kld"); lambda_t weights the triplet hinge with margin
-    alpha. cosine_form and mean_form expose alternative formulations for
-    ablation sweeps.
+    alpha.
     """
 
     lambda_m: float = 0.2
@@ -53,8 +50,6 @@ class LossWeights:
     lambda_t: float = 0.0
     alpha: float = 0.2
     pair_loss: str = "cosine"
-    cosine_form: str = "one_minus"
-    mean_form: str = "squared"
 
     def __post_init__(self):
         for name in ("lambda_m", "lambda_v", "lambda_c", "lambda_t", "alpha"):
@@ -63,17 +58,12 @@ class LossWeights:
                 raise ValueError(f"LossWeights: {name} must be finite and >= 0, got {v}")
         if self.pair_loss not in PAIR_LOSSES:
             raise ValueError(f"LossWeights: pair_loss must be one of {PAIR_LOSSES}")
-        if self.cosine_form not in COSINE_FORMS:
-            raise ValueError(f"LossWeights: cosine_form must be one of {COSINE_FORMS}")
-        if self.mean_form not in MEAN_FORMS:
-            raise ValueError(f"LossWeights: mean_form must be one of {MEAN_FORMS}")
 
     def to_dict(self) -> dict:
         return {
             "lambda_m": self.lambda_m, "lambda_v": self.lambda_v,
             "lambda_c": self.lambda_c, "lambda_t": self.lambda_t,
             "alpha": self.alpha, "pair_loss": self.pair_loss,
-            "cosine_form": self.cosine_form, "mean_form": self.mean_form,
         }
 
 
@@ -120,20 +110,13 @@ def ce_sum(s_rows, ages) -> Tensor:
     return -ad.sum_all(ad.log(ad.clamp_min(picked, PROB_FLOOR)))
 
 
-def mean_sum(s_rows, ages, form: str = "squared") -> Tensor:
-    """Summed penalty on each row's distribution mean missing its age.
-
-    "squared" is 0.5*(mean - y)^2; "absolute" is |mean - y|.
-    """
+def mean_sum(s_rows, ages) -> Tensor:
+    """Summed penalty 0.5*(mean - y)^2 on each row's distribution mean."""
     s_rows = _rows(s_rows)
     num_ages = s_rows.data.shape[1]
     ages = _checked_ages(ages, num_ages).astype(np.float64)[:, None]
     diff = ad.matmul(s_rows, _label_column(num_ages)) - ages
-    if form == "squared":
-        return 0.5 * ad.sum_all(diff * diff)
-    if form == "absolute":
-        return ad.sum_all(ad.relu(diff) + ad.relu(-diff))
-    raise ValueError(f"mean_sum: unknown form {form!r}")
+    return 0.5 * ad.sum_all(diff * diff)
 
 
 def variance_sum(s_rows) -> Tensor:
@@ -149,13 +132,9 @@ def variance_sum(s_rows) -> Tensor:
     return ad.sum_all(second - mu * mu)
 
 
-def cosine_mean(f_anchor, f_pos, form: str = "one_minus") -> Tensor:
-    """Mean positive-pair feature alignment via cosine similarity.
-
-    The default "one_minus" form is 1 - cos(f_a, f_p) per row pair: zero
-    iff the features are positive scalar multiples, 2 when antiparallel.
-    "negative" (-cos) and "raw" (+cos) are ablation alternatives.
-    """
+def cosine_mean(f_anchor, f_pos) -> Tensor:
+    """Mean cosine embedding loss 1 - cos(f_a, f_p) over row pairs: zero
+    iff the features are positive scalar multiples, 2 when antiparallel."""
     f_anchor, f_pos = _rows(f_anchor), _rows(f_pos)
     dots = ad.row_sum(f_anchor * f_pos)
     # Squared norms are floored at NORM_FLOOR**2 before the sqrt, so a dead
@@ -164,15 +143,7 @@ def cosine_mean(f_anchor, f_pos, form: str = "one_minus") -> Tensor:
     floor = NORM_FLOOR * NORM_FLOOR
     na = ad.sqrt(ad.clamp_min(ad.row_sum(f_anchor * f_anchor), floor))
     nb = ad.sqrt(ad.clamp_min(ad.row_sum(f_pos * f_pos), floor))
-    cos = dots / (na * nb)
-    if form == "one_minus":
-        per_pair = 1.0 - cos
-    elif form == "negative":
-        per_pair = -cos
-    elif form == "raw":
-        per_pair = cos
-    else:
-        raise ValueError(f"cosine_mean: unknown form {form!r}")
+    per_pair = 1.0 - dots / (na * nb)
     return ad.sum_all(per_pair) * (1.0 / f_anchor.data.shape[0])
 
 

@@ -160,19 +160,11 @@ def forward_values(model: Model, x_rows: Array) -> tuple[Array, Array]:
     return h, e / e.sum(axis=1, keepdims=True)
 
 
-def predict_ages(s_rows: Array, mode: str = "mean") -> Array:
-    """Age estimates from a matrix of distributions over labels 1..A.
-
-    "mean" returns each row's sum_j j*s_j (always in [1, A]); "argmax"
-    returns each row's modal label.
-    """
+def predict_ages(s_rows: Array) -> Array:
+    """Age estimates from a matrix of distributions over labels 1..A:
+    each row's mean sum_j j*s_j, always in [1, A]."""
     s_rows = np.asarray(s_rows, dtype=np.float64)
-    if mode == "mean":
-        labels = np.arange(1, s_rows.shape[1] + 1, dtype=np.float64)
-        return s_rows @ labels
-    if mode == "argmax":
-        return (np.argmax(s_rows, axis=1) + 1).astype(np.float64)
-    raise ValueError(f"predict_ages: unknown mode {mode!r}")
+    return s_rows @ np.arange(1, s_rows.shape[1] + 1, dtype=np.float64)
 
 
 def pack_params(model: Model) -> Array:
@@ -226,6 +218,8 @@ def load_model(path) -> Model:
                   for entry in payload["parameters"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"load_model: malformed checkpoint {path}: {exc!r}") from exc
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError(f"load_model: non-finite parameter value in {path}")
     expected = [tuple(s) for s in _param_shapes(config)]
     got = [a.shape for a in arrays]
     if got != expected:

@@ -15,12 +15,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Array, Tape, Tensor
+from .autodiff import Array, Tape
 from .data import LabeledDataset, Triplet, has_triplet_negatives, iter_epoch_batches
 from .errors import IncompatibleDataError, OptimizationError
 from .losses import (LossBreakdown, LossWeights, ce_sum, cosine_mean, kld_mean,
                      mean_sum, total_loss, triplet_mean, variance_sum)
 from .model import Model, ModelConfig, ParamView, forward_batch, init_model
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -30,12 +34,8 @@ class TrainConfig:
     batch_size: int = 64
     weights: LossWeights = field(default_factory=LossWeights)
     seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     hidden_widths: tuple[int, ...] = (64,)
     feature_dim: int = 64
-    supervise_all_triplet_members: bool = False
     triplets_per_anchor: int = 1
 
     def __post_init__(self):
@@ -59,12 +59,8 @@ class TrainConfig:
             "batch_size": self.batch_size,
             "weights": self.weights.to_dict(),
             "seed": self.seed,
-            "adam_beta1": self.adam_beta1,
-            "adam_beta2": self.adam_beta2,
-            "adam_eps": self.adam_eps,
             "hidden_widths": list(self.hidden_widths),
             "feature_dim": self.feature_dim,
-            "supervise_all_triplet_members": self.supervise_all_triplet_members,
             "triplets_per_anchor": self.triplets_per_anchor,
         }
 
@@ -92,7 +88,7 @@ def adam_step(model: Model, grads: list[Array], state: AdamState,
     names = model.param_names()
     state.step += 1
     t = state.step
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for i, (p, g) in enumerate(zip(params, grads)):
         if g.shape != p.shape:
             raise ValueError(f"adam_step: gradient shape {g.shape} != {p.shape} for {names[i]}")
@@ -105,7 +101,7 @@ def adam_step(model: Model, grads: list[Array], state: AdamState,
         v += (1.0 - b2) * (g * g)
         m_hat = m / (1.0 - b1 ** t)
         v_hat = v / (1.0 - b2 ** t)
-        p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return model, state
 
 
@@ -113,14 +109,12 @@ def adam_step(model: Model, grads: list[Array], state: AdamState,
 # Batched loss composition
 
 def build_batch_loss(params: Model | ParamView, ds: LabeledDataset,
-                     triplets: list[Triplet], weights: LossWeights,
-                     supervise_all: bool = False):
+                     triplets: list[Triplet], weights: LossWeights):
     """Forward the batch and compose the weighted loss.
 
-    Anchors always receive the supervised terms; contrastive terms only
-    cover triplet slots whose candidates existed. With supervise_all the
-    forwarded positives/negatives are supervised too. Returns
-    (total, LossBreakdown); total is a tracked scalar when params are.
+    Anchors receive the supervised terms; contrastive terms only cover
+    triplet slots whose candidates existed. Returns (total,
+    LossBreakdown); total is a tracked scalar when params are.
     """
     anchors = np.array([t.a for t in triplets], dtype=np.int64)
     f_a, s_a = forward_batch(params, ds.inputs[anchors])
@@ -132,31 +126,22 @@ def build_batch_loss(params: Model | ParamView, ds: LabeledDataset,
                  if t.p is not None and t.n is not None]
 
     f_p = s_p = s_n = None
-    pos_indices = np.array([p for _, p in pos_rows], dtype=np.int64)
     if need_pos and pos_rows:
-        f_p, s_p = forward_batch(params, ds.inputs[pos_indices])
-    neg_indices = np.array([n for _, _, n in trip_rows], dtype=np.int64)
+        f_p, s_p = forward_batch(params, ds.inputs[[p for _, p in pos_rows]])
     if need_neg and trip_rows:
-        _, s_n = forward_batch(params, ds.inputs[neg_indices])
+        _, s_n = forward_batch(params, ds.inputs[[n for _, _, n in trip_rows]])
 
-    supervised = [(s_a, ds.ages[anchors])]
-    if supervise_all:
-        if s_p is not None:
-            supervised.append((s_p, ds.ages[pos_indices]))
-        if s_n is not None:
-            supervised.append((s_n, ds.ages[neg_indices]))
-    count = sum(len(ages) for _, ages in supervised)
-    l_s = _sum_terms(ce_sum(rows, ages) for rows, ages in supervised) * (1.0 / count)
-    l_m = (_sum_terms(mean_sum(rows, ages, weights.mean_form) for rows, ages in supervised)
-           * (1.0 / count)) if weights.lambda_m > 0 else 0.0
-    l_v = (_sum_terms(variance_sum(rows) for rows, _ in supervised)
-           * (1.0 / count)) if weights.lambda_v > 0 else 0.0
+    ages = ds.ages[anchors]
+    scale = 1.0 / len(anchors)
+    l_s = ce_sum(s_a, ages) * scale
+    l_m = mean_sum(s_a, ages) * scale if weights.lambda_m > 0 else 0.0
+    l_v = variance_sum(s_a) * scale if weights.lambda_v > 0 else 0.0
 
     l_c = 0.0
     if weights.lambda_c > 0 and pos_rows:
         sel = [bi for bi, _ in pos_rows]
         if weights.pair_loss == "cosine":
-            l_c = cosine_mean(ad.take_rows(f_a, sel), f_p, weights.cosine_form)
+            l_c = cosine_mean(ad.take_rows(f_a, sel), f_p)
         else:
             l_c = kld_mean(ad.take_rows(s_a, sel), s_p)
 
@@ -169,13 +154,6 @@ def build_batch_loss(params: Model | ParamView, ds: LabeledDataset,
             ad.take_rows(s_a, a_sel), ad.take_rows(s_p, p_sel), s_n, weights.alpha)
 
     return total_loss(l_s, l_m, l_v, l_c, l_t, weights)
-
-
-def _sum_terms(terms) -> Tensor:
-    total = None
-    for t in terms:
-        total = t if total is None else total + t
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +188,7 @@ def _train_step(model: Model, state: AdamState, ds: LabeledDataset,
                 triplets: list[Triplet], cfg: TrainConfig) -> LossBreakdown:
     tape = Tape()
     tracked = model.track(tape)
-    total, breakdown = build_batch_loss(
-        tracked, ds, triplets, cfg.weights, cfg.supervise_all_triplet_members)
+    total, breakdown = build_batch_loss(tracked, ds, triplets, cfg.weights)
     grad_map = tape.backward(total)
     grads = [grad_map.get(t.node, np.zeros(t.data.shape))
              for t in tracked.tracked_parameters()]

@@ -24,9 +24,9 @@ def ce(s, y):
     return -np.log(max(s[y - 1], PROB_FLOOR))
 
 
-def mean(s, y, form="squared"):
+def mean(s, y):
     diff = float(np.arange(1, len(s) + 1) @ s) - y
-    return 0.5 * diff * diff if form == "squared" else abs(diff)
+    return 0.5 * diff * diff
 
 
 def variance(s):
@@ -34,11 +34,10 @@ def variance(s):
     return float((s * (labels - labels @ s) ** 2).sum())
 
 
-def cosine(f_a, f_p, form="one_minus"):
+def cosine(f_a, f_p):
     na = np.sqrt(max(f_a @ f_a, NORM_FLOOR ** 2))
     nb = np.sqrt(max(f_p @ f_p, NORM_FLOOR ** 2))
-    cos = (f_a @ f_p) / (na * nb)
-    return {"one_minus": 1.0 - cos, "negative": -cos, "raw": cos}[form]
+    return 1.0 - (f_a @ f_p) / (na * nb)
 
 
 def kld(s_a, s_p):

@@ -1,5 +1,6 @@
 """CLI: artifacts, idempotence, exit codes, flag/config resolution."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,10 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from agecontrast.cli import main
+from agecontrast.cli import TRAIN_SCHEMA, main
+from agecontrast.losses import LossWeights
 from agecontrast.manifest import sha256_file
 from agecontrast.model import ModelConfig, init_model, load_model, save_model
 from agecontrast.selfcheck import run_all
+from agecontrast.training import TrainConfig
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -140,6 +143,30 @@ class TestTrain:
         assert main(["train", "--dataset", str(csv), "--lambda-t", "1",
                      "--epochs", "1", "--out", str(out)]) == 2
 
+    def test_non_json_sidecar_exits_2(self, tiny_dataset, tmp_path, capsys):
+        tiny_dataset.with_name("dataset.meta.json").write_text("not json")
+        out = tmp_path / "t"
+        out.mkdir()
+        assert main(["train", "--dataset", str(tiny_dataset), "--epochs", "0",
+                     "--out", str(out)]) == 2
+        assert "error: metadata sidecar" in capsys.readouterr().err
+
+    def test_schema_keys_are_the_config_fields(self):
+        train_keys = {f.name for f in dataclasses.fields(TrainConfig)} - {"weights"}
+        weight_keys = {f.name for f in dataclasses.fields(LossWeights)}
+        assert set(TRAIN_SCHEMA) == train_keys | weight_keys
+
+    def test_removed_key_exits_2_with_allowed_keys(self, tiny_dataset, tmp_path, capsys):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("cosine_form = one_minus\n")
+        out = tmp_path / "t"
+        out.mkdir()
+        assert main(["train", "--dataset", str(tiny_dataset), "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown config key 'cosine_form'" in err
+        assert "allowed keys: " + ", ".join(sorted(TRAIN_SCHEMA)) in err
+
 
 class TestEval:
     def test_se_folds_and_mean(self, tiny_dataset, tmp_path):
@@ -223,6 +250,14 @@ class TestEvalBoundary:
         '{"format": "agecontrast-checkpoint-v1"}',
         '{"format": "agecontrast-checkpoint-v1", "config": {"input_dim": 10, '
         '"hidden_widths": [4], "feature_dim": 4, "num_ages": 12}, "parameters": [{}]}',
+        *(json.dumps({
+            "format": "agecontrast-checkpoint-v1",
+            "config": {"input_dim": 10, "hidden_widths": [], "feature_dim": 1, "num_ages": 12},
+            "parameters": [{"shape": [10, 1], "data": [0.0] * 9 + [bad]},
+                           {"shape": [1], "data": [0.0]},
+                           {"shape": [1, 12], "data": [0.0] * 12},
+                           {"shape": [12], "data": [0.0] * 12}]})
+          for bad in (float("nan"), float("-inf"))),
     ])
     def test_schema_broken_checkpoint_exits_2(self, tiny_dataset, tmp_path, capsys, payload):
         bad = tmp_path / "bad.json"
@@ -238,6 +273,27 @@ class TestEvalBoundary:
         save_model(init_model(ModelConfig.from_dict(dims), 0), checkpoint)
         assert self._eval(checkpoint, tiny_dataset, tmp_path) == 2
         assert f"error: checkpoint {checkpoint} has {key}" in capsys.readouterr().err
+
+    @pytest.fixture()
+    def three_rows(self, tmp_path):
+        csv = tmp_path / "three.csv"
+        csv.write_text("identity,age,v0\nA,1,0.5\nB,2,0.25\nC,3,0.0\n")
+        (tmp_path / "three.meta.json").write_text('{"input_dim": 1, "num_ages": 5}')
+        return csv
+
+    def test_rs_k_above_samples_exits_2(self, three_rows, tmp_path, capsys):
+        checkpoint = tmp_path / "c.json"
+        save_model(init_model(ModelConfig(1, (2,), 2, 5), 0), checkpoint)
+        assert self._eval(checkpoint, three_rows, tmp_path, "--protocol", "rs", "--k", "4") == 2
+        assert "error: random split needs >= 4 samples" in capsys.readouterr().err
+
+    def test_sweep_rs_k_above_samples_exits_2(self, three_rows, tmp_path, capsys):
+        out = tmp_path / "s"
+        out.mkdir()
+        assert main(["sweep", "--dataset", str(three_rows), "--loss-sets", "--protocol", "rs",
+                     "--k", "4", "--epochs", "1", "--out", str(out)]) == 2
+        assert "error: random split needs >= 4 samples" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_eval_jobs_flag_is_gone(self, checkpoint, tiny_dataset, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -3,6 +3,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from agecontrast.data import (LabeledDataset, has_triplet_negatives,
                               iter_epoch_batches, load_dataset, negative_set,
@@ -20,6 +21,17 @@ def brute_positive(ds, a):
 def brute_negative(ds, a):
     return {j for j in range(len(ds))
             if ds.ages[j] != ds.ages[a] and ds.identities[j] != ds.identities[a]}
+
+
+def assert_identity_index(ds):
+    """The identity index equals one rebuilt from the label list."""
+    members = {}
+    for i, ident in enumerate(ds.identities):
+        members.setdefault(ident, []).append(i)
+    assert ds.unique_identities() == sorted(members)
+    for ident, idx in members.items():
+        npt.assert_array_equal(ds.indices_of_identity(ident), idx)
+    assert ds.indices_of_identity("not-an-identity").size == 0
 
 
 class TestCandidateSets:
@@ -45,6 +57,18 @@ class TestCandidateSets:
         for a in range(3):
             assert negative_set(ds, a) == set()
         assert not has_triplet_negatives(ds)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 4), st.sampled_from("ABC")),
+                    min_size=1, max_size=12))
+    @example([(2, "A"), (2, "B"), (2, "C")])  # a single age
+    @example([(1, "A"), (2, "A"), (3, "A")])  # a single identity
+    @example([(1, "A"), (2, "A"), (1, "B")])  # the two ages share one identity
+    def test_has_triplet_negatives_matches_brute_force(self, layout):
+        ages, identities = zip(*layout)
+        ds = make_dataset(ages, identities, num_ages=4)
+        expected = any(brute_negative(ds, a) for a in range(len(ds)))
+        assert has_triplet_negatives(ds) == expected
 
     def test_sets_disjoint(self, grid_dataset):
         for a in range(len(grid_dataset)):
@@ -133,7 +157,8 @@ class TestBatchSampling:
 
 class TestIndexes:
     def test_verify_indexes(self, grid_dataset):
-        grid_dataset.verify_indexes()
+        assert_identity_index(grid_dataset)
+        assert_identity_index(make_dataset([1, 2, 1, 3], ["B", "A", "B", "C"], num_ages=3))
 
     def test_indexes_survive_shuffles(self, grid_dataset):
         rng = np.random.default_rng(8)
@@ -142,14 +167,14 @@ class TestIndexes:
             order = rng.permutation(len(g))
             ds = LabeledDataset(g.inputs[order], g.ages[order],
                                 [g.identities[i] for i in order], g.num_ages)
-            ds.verify_indexes()
+            assert_identity_index(ds)
             for a in range(len(ds)):
                 assert positive_set(ds, a) == brute_positive(ds, a)
                 assert negative_set(ds, a) == brute_negative(ds, a)
 
     def test_subset_reindexes(self, grid_dataset):
         sub = grid_dataset.subset([0, 5, 6, 11])
-        sub.verify_indexes()
+        assert_identity_index(sub)
         assert len(sub) == 4
 
     def test_validation(self):

@@ -47,7 +47,7 @@ class TestSplitRandom:
 
     def test_k_exceeding_n_rejected(self):
         ds = make_dataset([1, 2], ["A", "B"], num_ages=3)
-        with pytest.raises(ValueError, match="exceeds"):
+        with pytest.raises(IncompatibleDataError, match="needs >= 3 samples, dataset has 2"):
             split_random(ds, 3, seed=0)
 
 

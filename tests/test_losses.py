@@ -60,12 +60,6 @@ class TestMeanLoss:
     def test_symmetric_mean(self):
         assert mean_sum(np.full((1, 3), 1 / 3), [2]).item() == pytest.approx(0.0, abs=1e-15)
 
-    def test_absolute_form(self):
-        assert mean_sum([[0.5, 0.5]], [1], form="absolute").item() == pytest.approx(
-            0.5, abs=1e-12)
-        with pytest.raises(ValueError, match="form"):
-            mean_sum([[0.5, 0.5]], [1], form="cubic")
-
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -144,14 +138,6 @@ class TestCosineLoss:
         fp = np.array([[1.0, 1.0], [1.0, 1.0]])
         expected = (1.0 + (1.0 - 1.0 / math.sqrt(2.0))) / 2.0
         assert cosine_mean(fa, fp).item() == pytest.approx(expected, rel=1e-14)
-
-    def test_alternative_forms(self):
-        fa, fp = np.array([[1.0, 0.0]]), np.array([[1.0, 1.0]])
-        cos = 1.0 / math.sqrt(2.0)
-        assert cosine_mean(fa, fp, form="negative").item() == pytest.approx(-cos, rel=1e-12)
-        assert cosine_mean(fa, fp, form="raw").item() == pytest.approx(cos, rel=1e-12)
-        with pytest.raises(ValueError, match="form"):
-            cosine_mean(fa, fp, form="angle")
 
 
 class TestTripletMarginLoss:
@@ -284,8 +270,6 @@ def test_weights_validation():
         LossWeights(alpha=float("nan"))
     with pytest.raises(ValueError):
         LossWeights(pair_loss="other")
-    with pytest.raises(ValueError):
-        LossWeights(cosine_form="cos")
 
 
 def test_breakdown_row_round_trip():
@@ -325,19 +309,18 @@ def _each_row(fn, *arrays):
 
 
 @PROPERTY
-@given(batches(), st.sampled_from(["squared", "absolute"]),
-       st.sampled_from(["one_minus", "negative", "raw"]), st.floats(0.0, 1.0))
-def test_batch_equals_its_single_row_calls(batch, mean_form, cosine_form, alpha):
+@given(batches(), st.floats(0.0, 1.0))
+def test_batch_equals_its_single_row_calls(batch, alpha):
     (s_a, s_p, s_n), ages, f_a, f_p = batch
     sums = {
-        "ce": (lambda s, y: ce_sum(s, y), (s_a, ages)),
-        "mean": (lambda s, y: mean_sum(s, y, mean_form), (s_a, ages)),
+        "ce": (ce_sum, (s_a, ages)),
+        "mean": (mean_sum, (s_a, ages)),
         "variance": (variance_sum, (s_a,)),
     }
     for name, (fn, args) in sums.items():
         assert fn(*args).item() == pytest.approx(sum(_each_row(fn, *args)), **CLOSE), name
     means = {
-        "cosine": (lambda a, p: cosine_mean(a, p, cosine_form), (f_a, f_p)),
+        "cosine": (cosine_mean, (f_a, f_p)),
         "kld": (kld_mean, (s_a, s_p)),
         "triplet": (lambda a, p, n: triplet_mean(a, p, n, alpha), (s_a, s_p, s_n)),
     }
@@ -346,18 +329,16 @@ def test_batch_equals_its_single_row_calls(batch, mean_form, cosine_form, alpha)
 
 
 @PROPERTY
-@given(batches(), st.sampled_from(["squared", "absolute"]),
-       st.sampled_from(["one_minus", "negative", "raw"]), st.floats(0.0, 1.0))
-def test_batch_matches_numpy_reference(batch, mean_form, cosine_form, alpha):
+@given(batches(), st.floats(0.0, 1.0))
+def test_batch_matches_numpy_reference(batch, alpha):
     (s_a, s_p, s_n), ages, f_a, f_p = batch
     rows = range(len(ages))
     checks = [
         ("ce", ce_sum(s_a, ages), sum(ref.ce(s_a[i], ages[i]) for i in rows)),
-        ("mean", mean_sum(s_a, ages, mean_form),
-         sum(ref.mean(s_a[i], ages[i], mean_form) for i in rows)),
+        ("mean", mean_sum(s_a, ages), sum(ref.mean(s_a[i], ages[i]) for i in rows)),
         ("variance", variance_sum(s_a), sum(ref.variance(s_a[i]) for i in rows)),
-        ("cosine", cosine_mean(f_a, f_p, cosine_form),
-         np.mean([ref.cosine(f_a[i], f_p[i], cosine_form) for i in rows])),
+        ("cosine", cosine_mean(f_a, f_p),
+         np.mean([ref.cosine(f_a[i], f_p[i]) for i in rows])),
         ("kld", kld_mean(s_a, s_p), np.mean([ref.kld(s_a[i], s_p[i]) for i in rows])),
         ("triplet", triplet_mean(s_a, s_p, s_n, alpha),
          np.mean([ref.triplet(s_a[i], s_p[i], s_n[i], alpha) for i in rows])),

@@ -94,8 +94,8 @@ def test_forward_batch_and_values_agree_with_forward():
         npt.assert_allclose(sb.data[i], si.data[0], rtol=1e-12)
 
 
-def _predict(s, mode="mean"):
-    return predict_ages(np.atleast_2d(s), mode)[0]
+def _predict(s):
+    return predict_ages(np.atleast_2d(s))[0]
 
 
 class TestPredictAge:
@@ -109,11 +109,6 @@ class TestPredictAge:
 
     def test_direct_evaluation(self):
         assert _predict(np.array([0.2, 0.8])) == pytest.approx(1.8, abs=1e-12)
-
-    def test_argmax_mode(self):
-        assert _predict(np.array([0.2, 0.8]), mode="argmax") == 2.0
-        with pytest.raises(ValueError, match="mode"):
-            _predict(np.array([0.2, 0.8]), mode="median")
 
     def test_range(self):
         ages = predict_ages(np.random.default_rng(3).dirichlet(np.ones(7), size=50))
