@@ -10,7 +10,7 @@ verifiable end to end on synthetic data.
 from .autodiff import Tape, Tensor, grad_check, softmax_rows
 from .data import (LabeledDataset, Triplet, load_dataset, negative_set, positive_set,
                    sample_triplet_batch, save_dataset)
-from .errors import (ConfigError, DatasetError, IncompatibleDataError,
+from .errors import (ConfigError, DatasetError, IncompatibleDataError, NonFiniteError,
                      OptimizationError, VerificationError)
 from .evaluation import (EvalReport, Fold, SweepCell, SweepRow, evaluate_checkpoint,
                          evaluate_mae, identity_variance, lambda_grid_cells,

@@ -17,6 +17,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import NonFiniteError
+
 Array = np.ndarray
 Pullback = Callable[[Array], Array]
 
@@ -275,7 +277,7 @@ def softmax_rows(logits) -> Tensor:
     if zd.ndim != 2:
         raise ValueError(f"softmax_rows: expected a matrix, got shape {zd.shape}")
     if not np.all(np.isfinite(zd)):
-        raise ValueError("softmax_rows: non-finite logit")
+        raise NonFiniteError("softmax_rows: non-finite logit")
     e = np.exp(zd - zd.max(axis=1, keepdims=True))
     s = e / e.sum(axis=1, keepdims=True)
     return _record(s, [(z, lambda g: s * (g - (g * s).sum(axis=1, keepdims=True)))])
@@ -309,65 +311,49 @@ def take_rows(m, indices) -> Tensor:
     return _record(md[idx], [(m, pull)])
 
 
-def reshape(a, shape) -> Tensor:
-    a = _lift(a)
-    ad = a.data
-    shape = tuple(int(d) for d in shape)
-    if int(np.prod(shape)) != ad.size:
-        raise ValueError(f"reshape: cannot view {ad.shape} as {shape}")
-    return _record(ad.reshape(shape), [(a, lambda g: g.reshape(ad.shape))])
-
-
-def slice1d(a, start: int, stop: int) -> Tensor:
-    a = _lift(a)
-    ad = a.data
-    if ad.ndim != 1 or not (0 <= start <= stop <= ad.shape[0]):
-        raise ValueError(f"slice1d: invalid range [{start}:{stop}] for shape {ad.shape}")
-
-    def pull(g: Array) -> Array:
-        out = np.zeros(ad.shape)
-        out[start:stop] = g
-        return out
-
-    return _record(ad[start:stop].copy(), [(a, pull)])
-
-
-def grad_check(scalar_function, point, eps: float = 1e-5) -> float:
+def grad_check(fn, *points, eps: float = 1e-5) -> float:
     """Compare analytic gradients against central finite differences.
 
-    ``scalar_function`` receives a Tensor (tracked for the analytic pass,
+    ``fn`` receives one Tensor per point (tracked for the analytic pass,
     untracked for the difference evaluations) and must return a scalar
-    Tensor. Returns the max over coordinates of
-    ``|analytic - central| / max(1, |central|)``.
+    Tensor. Every coordinate of every point is perturbed in turn, with
+    the other points held at their values. Returns the max over all
+    coordinates of ``|analytic - central| / max(1, |central|)``.
     """
-    p = _as_array(point)
+    ps = [_as_array(p) for p in points]
+    if not ps:
+        raise ValueError("grad_check: needs at least one point")
     if eps <= 0:
         raise ValueError("grad_check: eps must be positive")
 
     tape = Tape()
-    x = tape.watch(p.copy())
-    out = scalar_function(x)
+    xs = [tape.watch(p.copy()) for p in ps]
+    out = fn(*xs)
     if not isinstance(out, Tensor) or out.data.size != 1:
         raise ValueError("grad_check: function must return a scalar tensor")
-    if out.tracked:
-        analytic = tape.backward(out).get(x.node, np.zeros_like(p)).ravel()
-    else:
-        analytic = np.zeros(p.size)
+    grads = tape.backward(out) if out.tracked else {}
 
-    flat = p.ravel().copy()
+    flats = [p.ravel().copy() for p in ps]
+
+    def evaluate() -> float:
+        return fn(*(Tensor(f.reshape(p.shape)) for f, p in zip(flats, ps))).item()
+
     worst = 0.0
-    for j in range(flat.size):
-        orig = flat[j]
-        flat[j] = orig + eps
-        f_plus = scalar_function(Tensor(flat.reshape(p.shape))).item()
-        flat[j] = orig - eps
-        f_minus = scalar_function(Tensor(flat.reshape(p.shape))).item()
-        flat[j] = orig
-        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-            raise ValueError(f"grad_check: non-finite function value near coordinate {j}")
-        central = (f_plus - f_minus) / (2.0 * eps)
-        err = abs(analytic[j] - central) / max(1.0, abs(central))
-        if not np.isfinite(err):  # a nan analytic gradient must fail, not vanish in max()
-            return float("inf")
-        worst = max(worst, err)
+    for k, (p, x, flat) in enumerate(zip(ps, xs, flats)):
+        analytic = grads.get(x.node, np.zeros_like(p)).ravel()
+        for j in range(flat.size):
+            orig = flat[j]
+            flat[j] = orig + eps
+            f_plus = evaluate()
+            flat[j] = orig - eps
+            f_minus = evaluate()
+            flat[j] = orig
+            if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+                raise ValueError(
+                    f"grad_check: non-finite function value near coordinate {j} of point {k}")
+            central = (f_plus - f_minus) / (2.0 * eps)
+            err = abs(analytic[j] - central) / max(1.0, abs(central))
+            if not np.isfinite(err):  # a nan analytic gradient must fail, not vanish in max()
+                return float("inf")
+            worst = max(worst, err)
     return worst

@@ -5,7 +5,9 @@ Options can come from a flat ``key = value`` config file; command-line
 flags override file keys, and the fully resolved configuration is echoed
 into the run manifest next to every artifact's checksum.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/config error.
+Exit codes: 0 success, 1 verification failure, 2 usage/config error,
+a diverged training run (OptimizationError) or a checkpoint whose
+forward pass overflows on the dataset.
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from .data import LabeledDataset, load_dataset, save_dataset
-from .errors import ConfigError, VerificationError
+from .errors import ConfigError, NonFiniteError, OptimizationError, VerificationError
 from .evaluation import (evaluate_checkpoint, lambda_grid_cells, loss_set_cells,
                          sweep)
 from .losses import PAIR_LOSSES, LossBreakdown, LossWeights
@@ -222,7 +226,11 @@ def cmd_eval(args) -> int:
     ds = load_dataset(args.dataset)
     model = _load_checkpoint(args.checkpoint, ds)
     started = time.perf_counter()
-    report = evaluate_checkpoint(model, ds, args.protocol, k=args.k, seed=args.seed)
+    try:
+        report = evaluate_checkpoint(model, ds, args.protocol, k=args.k, seed=args.seed)
+    except NonFiniteError as exc:
+        raise ConfigError(
+            f"checkpoint {args.checkpoint} overflows on {args.dataset}: {exc}") from exc
 
     report_path = out / "eval_report.json"
     report_path.write_text(json.dumps(report.to_dict(), indent=1) + "\n", encoding="utf-8")
@@ -295,6 +303,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_selfcheck(args) -> int:
+    _require_at_least("--gradient-points", args.gradient_points, 1)
     results = run_all(gradient_points=args.gradient_points)
     failed = [r for r in results if not r.passed]
     for r in results:
@@ -366,11 +375,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Overflow is detected where it matters (softmax logits, Adam
+        # gradients) and reported as one error line; numpy's warnings
+        # would only repeat it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
-    except ConfigError as exc:
+    except (ConfigError, OptimizationError, NonFiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

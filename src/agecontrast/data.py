@@ -203,7 +203,10 @@ def load_dataset(path) -> LabeledDataset:
         raise DatasetError(f"metadata sidecar {meta_path} must be JSON defining "
                            "input_dim and num_ages") from exc
 
-    lines = path.read_text(encoding="utf-8").splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: byte {exc.start} is not UTF-8 text") from exc
     if not lines:
         raise DatasetError(f"empty dataset file: {path}")
     expected_header = "identity,age," + ",".join(f"v{i}" for i in range(input_dim))

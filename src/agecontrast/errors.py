@@ -1,8 +1,9 @@
 """Shared exception types.
 
 ConfigError and its DatasetError/IncompatibleDataError kin signal bad
-input or configuration (CLI exit code 2); VerificationError signals a
-failed self-verification (CLI exit code 1).
+input or configuration, OptimizationError a diverged training run and
+NonFiniteError a forward pass that overflowed (CLI exit code 2);
+VerificationError signals a failed self-verification (CLI exit code 1).
 """
 
 
@@ -19,7 +20,11 @@ class IncompatibleDataError(ConfigError):
 
 
 class OptimizationError(RuntimeError):
-    """Training aborted, e.g. on a non-finite gradient."""
+    """Training aborted, e.g. on a non-finite gradient or logit."""
+
+
+class NonFiniteError(ValueError):
+    """A computation met a non-finite value, e.g. an overflowed logit."""
 
 
 class VerificationError(Exception):

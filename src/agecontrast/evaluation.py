@@ -120,26 +120,25 @@ def evaluate_mae(model: Model, ds: LabeledDataset, test_indices) -> float:
     return mean_absolute_error(predict_ages(s_rows), ds.ages[idx])
 
 
-def identity_variance(model: Model, ds: LabeledDataset,
-                      s_scale: float = S_VARIANCE_SCALE) -> tuple[float, float]:
-    """Within-identity variance of f and of s*s_scale.
+def identity_variance(model: Model, ds: LabeledDataset) -> tuple[float, float]:
+    """Within-identity variance of f and of s*S_VARIANCE_SCALE.
 
     Per identity with >= 2 samples: population variance per coordinate
     across that identity's samples, averaged over coordinates; the
     result is averaged over those identities.
     """
-    return _identity_variance_of(*forward_values(model, ds.inputs), ds, s_scale)
+    return _identity_variance_of(*forward_values(model, ds.inputs), ds)
 
 
-def _identity_variance_of(f_rows: Array, s_rows: Array, ds: LabeledDataset,
-                          s_scale: float) -> tuple[float, float]:
+def _identity_variance_of(f_rows: Array, s_rows: Array,
+                          ds: LabeledDataset) -> tuple[float, float]:
     vf, vs = [], []
     for ident in ds.unique_identities():
         idx = ds.indices_of_identity(ident)
         if idx.size < 2:
             continue
         vf.append(float(np.mean(np.var(f_rows[idx], axis=0))))
-        vs.append(float(np.mean(np.var(s_rows[idx] * s_scale, axis=0))))
+        vs.append(float(np.mean(np.var(s_rows[idx] * S_VARIANCE_SCALE, axis=0))))
     if not vf:
         raise IncompatibleDataError("identity_variance needs an identity with >= 2 samples")
     return float(np.mean(vf)), float(np.mean(vs))
@@ -187,7 +186,7 @@ def evaluate_checkpoint(model: Model, ds: LabeledDataset, protocol: str,
     predicted = predict_ages(s_rows)
     fold_maes = [mean_absolute_error(predicted[fold.test], ds.ages[fold.test])
                  for fold in folds]
-    mu_vf, mu_vs = _identity_variance_of(f_rows, s_rows, ds, S_VARIANCE_SCALE)
+    mu_vf, mu_vs = _identity_variance_of(f_rows, s_rows, ds)
     return EvalReport(
         protocol=protocol, k=len(folds), seed=seed,
         fold_maes=fold_maes, fold_sizes=[len(fold.test) for fold in folds],

@@ -62,16 +62,17 @@ class Model:
     """Weight matrices (fan_in, fan_out) and bias vectors, one pair per layer.
 
     The last pair is the age head; every earlier pair belongs to the
-    extractor and is followed by relu.
+    extractor and is followed by relu. The parameters are numpy arrays,
+    or Tensors in the model that ``track`` returns.
     """
 
     config: ModelConfig
-    weights: list[Array]
-    biases: list[Array]
+    weights: list
+    biases: list
 
-    def parameters(self) -> list[Array]:
-        """The live parameter arrays, interleaved (w0, b0, w1, b1, ...)."""
-        out: list[Array] = []
+    def parameters(self) -> list:
+        """The live parameters, interleaved (w0, b0, w1, b1, ...)."""
+        out = []
         for w, b in zip(self.weights, self.biases):
             out.append(w)
             out.append(b)
@@ -86,32 +87,10 @@ class Model:
             names.append(f"{stem}.bias")
         return names
 
-    def copy(self) -> "Model":
-        return Model(self.config, [w.copy() for w in self.weights], [b.copy() for b in self.biases])
-
-    def track(self, tape: Tape) -> "ParamView":
-        """Register every parameter on a tape for a training step."""
-        return ParamView(
-            self.config,
-            [tape.watch(w) for w in self.weights],
-            [tape.watch(b) for b in self.biases],
-        )
-
-
-@dataclass
-class ParamView:
-    """Model parameters as tensors (tracked or constant), same layout as Model."""
-
-    config: ModelConfig
-    weights: list[Tensor]
-    biases: list[Tensor]
-
-    def tracked_parameters(self) -> list[Tensor]:
-        out: list[Tensor] = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+    def track(self, tape: Tape) -> "Model":
+        """The same model with every parameter registered on a tape."""
+        return Model(self.config, [tape.watch(w) for w in self.weights],
+                     [tape.watch(b) for b in self.biases])
 
 
 def init_model(config: ModelConfig, seed: int) -> Model:
@@ -125,11 +104,7 @@ def init_model(config: ModelConfig, seed: int) -> Model:
     return Model(config, weights, biases)
 
 
-def _layers(model: Model | ParamView):
-    return list(zip(model.weights, model.biases))
-
-
-def forward_batch(model: Model | ParamView, x_rows) -> tuple[Tensor, Tensor]:
+def forward_batch(model: Model, x_rows) -> tuple[Tensor, Tensor]:
     """Run a (batch, input_dim) matrix of inputs through the network.
 
     Returns (F, S) row-wise: the extractor features and the softmax age
@@ -140,24 +115,17 @@ def forward_batch(model: Model | ParamView, x_rows) -> tuple[Tensor, Tensor]:
     if xt.data.ndim != 2 or xt.data.shape[1] != model.config.input_dim:
         raise ValueError(
             f"forward_batch: expected (n, {model.config.input_dim}) inputs, got shape {xt.data.shape}")
-    layers = _layers(model)
     h = xt
-    for w, b in layers[:-1]:
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
         h = ad.relu(ad.add_rowvec(ad.matmul(h, w), b))
-    w_head, b_head = layers[-1]
-    logits = ad.add_rowvec(ad.matmul(h, w_head), b_head)
+    logits = ad.add_rowvec(ad.matmul(h, model.weights[-1]), model.biases[-1])
     return h, ad.softmax_rows(logits)
 
 
 def forward_values(model: Model, x_rows: Array) -> tuple[Array, Array]:
-    """Plain-numpy batched forward for evaluation (no tape, same math)."""
-    h = np.asarray(x_rows, dtype=np.float64)
-    for w, b in _layers(model)[:-1]:
-        h = np.maximum(h @ w + b, 0.0)
-    w_head, b_head = _layers(model)[-1]
-    z = h @ w_head + b_head
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return h, e / e.sum(axis=1, keepdims=True)
+    """``forward_batch`` of an untracked model, as (features, distributions) arrays."""
+    f, s = forward_batch(model, x_rows)
+    return f.data, s.data
 
 
 def predict_ages(s_rows: Array) -> Array:
@@ -165,33 +133,6 @@ def predict_ages(s_rows: Array) -> Array:
     each row's mean sum_j j*s_j, always in [1, A]."""
     s_rows = np.asarray(s_rows, dtype=np.float64)
     return s_rows @ np.arange(1, s_rows.shape[1] + 1, dtype=np.float64)
-
-
-def pack_params(model: Model) -> Array:
-    """All parameters flattened into one vector (init order)."""
-    return np.concatenate([p.ravel() for p in model.parameters()])
-
-
-def unpack_params(flat, config: ModelConfig) -> ParamView:
-    """Inverse of pack_params; works for tracked flats so the whole model
-    can be gradient-checked through one vector."""
-    ft = flat if isinstance(flat, Tensor) else Tensor(flat)
-    dims = config.layer_dims
-    expected = sum(int(np.prod(s)) for s in _param_shapes(config))
-    if ft.data.ndim != 1 or ft.data.size != expected:
-        raise ValueError(
-            f"unpack_params: vector of shape {ft.data.shape} does not fit {dims} "
-            f"({expected} parameters)")
-    weights, biases = [], []
-    offset = 0
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        w = ad.reshape(ad.slice1d(ft, offset, offset + fan_in * fan_out), (fan_in, fan_out))
-        offset += fan_in * fan_out
-        b = ad.slice1d(ft, offset, offset + fan_out)
-        offset += fan_out
-        weights.append(w)
-        biases.append(b)
-    return ParamView(config, weights, biases)
 
 
 def save_model(model: Model, path) -> None:
@@ -220,19 +161,10 @@ def load_model(path) -> Model:
         raise ValueError(f"load_model: malformed checkpoint {path}: {exc!r}") from exc
     if not all(np.isfinite(a).all() for a in arrays):
         raise ValueError(f"load_model: non-finite parameter value in {path}")
-    expected = [tuple(s) for s in _param_shapes(config)]
+    dims = config.layer_dims
+    expected = [shape for fan_in, fan_out in zip(dims[:-1], dims[1:])
+                for shape in ((fan_in, fan_out), (fan_out,))]
     got = [a.shape for a in arrays]
     if got != expected:
         raise ValueError(f"load_model: parameter shapes {got} do not match config {expected}")
-    weights = arrays[0::2]
-    biases = arrays[1::2]
-    return Model(config, weights, biases)
-
-
-def _param_shapes(config: ModelConfig) -> list[tuple[int, ...]]:
-    dims = config.layer_dims
-    shapes: list[tuple[int, ...]] = []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        shapes.append((fan_in, fan_out))
-        shapes.append((fan_out,))
-    return shapes
+    return Model(config, arrays[0::2], arrays[1::2])

@@ -24,7 +24,7 @@ from .data import (LabeledDataset, Triplet, negative_set, positive_set,
                    sample_triplet_batch)
 from .losses import (LossWeights, ce_sum, cosine_mean, kld_mean, mean_sum, total_loss,
                      triplet_mean, variance_sum)
-from .model import ModelConfig, forward_values, init_model, pack_params, unpack_params
+from .model import Model, ModelConfig, forward_values, init_model
 from .synth import SynthConfig, generate_dataset
 from .training import build_batch_loss
 from .evaluation import split_lopo, split_protocol
@@ -46,15 +46,6 @@ def _random_distributions(rng: np.random.Generator, batch: int, num_ages: int) -
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _blocks(x: Tensor, batch: int, *widths: int) -> list[Tensor]:
-    """Split a flat point into consecutive (batch, width) row blocks."""
-    out, start = [], 0
-    for width in widths:
-        out.append(ad.reshape(ad.slice1d(x, start, start + batch * width), (batch, width)))
-        start += batch * width
-    return out
-
-
 def _triplet_rows(rng: np.random.Generator, batch: int, num_ages: int, alpha: float):
     """(s_a, s_p, s_n) distribution rows, every hinge clearly one-sided."""
     rows = []
@@ -67,54 +58,47 @@ def _triplet_rows(rng: np.random.Generator, batch: int, num_ages: int, alpha: fl
 
 
 def _loss_cases(rng: np.random.Generator, num_ages: int = 7, feat_dim: int = 8):
-    """Named scalar functions over a flat point holding a batch of rows,
-    one per loss term; each case takes the batch size."""
+    """Named scalar functions of (batch, width) row blocks, one per loss
+    term; each case takes the batch size and returns (fn, blocks)."""
     a, d = num_ages, feat_dim
 
     def case_ce(batch):
         ages = rng.integers(1, a + 1, batch)
-        return (lambda x: ce_sum(ad.reshape(x, (batch, a)), ages),
-                _random_distributions(rng, batch, a).ravel())
+        return lambda s: ce_sum(s, ages), [_random_distributions(rng, batch, a)]
 
     def case_mean(batch):
         ages = rng.integers(1, a + 1, batch)
-        return (lambda x: mean_sum(ad.reshape(x, (batch, a)), ages),
-                _random_distributions(rng, batch, a).ravel())
+        return lambda s: mean_sum(s, ages), [_random_distributions(rng, batch, a)]
 
     def case_variance(batch):
-        return (lambda x: variance_sum(ad.reshape(x, (batch, a))),
-                _random_distributions(rng, batch, a).ravel())
+        return variance_sum, [_random_distributions(rng, batch, a)]
 
     def case_cosine(batch):
-        return (lambda x: cosine_mean(*_blocks(x, batch, d, d)),
-                rng.normal(0.0, 1.0, 2 * batch * d))
+        return cosine_mean, list(rng.normal(0.0, 1.0, (2, batch, d)))
 
     def case_triplet(batch):
         alpha = 0.2
-        point = np.concatenate([m.ravel() for m in _triplet_rows(rng, batch, a, alpha)])
-        return lambda x: triplet_mean(*_blocks(x, batch, a, a, a), alpha), point
+        return (lambda s_a, s_p, s_n: triplet_mean(s_a, s_p, s_n, alpha),
+                _triplet_rows(rng, batch, a, alpha))
 
     def case_kld(batch):
-        return (lambda x: kld_mean(*_blocks(x, batch, a, a)),
-                _random_distributions(rng, 2 * batch, a).ravel())
+        return kld_mean, [_random_distributions(rng, batch, a) for _ in range(2)]
 
     def case_total(batch):
-        # All five terms over one flat point holding (s_a, s_p, s_n, f_a, f_p).
+        # All five terms over the blocks (s_a, s_p, s_n, f_a, f_p).
         weights = LossWeights(lambda_c=10.0, lambda_t=1.0)
         ages = rng.integers(1, a + 1, batch)
-        rows = _triplet_rows(rng, batch, a, weights.alpha)
-        point = np.concatenate([m.ravel() for m in rows]
-                               + [rng.normal(0.0, 1.0, 2 * batch * d)])
+        blocks = _triplet_rows(rng, batch, a, weights.alpha) + list(
+            rng.normal(0.0, 1.0, (2, batch, d)))
 
-        def fn(x):
-            s_a, s_p, s_n, f_a, f_p = _blocks(x, batch, a, a, a, d, d)
+        def fn(s_a, s_p, s_n, f_a, f_p):
             total, _ = total_loss(
                 ce_sum(s_a, ages) * (1.0 / batch), mean_sum(s_a, ages) * (1.0 / batch),
                 variance_sum(s_a) * (1.0 / batch), cosine_mean(f_a, f_p),
                 triplet_mean(s_a, s_p, s_n, weights.alpha), weights)
             return total
 
-        return fn, point
+        return fn, blocks
 
     return {
         "softmax_ce": case_ce,
@@ -129,17 +113,19 @@ def _loss_cases(rng: np.random.Generator, num_ages: int = 7, feat_dim: int = 8):
 
 def _poison_gradient(fn: Callable) -> Callable:
     """Value-preserving wrapper whose tape gradient is shifted by 0.01 per
-    coordinate; used as the corrupted-gradient test fixture."""
+    coordinate of every point; used as the corrupted-gradient test fixture."""
 
-    def wrapped(x: Tensor):
-        drift = (ad.sum_all(x) - float(x.data.sum())) * 0.01
-        return fn(x) + drift
+    def wrapped(*xs: Tensor):
+        out = fn(*xs)
+        for x in xs:
+            out = out + (ad.sum_all(x) - float(x.data.sum())) * 0.01
+        return out
 
     return wrapped
 
 
 def _end_to_end_points(rng: np.random.Generator, config: ModelConfig, weights: LossWeights):
-    """A (flat_params, dataset, triplets) check point with every relu
+    """A (model, dataset, triplets) check point with every relu
     preactivation and the triplet hinge away from their kinks."""
     batch = 4
     while True:
@@ -153,7 +139,7 @@ def _end_to_end_points(rng: np.random.Generator, config: ModelConfig, weights: L
                             [f"p{i}" for i in range(batch * 3)], config.num_ages)
         triplets = [Triplet(i, batch + i, 2 * batch + i) for i in range(batch)]
         if _away_from_kinks(model, ds, triplets, weights):
-            return pack_params(model), ds, triplets
+            return model, ds, triplets
 
 
 def _away_from_kinks(model, ds, triplets, weights) -> bool:
@@ -176,17 +162,17 @@ def _away_from_kinks(model, ds, triplets, weights) -> bool:
 def gradient_suite(points: int = 100, eps: float = 1e-5, tol: float = GRAD_TOL,
                    inject_fault: str | None = None) -> list[CheckResult]:
     """grad_check every loss at seeded random points, alternating batches
-    of 1 and 3 rows, then the composed batch loss through a tiny model via
-    one flat parameter vector."""
+    of 1 and 3 rows, then the composed batch loss through a tiny model
+    with respect to every parameter array."""
     results = []
     rng = np.random.default_rng(20240)
     for name, make_case in _loss_cases(rng).items():
         worst = 0.0
         for i in range(points):
-            fn, point = make_case(1 if i % 2 == 0 else 3)
+            fn, blocks = make_case(1 if i % 2 == 0 else 3)
             if inject_fault == name:
                 fn = _poison_gradient(fn)
-            worst = max(worst, grad_check(fn, point, eps))
+            worst = max(worst, grad_check(fn, *blocks, eps=eps))
         results.append(CheckResult(
             f"gradients.{name}", worst < tol, f"max relative error {worst:.3g}"))
 
@@ -195,15 +181,16 @@ def gradient_suite(points: int = 100, eps: float = 1e-5, tol: float = GRAD_TOL,
     e2e_points = max(1, points // 10)
     worst = 0.0
     for _ in range(e2e_points):
-        flat, ds, triplets = _end_to_end_points(rng, config, weights)
+        model, ds, triplets = _end_to_end_points(rng, config, weights)
 
-        def fn(x):
-            total, _ = build_batch_loss(unpack_params(x, config), ds, triplets, weights)
+        def fn(*params):
+            total, _ = build_batch_loss(
+                Model(config, list(params[0::2]), list(params[1::2])), ds, triplets, weights)
             return total
 
         if inject_fault == "end_to_end":
             fn = _poison_gradient(fn)
-        worst = max(worst, grad_check(fn, flat, eps))
+        worst = max(worst, grad_check(fn, *model.parameters(), eps=eps))
     results.append(CheckResult(
         "gradients.end_to_end", worst < tol,
         f"max relative error {worst:.3g} over {e2e_points} parameter points"))

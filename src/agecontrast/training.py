@@ -17,10 +17,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Array, Tape
 from .data import LabeledDataset, Triplet, has_triplet_negatives, iter_epoch_batches
-from .errors import IncompatibleDataError, OptimizationError
+from .errors import IncompatibleDataError, NonFiniteError, OptimizationError
 from .losses import (LossBreakdown, LossWeights, ce_sum, cosine_mean, kld_mean,
                      mean_sum, total_loss, triplet_mean, variance_sum)
-from .model import Model, ModelConfig, ParamView, forward_batch, init_model
+from .model import Model, ModelConfig, forward_batch, init_model
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -108,7 +108,7 @@ def adam_step(model: Model, grads: list[Array], state: AdamState,
 # ---------------------------------------------------------------------------
 # Batched loss composition
 
-def build_batch_loss(params: Model | ParamView, ds: LabeledDataset,
+def build_batch_loss(params: Model, ds: LabeledDataset,
                      triplets: list[Triplet], weights: LossWeights):
     """Forward the batch and compose the weighted loss.
 
@@ -188,9 +188,11 @@ def _train_step(model: Model, state: AdamState, ds: LabeledDataset,
                 triplets: list[Triplet], cfg: TrainConfig) -> LossBreakdown:
     tape = Tape()
     tracked = model.track(tape)
-    total, breakdown = build_batch_loss(tracked, ds, triplets, cfg.weights)
+    try:
+        total, breakdown = build_batch_loss(tracked, ds, triplets, cfg.weights)
+    except NonFiniteError as exc:
+        raise OptimizationError(f"training diverged at step {state.step + 1}: {exc}") from exc
     grad_map = tape.backward(total)
-    grads = [grad_map.get(t.node, np.zeros(t.data.shape))
-             for t in tracked.tracked_parameters()]
+    grads = [grad_map.get(t.node, np.zeros(t.shape)) for t in tracked.parameters()]
     adam_step(model, grads, state, cfg)
     return breakdown

@@ -132,71 +132,82 @@ class TestGradCheck:
         with pytest.raises(ValueError, match="eps"):
             grad_check(lambda x: ad.sum_all(x * x), [1.0], eps=0.0)
 
+    def test_needs_a_point(self):
+        # with no point nothing would be checked, and 0.0 would read as a pass
+        with pytest.raises(ValueError, match="at least one point"):
+            grad_check(lambda: Tensor(1.0))
+
+    def test_wrong_gradient_of_second_point_fails(self):
+        # sum(x*y) plus a zero-valued term that shifts only y's tape gradient
+        def product(x, y):
+            wrong = (ad.sum_all(y) - float(y.data.sum())) * 0.01
+            return ad.sum_all(x * y) + wrong
+
+        x, y = [1.0, 2.0, 3.0], [0.5, -1.0, 2.0]
+        assert grad_check(lambda a, b: ad.sum_all(a * b), x, y) < 1e-7
+        assert grad_check(product, x, y) > 5e-3
+
+    def test_perturbs_every_coordinate_of_every_point_in_order(self):
+        seen = []
+
+        def record(x, y):
+            seen.append(np.concatenate([x.data.ravel(), y.data.ravel()]))
+            return ad.sum_all(x) + ad.sum_all(y)
+
+        grad_check(record, [[1.0, 2.0]], [3.0], eps=0.5)
+        expected = [[1.0, 2.0, 3.0]]
+        for j in range(3):
+            for step in (0.5, -0.5):
+                point = [1.0, 2.0, 3.0]
+                point[j] += step
+                expected.append(point)
+        npt.assert_array_equal(seen, expected)
+
 
 def _signed_away_from(rng, n, margin=5e-2, scale=1.0):
     return (margin + rng.uniform(0.0, scale, n)) * rng.choice([-1.0, 1.0], n)
 
 
 def _primitive_cases(rng):
-    """(fn, point) builders; each fn reduces its primitive to a scalar
-    through a random constant so the pullback sees a non-uniform gradient."""
+    """(fn, points) builders, one point per operand; each fn reduces its
+    primitive to a scalar through a random constant so the pullback sees
+    a non-uniform gradient."""
     c4 = rng.normal(0, 1, 4)
     c3 = rng.normal(0, 1, 3)
     c31 = rng.normal(0, 1, (3, 1))
     c34 = rng.normal(0, 1, (3, 4))
     c32 = rng.normal(0, 1, (3, 2))
 
-    def split(x, k):
-        return ad.slice1d(x, 0, k), ad.slice1d(x, k, 2 * k)
+    def normal(*shapes):
+        return [rng.normal(0, 1, shape) for shape in shapes]
 
     def reduce(t, c):
         return ad.sum_all(ad.mul(t, c))
 
     return {
-        "add": (lambda x: reduce(ad.add(*split(x, 4)), c4), rng.normal(0, 1, 8)),
-        "add_scalar_bcast": (
-            lambda x: reduce(ad.add(ad.slice1d(x, 0, 4), ad.slice1d(x, 4, 5)), c4),
-            rng.normal(0, 1, 5)),
-        "sub": (lambda x: reduce(ad.sub(*split(x, 4)), c4), rng.normal(0, 1, 8)),
-        "mul": (lambda x: reduce(ad.mul(*split(x, 4)), c4), rng.normal(0, 1, 8)),
-        "div": (lambda x: reduce(ad.div(*split(x, 4)), c4),
-                np.concatenate([rng.normal(0, 1, 4), rng.uniform(1.0, 2.0, 4)])),
-        "matmul_2d2d": (
-            lambda x: reduce(ad.matmul(
-                ad.reshape(ad.slice1d(x, 0, 12), (3, 4)),
-                ad.reshape(ad.slice1d(x, 12, 20), (4, 2))), c32),
-            rng.normal(0, 1, 20)),
-        "matmul_2d_column": (
-            lambda x: reduce(ad.matmul(
-                ad.reshape(ad.slice1d(x, 0, 12), (3, 4)),
-                ad.reshape(ad.slice1d(x, 12, 16), (4, 1))), c31),
-            rng.normal(0, 1, 16)),
-        "matmul_row_2d": (
-            lambda x: reduce(ad.matmul(
-                ad.reshape(ad.slice1d(x, 0, 3), (1, 3)),
-                ad.reshape(ad.slice1d(x, 3, 15), (3, 4))), c4[None, :]),
-            rng.normal(0, 1, 15)),
-        "relu": (lambda x: reduce(ad.relu(x), c4), _signed_away_from(rng, 4)),
+        "add": (lambda a, b: reduce(ad.add(a, b), c4), normal(4, 4)),
+        "add_scalar_bcast": (lambda a, b: reduce(ad.add(a, b), c4), normal(4, 1)),
+        "sub": (lambda a, b: reduce(ad.sub(a, b), c4), normal(4, 4)),
+        "mul": (lambda a, b: reduce(ad.mul(a, b), c4), normal(4, 4)),
+        "div": (lambda a, b: reduce(ad.div(a, b), c4),
+                [rng.normal(0, 1, 4), rng.uniform(1.0, 2.0, 4)]),
+        "matmul_2d2d": (lambda a, b: reduce(ad.matmul(a, b), c32), normal((3, 4), (4, 2))),
+        "matmul_2d_column": (lambda a, b: reduce(ad.matmul(a, b), c31),
+                             normal((3, 4), (4, 1))),
+        "matmul_row_2d": (lambda a, b: reduce(ad.matmul(a, b), c4[None, :]),
+                          normal((1, 3), (3, 4))),
+        "relu": (lambda x: reduce(ad.relu(x), c4), [_signed_away_from(rng, 4)]),
         "clamp_min": (lambda x: reduce(ad.clamp_min(x, 0.5), c4),
-                      0.5 + _signed_away_from(rng, 4)),
-        "log": (lambda x: reduce(ad.log(x), c4), rng.uniform(0.1, 3.0, 4)),
-        "sqrt": (lambda x: reduce(ad.sqrt(x), c4), rng.uniform(0.1, 3.0, 4)),
-        "sum_all": (lambda x: ad.sum_all(ad.mul(x, c4)), rng.normal(0, 1, 4)),
-        "row_sum": (lambda x: reduce(ad.row_sum(ad.reshape(x, (3, 4))), c3),
-                    rng.normal(0, 1, 12)),
-        "softmax_rows": (
-            lambda x: reduce(ad.softmax_rows(ad.reshape(x, (3, 4))), c34),
-            rng.normal(0, 2, 12)),
-        "add_rowvec": (
-            lambda x: reduce(ad.add_rowvec(
-                ad.reshape(ad.slice1d(x, 0, 12), (3, 4)), ad.slice1d(x, 12, 16)), c34),
-            rng.normal(0, 1, 16)),
-        "take_rows": (
-            lambda x: reduce(ad.take_rows(ad.reshape(x, (4, 3)), [2, 0, 2]), c34.T[:3]),
-            rng.normal(0, 1, 12)),
-        "reshape": (lambda x: reduce(ad.reshape(x, (2, 2)), c34[:2, :2]),
-                    rng.normal(0, 1, 4)),
-        "slice1d": (lambda x: reduce(ad.slice1d(x, 1, 5), c4), rng.normal(0, 1, 6)),
+                      [0.5 + _signed_away_from(rng, 4)]),
+        "log": (lambda x: reduce(ad.log(x), c4), [rng.uniform(0.1, 3.0, 4)]),
+        "sqrt": (lambda x: reduce(ad.sqrt(x), c4), [rng.uniform(0.1, 3.0, 4)]),
+        "sum_all": (lambda x: ad.sum_all(ad.mul(x, c4)), normal(4)),
+        "row_sum": (lambda x: reduce(ad.row_sum(x), c3), normal((3, 4))),
+        "softmax_rows": (lambda x: reduce(ad.softmax_rows(x), c34),
+                         [rng.normal(0, 2, (3, 4))]),
+        "add_rowvec": (lambda m, v: reduce(ad.add_rowvec(m, v), c34), normal((3, 4), 4)),
+        "take_rows": (lambda x: reduce(ad.take_rows(x, [2, 0, 2]), c34.T[:3]),
+                      normal((4, 3))),
     }
 
 
@@ -208,8 +219,8 @@ def test_primitive_gradients_match_finite_differences(name):
     rng = np.random.default_rng(hash(name) % (2 ** 32))
     worst = 0.0
     for _ in range(100):
-        fn, point = _primitive_cases(rng)[name]
-        worst = max(worst, grad_check(fn, point))
+        fn, points = _primitive_cases(rng)[name]
+        worst = max(worst, grad_check(fn, *points))
     assert worst < 1e-4, f"{name}: max relative error {worst}"
 
 

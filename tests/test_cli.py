@@ -151,6 +151,28 @@ class TestTrain:
                      "--out", str(out)]) == 2
         assert "error: metadata sidecar" in capsys.readouterr().err
 
+    def test_non_utf8_csv_exits_2(self, tiny_dataset, tmp_path, capsys):
+        lines = tiny_dataset.read_bytes().split(b"\n")
+        lines[1] = b"\xff\xfe" + lines[1]
+        tiny_dataset.write_bytes(b"\n".join(lines))
+        out = tmp_path / "t"
+        out.mkdir()
+        assert main(["train", "--dataset", str(tiny_dataset), "--epochs", "0",
+                     "--out", str(out)]) == 2
+        assert "is not UTF-8 text" in capsys.readouterr().err
+
+    def test_diverging_run_exits_2_with_one_error_line(self, tiny_dataset, tmp_path):
+        out = tmp_path / "t"
+        out.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-m", "agecontrast", "train", "--dataset", str(tiny_dataset),
+             "--lr", "1e300", "--epochs", "2", "--out", str(out)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC})
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "error: training diverged at step 2: softmax_rows: non-finite logit"]
+        assert list(out.iterdir()) == []
+
     def test_schema_keys_are_the_config_fields(self):
         train_keys = {f.name for f in dataclasses.fields(TrainConfig)} - {"weights"}
         weight_keys = {f.name for f in dataclasses.fields(LossWeights)}
@@ -265,6 +287,16 @@ class TestEvalBoundary:
         assert self._eval(bad, tiny_dataset, tmp_path) == 2
         assert "error: cannot read checkpoint" in capsys.readouterr().err
 
+    def test_overflowing_checkpoint_exits_2(self, checkpoint, tiny_dataset, tmp_path, capsys):
+        model = load_model(checkpoint)
+        for p in model.parameters():
+            p *= 1e300
+        save_model(model, checkpoint)
+        assert self._eval(checkpoint, tiny_dataset, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert f"error: checkpoint {checkpoint} overflows" in err
+        assert list((tmp_path / "e").iterdir()) == []
+
     @pytest.mark.parametrize("key", ["input_dim", "num_ages"])
     def test_checkpoint_dataset_mismatch_exits_2(self, checkpoint, tiny_dataset, tmp_path,
                                                  capsys, key):
@@ -293,6 +325,25 @@ class TestEvalBoundary:
         assert main(["sweep", "--dataset", str(three_rows), "--loss-sets", "--protocol", "rs",
                      "--k", "4", "--epochs", "1", "--out", str(out)]) == 2
         assert "error: random split needs >= 4 samples" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_sweep_divergence_exits_2(self, tiny_dataset, tmp_path, capsys, jobs):
+        out = tmp_path / "s"
+        out.mkdir()
+        assert main(["sweep", "--dataset", str(tiny_dataset), "--loss-sets", "--lr", "1e300",
+                     "--epochs", "2", "--jobs", jobs, "--out", str(out)]) == 2
+        assert "error: training diverged at step 2" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_sweep_overflowing_fold_model_exits_2(self, tiny_dataset, tmp_path, capsys):
+        # one step per fold trains without a non-finite value, but the
+        # fold's model then overflows when it is scored
+        out = tmp_path / "s"
+        out.mkdir()
+        assert main(["sweep", "--dataset", str(tiny_dataset), "--loss-sets", "--lr", "1e300",
+                     "--epochs", "1", "--out", str(out)]) == 2
+        assert "error: softmax_rows: non-finite logit" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
     def test_eval_jobs_flag_is_gone(self, checkpoint, tiny_dataset, tmp_path):
@@ -355,6 +406,13 @@ class TestSelfcheck:
         out = capsys.readouterr().out
         assert "PASS gradients.cosine_loss" in out
         assert "all" in out and "checks passed" in out
+
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_gradient_points_below_one_exits_2(self, capsys, points):
+        assert main(["selfcheck", "--gradient-points", points]) == 2
+        captured = capsys.readouterr()
+        assert "error: --gradient-points must be >= 1" in captured.err
+        assert "PASS" not in captured.out
 
     def test_full_selfcheck_within_budget(self, capsys):
         import time

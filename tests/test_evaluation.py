@@ -15,6 +15,7 @@ from agecontrast.model import ModelConfig, init_model
 from agecontrast.training import TrainConfig
 
 from conftest import make_dataset
+import loss_reference as ref
 
 
 def assert_partition(folds, n):
@@ -193,12 +194,17 @@ class TestIdentityVariance:
         mu_vf, _ = identity_variance(model, ds)
         assert mu_vf == pytest.approx(0.5, rel=1e-12)
 
-    def test_s_scaling_is_squared_in_variance(self, small_synth):
+    def test_mu_vs_is_per_identity_variance_of_scaled_s(self, small_synth):
         _, ds, _ = small_synth
         model = init_model(ModelConfig(ds.input_dim, (6,), 6, ds.num_ages), 1)
-        _, vs1 = identity_variance(model, ds, s_scale=1.0)
-        _, vs100 = identity_variance(model, ds, s_scale=100.0)
-        assert vs100 == pytest.approx(vs1 * 1e4, rel=1e-9)
+        s = np.array([ref.forward(model, x)[1] for x in ds.inputs])
+        per_identity = []
+        for ident in sorted(set(ds.identities)):
+            rows = 100.0 * s[[i for i, d in enumerate(ds.identities) if d == ident]]
+            mean = rows.mean(axis=0)
+            per_identity.append(((rows - mean) ** 2).mean(axis=0).mean())
+        _, mu_vs = identity_variance(model, ds)
+        assert mu_vs == pytest.approx(np.mean(per_identity), rel=1e-9)
 
     def test_requires_repeated_identity(self):
         ds = make_dataset([1, 2], ["A", "B"], num_ages=3)

@@ -6,9 +6,8 @@ import pytest
 
 from agecontrast import autodiff as ad
 from agecontrast.autodiff import Tape, grad_check
-from agecontrast.model import (ModelConfig, forward_batch, forward_values, init_model,
-                               load_model, pack_params, predict_ages, save_model,
-                               unpack_params)
+from agecontrast.model import (Model, ModelConfig, forward_batch, forward_values, init_model,
+                               load_model, predict_ages, save_model)
 
 import loss_reference as ref
 
@@ -161,34 +160,23 @@ def test_load_rejects_foreign_files(tmp_path):
         load_model(path)
 
 
-def test_pack_unpack_round_trip():
-    m = init_model(TINY, 17)
-    flat = pack_params(m)
-    view = unpack_params(flat, TINY)
-    for orig, back in zip(m.parameters(),
-                          [t.data for pair in zip(view.weights, view.biases) for t in pair]):
-        npt.assert_array_equal(orig, back)
-    with pytest.raises(ValueError, match="does not fit"):
-        unpack_params(flat[:-1], TINY)
-
-
 def test_unpacked_forward_is_differentiable_end_to_end():
     m = init_model(TINY, 19)
     x_rows = np.random.default_rng(6).normal(0, 1, (2, 8))
 
-    def loss_of(flat):
-        view = unpack_params(flat, TINY)
-        _, s = forward_batch(view, x_rows)
+    def loss_of(*params):
+        _, s = forward_batch(Model(TINY, list(params[0::2]), list(params[1::2])), x_rows)
         return ad.sum_all(s * s)
 
-    assert grad_check(loss_of, pack_params(m)) < 1e-4
+    assert grad_check(loss_of, *m.parameters()) < 1e-4
 
 
 def test_tracked_forward_populates_tape():
     m = init_model(TINY, 23)
     tape = Tape()
-    view = m.track(tape)
-    f, s = forward_batch(view, np.ones((1, 8)))
+    tracked = m.track(tape)
+    assert isinstance(tracked, Model) and tracked.config == m.config
+    f, s = forward_batch(tracked, np.ones((1, 8)))
     assert f.tracked and s.tracked
-    grads = tape.backward(ad.sum_all(f))
-    assert view.weights[0].node in grads
+    grads = tape.backward(ad.sum_all(f) + ad.sum_all(s * s))
+    assert all(p.node in grads for p in tracked.parameters())
