@@ -26,7 +26,7 @@ from .evaluation import (evaluate_checkpoint, lambda_grid_cells, loss_set_cells,
                          sweep)
 from .losses import PAIR_LOSSES, LossBreakdown, LossWeights
 from .manifest import build_manifest, write_manifest
-from .model import Model, load_model, save_model
+from .model import Model, forward_values, load_model, save_model
 from .selfcheck import run_all
 from .synth import SynthConfig, generate_dataset, save_ground_truth
 from .training import TrainConfig, train
@@ -88,8 +88,14 @@ TRAIN_SCHEMA = {
 def parse_config_file(path: Path) -> dict[str, str]:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path}: byte {exc.start} is not UTF-8 text") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -203,6 +209,12 @@ def cmd_train(args) -> int:
 
     started = time.perf_counter()
     model, history = train(ds, cfg)
+    # The last Adam step can leave finite weights (about 1e300) whose
+    # forward overflows; eval would reject that checkpoint, so none is written.
+    try:
+        forward_values(model, ds.inputs)
+    except NonFiniteError as exc:
+        raise OptimizationError(f"training diverged at its last step: {exc}") from exc
 
     ckpt = out / "checkpoint.json"
     save_model(model, ckpt)

@@ -7,6 +7,36 @@ sampling draws anchors without replacement per epoch pass and picks p/n
 uniformly from those candidate sets; an anchor whose candidate set is
 empty keeps a null slot so contrastive terms can be skipped for it.
 
+The sampler never filters the dataset per anchor. Each dataset sorts its
+rows once, age-major and identity-minor, into ``order``. In that order an
+age is a block ``[s0, s1)`` of ``n_age`` positions, and the anchor's
+identity occupies one run of ``run`` positions inside its block (the run
+holds the anchor itself). Each candidate set is then the image of a
+range of integers under a map that is one-to-one, so a single uniform
+integer per slot gives an exactly uniform candidate:
+
+* positive: ``u`` in ``[0, n_age - run)`` goes to position ``s0 + u``,
+  plus ``run`` when that lands at or past the run's start; this skips
+  the run and nothing else inside the block.
+* negative: ``x`` in ``[0, N - n_age - m + run)``, with ``m`` the
+  identity's size, must skip the block and the identity's other
+  positions. Let the identity's positions be ``q_0 < q_1 < ...`` and
+  ``l`` of them lie before ``s0``. The first ``s0 - l`` values of ``x``
+  are the non-identity positions before the block, so ``y = x`` there;
+  the rest start past the block and the run, so ``y = x + n_age - run``.
+  Position ``y + #{j: q_j - j <= y}`` is then the ``y``-th position that
+  is not the identity's, since ``q_j - j`` counts the non-identity
+  positions before ``q_j``; the block's other rows are never reached,
+  because ``y`` jumps over exactly them. The keys ``q_j - j`` of all
+  identities are stored in one sorted array, offset by identity code
+  times N, so each count is one ``searchsorted``.
+
+``positive_set``/``negative_set`` enumerate the same maps over every
+integer in range, so the brute-force checks of those sets check the code
+that draws. Building the index costs O(N log N) once per dataset, and a
+batch costs one ``rng.integers`` call per slot kind plus O(log N) per
+triplet.
+
 Datasets round-trip through CSV (header ``identity,age,v0,v1,...``) with
 a JSON sidecar recording input_dim and the age range.
 """
@@ -72,14 +102,13 @@ class LabeledDataset:
         self.identities = identities
         self.num_ages = num_ages
         self.input_dim = inputs.shape[1]
-        # Integer identity codes make candidate masks cheap.
         code_of: dict[str, int] = {}
         codes = np.empty(n, dtype=np.int64)
         for i, ident in enumerate(identities):
             codes[i] = code_of.setdefault(ident, len(code_of))
-        self._identity_code = codes
         self._by_identity: dict[str, Array] = {
             ident: np.flatnonzero(codes == code) for ident, code in code_of.items()}
+        self._sampler = _SamplerIndex(ages, codes)
 
     def __len__(self) -> int:
         return len(self.identities)
@@ -96,24 +125,73 @@ class LabeledDataset:
                               [self.identities[i] for i in idx], self.num_ages)
 
 
-def _positive_candidates(ds: LabeledDataset, anchor: int) -> Array:
-    mask = (ds.ages == ds.ages[anchor]) & (ds._identity_code != ds._identity_code[anchor])
-    return np.flatnonzero(mask)
+class _SamplerIndex:
+    """Per-row parameters of the positive and negative maps (see the
+    module docstring), built once over the age-major, identity-minor order."""
+
+    def __init__(self, ages: Array, codes: Array):
+        n = len(ages)
+        self.order = np.lexsort((codes, ages))
+        a, c = ages[self.order], codes[self.order]
+        block_start = np.r_[True, a[1:] != a[:-1]]
+        block_lo, block_hi = _spans(block_start)
+        run_lo, run_hi = _spans(block_start | np.r_[True, c[1:] != c[:-1]])
+        # Positions grouped by identity, ascending within each identity.
+        by_identity = np.argsort(c, kind="stable")
+        id_count = np.bincount(codes)
+        id_first = np.cumsum(id_count) - id_count
+        rank = np.empty(n, dtype=np.int64)  # a position's rank among its identity's
+        rank[by_identity] = np.arange(n) - id_first[c[by_identity]]
+        self.keys = c[by_identity] * n + by_identity - rank[by_identity]
+
+        n_age, run = block_hi - block_lo, run_hi - run_lo
+        at = np.empty(n, dtype=np.int64)  # each row's position
+        at[self.order] = np.arange(n)
+        self.block_lo = block_lo[at]
+        self.run_lo = run_lo[at]
+        self.run_len = run[at]
+        self.n_pos = (n_age - run)[at]
+        self.neg_split = (block_lo - rank[run_lo])[at]
+        self.n_neg = (n - n_age - id_count[c] + run)[at]
+        self.key_lo = codes * n
+        self.key_first = id_first[codes]
+
+    def positive(self, anchors: Array, u: Array) -> Array:
+        """Rows for u in [0, n_pos) of each anchor."""
+        q = self.block_lo[anchors] + u
+        q += self.run_len[anchors] * (q >= self.run_lo[anchors])
+        return self.order[q]
+
+    def negative(self, anchors: Array, x: Array) -> Array:
+        """Rows for x in [0, n_neg) of each anchor."""
+        y = x + self.n_pos[anchors] * (x >= self.neg_split[anchors])
+        skipped = np.searchsorted(self.keys, self.key_lo[anchors] + y, side="right")
+        return self.order[y + skipped - self.key_first[anchors]]
 
 
-def _negative_candidates(ds: LabeledDataset, anchor: int) -> Array:
-    mask = (ds.ages != ds.ages[anchor]) & (ds._identity_code != ds._identity_code[anchor])
-    return np.flatnonzero(mask)
+def _spans(starts: Array) -> tuple[Array, Array]:
+    """[lo, hi) of the span holding each position, given span starts."""
+    lo = np.flatnonzero(starts)
+    span = np.cumsum(starts) - 1
+    return lo[span], np.r_[lo[1:], len(starts)][span]
+
+
+def _candidate_rows(ds: LabeledDataset, anchor: int) -> tuple[Array, Array]:
+    """The positive and the negative map over every integer in range, in order."""
+    ix = ds._sampler
+    pos = np.full(ix.n_pos[anchor], anchor)
+    neg = np.full(ix.n_neg[anchor], anchor)
+    return ix.positive(pos, np.arange(pos.size)), ix.negative(neg, np.arange(neg.size))
 
 
 def positive_set(ds: LabeledDataset, anchor: int) -> set[int]:
     """All indices with the anchor's age but a different identity."""
-    return {int(i) for i in _positive_candidates(ds, anchor)}
+    return set(_candidate_rows(ds, anchor)[0].tolist())
 
 
 def negative_set(ds: LabeledDataset, anchor: int) -> set[int]:
     """All indices with a different age and a different identity."""
-    return {int(i) for i in _negative_candidates(ds, anchor)}
+    return set(_candidate_rows(ds, anchor)[1].tolist())
 
 
 def has_triplet_negatives(ds: LabeledDataset) -> bool:
@@ -128,22 +206,20 @@ def has_triplet_negatives(ds: LabeledDataset) -> bool:
     return len(np.unique(ds.ages)) >= 2 and len(ds._by_identity) >= 2
 
 
-def _draw(rng: np.random.Generator, candidates: Array) -> int | None:
-    if candidates.size == 0:
-        return None
-    return int(candidates[rng.integers(candidates.size)])
-
-
-def _triplets_for(ds: LabeledDataset, anchors: Array, rng: np.random.Generator,
-                  triplets_per_anchor: int) -> list[Triplet]:
-    out: list[Triplet] = []
-    for a in anchors:
-        a = int(a)
-        pos = _positive_candidates(ds, a)
-        neg = _negative_candidates(ds, a)
-        for _ in range(triplets_per_anchor):
-            out.append(Triplet(a, _draw(rng, pos), _draw(rng, neg)))
-    return out
+def _triplets_for(ds: LabeledDataset, anchors: Array,
+                  rng: np.random.Generator) -> list[Triplet]:
+    ix = ds._sampler
+    n_pos, n_neg = ix.n_pos[anchors], ix.n_neg[anchors]
+    # An empty set draws from [0, 1) and its slot is nulled below.
+    u = rng.integers(0, np.maximum(n_pos, 1))
+    x = rng.integers(0, np.maximum(n_neg, 1))
+    p = np.full(anchors.size, -1)
+    n = np.full(anchors.size, -1)
+    has_p, has_n = n_pos > 0, n_neg > 0
+    p[has_p] = ix.positive(anchors[has_p], u[has_p])
+    n[has_n] = ix.negative(anchors[has_n], x[has_n])
+    return [Triplet(ai, pi if pi >= 0 else None, ni if ni >= 0 else None)
+            for ai, pi, ni in zip(anchors.tolist(), p.tolist(), n.tolist())]
 
 
 def sample_triplet_batch(ds: LabeledDataset, batch_size: int, seed: int) -> list[Triplet]:
@@ -159,9 +235,10 @@ def iter_epoch_batches(ds: LabeledDataset, batch_size: int, rng: np.random.Gener
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if triplets_per_anchor < 1:
         raise ValueError(f"triplets_per_anchor must be >= 1, got {triplets_per_anchor}")
-    perm = rng.permutation(len(ds))
-    for start in range(0, len(perm), batch_size):
-        yield _triplets_for(ds, perm[start:start + batch_size], rng, triplets_per_anchor)
+    perm = np.repeat(rng.permutation(len(ds)), triplets_per_anchor)
+    step = batch_size * triplets_per_anchor
+    for start in range(0, len(perm), step):
+        yield _triplets_for(ds, perm[start:start + step], rng)
 
 
 # ---------------------------------------------------------------------------

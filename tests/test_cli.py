@@ -173,6 +173,36 @@ class TestTrain:
             "error: training diverged at step 2: softmax_rows: non-finite logit"]
         assert list(out.iterdir()) == []
 
+    def test_overflowed_last_step_exits_2_without_checkpoint(self, tiny_dataset, tmp_path,
+                                                            capsys):
+        # 30 rows and batch 64: the one step leaves weights near 1e300, which
+        # are finite but overflow the next forward.
+        out = tmp_path / "t"
+        out.mkdir()
+        assert main(["train", "--dataset", str(tiny_dataset), "--lr", "1e300",
+                     "--epochs", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: training diverged at its last step: softmax_rows: non-finite logit"]
+        assert list(out.iterdir()) == []
+
+    def test_non_utf8_config_exits_2(self, tiny_dataset, tmp_path, capsys):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_bytes(b"epochs = \xff\n")
+        out = tmp_path / "t"
+        out.mkdir()
+        assert main(["train", "--dataset", str(tiny_dataset), "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: config file {cfg}: byte 9 is not UTF-8 text"]
+
+    def test_directory_config_exits_2(self, tiny_dataset, tmp_path, capsys):
+        out = tmp_path / "t"
+        out.mkdir()
+        assert main(["train", "--dataset", str(tiny_dataset), "--config", str(tmp_path),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: cannot read config file {tmp_path}: Is a directory"]
+
     def test_schema_keys_are_the_config_fields(self):
         train_keys = {f.name for f in dataclasses.fields(TrainConfig)} - {"weights"}
         weight_keys = {f.name for f in dataclasses.fields(LossWeights)}

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from agecontrast.data import (LabeledDataset, has_triplet_negatives,
+from agecontrast.data import (LabeledDataset, _candidate_rows, has_triplet_negatives,
                               iter_epoch_batches, load_dataset, negative_set,
                               positive_set, sample_triplet_batch, save_dataset)
 from agecontrast.errors import DatasetError
@@ -153,6 +153,54 @@ class TestBatchSampling:
             stat += ((counts[a, cand] - expected) ** 2 / expected).sum()
             dof += len(cand) - 1
         assert stats.chi2.sf(stat, dof) > 0.01
+
+    def test_negative_draws_uniform_chi_square(self, grid_dataset):
+        # Pooled chi-square over all (anchor, negative) cells; every anchor
+        # has exactly 20 negative candidates in this dataset.
+        from scipy import stats
+
+        ds = grid_dataset
+        n = len(ds)
+        counts = np.zeros((n, n))
+        epochs = 3334  # ~1e5 (anchor, n) draws
+        for seed in range(epochs):
+            for t in sample_triplet_batch(ds, n, seed):
+                counts[t.a, t.n] += 1
+        stat = 0.0
+        dof = 0
+        for a in range(n):
+            cand = sorted(negative_set(ds, a))
+            expected = epochs / len(cand)
+            stat += ((counts[a, cand] - expected) ** 2 / expected).sum()
+            dof += len(cand) - 1
+        assert stats.chi2.sf(stat, dof) > 0.01
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 4), st.sampled_from("ABCD")),
+                    min_size=1, max_size=16),
+           st.integers(1, 3), st.integers(0, 2**32 - 1))
+    @example([(2, "A"), (2, "B"), (2, "C"), (2, "B")], 1, 0)  # a single age
+    @example([(1, "A"), (2, "A"), (3, "A"), (1, "A")], 1, 0)  # a single identity
+    @example([(1, "A"), (2, "A"), (3, "A"), (4, "A"), (1, "B"), (3, "C"), (3, "B")],
+             1, 0)  # one identity spanning every age
+    @example([(1, "A"), (2, "B"), (1, "C"), (2, "A"), (1, "B")], 3, 0)  # triplets_per_anchor > 1
+    def test_draws_and_maps_match_brute_force(self, layout, triplets_per_anchor, seed):
+        ages, identities = zip(*layout)
+        ds = make_dataset(ages, identities, num_ages=4)
+        for a in range(len(ds)):
+            # Each map covers its candidate set exactly once.
+            for rows, brute in zip(_candidate_rows(ds, a),
+                                   (brute_positive(ds, a), brute_negative(ds, a))):
+                assert sorted(rows.tolist()) == sorted(brute)
+        slots = 0
+        for batch in iter_epoch_batches(ds, 3, np.random.default_rng(seed),
+                                        triplets_per_anchor):
+            for t in batch:
+                pos, neg = brute_positive(ds, t.a), brute_negative(ds, t.a)
+                assert (t.p is None) == (not pos) and (t.p is None or t.p in pos)
+                assert (t.n is None) == (not neg) and (t.n is None or t.n in neg)
+                slots += 1
+        assert slots == len(ds) * triplets_per_anchor
 
 
 class TestIndexes:
