@@ -8,8 +8,8 @@ verifiable end to end on synthetic data.
 """
 
 from .autodiff import Tape, Tensor, grad_check, softmax_rows
-from .data import (LabeledDataset, Triplet, load_dataset, negative_set, positive_set,
-                   sample_triplet_batch, save_dataset)
+from .data import (LabeledDataset, Triplet, TripletBatch, load_dataset, negative_set,
+                   positive_set, sample_triplet_batch, save_dataset)
 from .errors import (ConfigError, DatasetError, IncompatibleDataError, NonFiniteError,
                      OptimizationError, VerificationError)
 from .evaluation import (EvalReport, Fold, SweepCell, SweepRow, evaluate_checkpoint,
@@ -17,7 +17,7 @@ from .evaluation import (EvalReport, Fold, SweepCell, SweepRow, evaluate_checkpo
                          loss_set_cells, mean_absolute_error, run_protocol,
                          split_lopo, split_random, split_subject_exclusive, sweep)
 from .losses import (LossBreakdown, LossWeights, ce_sum, cosine_mean, kld_mean, mean_sum,
-                     total_loss, triplet_mean, variance_sum)
+                     mean_variance, total_loss, triplet_mean, variance_sum)
 from .model import (Model, ModelConfig, forward_batch, forward_values, init_model,
                     load_model, predict_ages, save_model)
 from .synth import (GroundTruth, SynthConfig, generate_dataset, load_ground_truth,

@@ -1,10 +1,14 @@
 """Dense float64 tensors with a reverse-mode gradient tape.
 
-Values are numpy arrays. Every differentiable primitive records parent
-handles and a pullback closure on the active tape, so any scalar built
-from tracked inputs can be differentiated with ``Tape.backward``. The
-independent check for all analytic gradients is ``grad_check``, a
-central finite-difference oracle.
+Values are numpy arrays. Every differentiable primitive records one node
+with parent handles and a pullback closure on the active tape (through
+``record``), so any scalar built from tracked inputs can be
+differentiated with ``Tape.backward``. The primitives are the few a
+train step is made of, each one node however large: ``linear``,
+``relu``, ``softmax_rows``, ``take_rows`` and ``weighted_sum``; the loss
+terms add their own fused nodes in ``losses``. The independent check
+for all analytic gradients is ``grad_check``, a central
+finite-difference oracle.
 
 A tape is single-writer: build the graph and call backward on one thread
 of control. Untracked tensors are immutable value carriers and can be
@@ -55,37 +59,6 @@ class Tensor:
         if self.data.size != 1:
             raise ValueError(f"item: tensor has {self.data.size} elements, expected 1")
         return self.data.item()
-
-    def sum(self) -> "Tensor":
-        return sum_all(self)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self) -> str:
         tag = f", node={self.node}" if self.tracked else ""
@@ -158,7 +131,15 @@ def _single_tape(tensors: Sequence[Tensor]) -> Tape | None:
     return tape
 
 
-def _record(out: Array, pairs: list[tuple[Tensor, Pullback]]) -> Tensor:
+def record(out, pairs: Sequence[tuple[Tensor, Pullback]]) -> Tensor:
+    """One tape node with value ``out``, one pullback per operand.
+
+    Each pullback maps the gradient of ``out`` to the gradient of its
+    operand (a result broadcastable to the operand's shape). Untracked
+    operands are dropped; with none tracked the result is untracked. This
+    is how every primitive, and every fused loss, defines its node.
+    """
+    out = _as_array(out)
     tape = _single_tape([t for t, _ in pairs])
     if tape is None:
         return Tensor(out)
@@ -168,106 +149,65 @@ def _record(out: Array, pairs: list[tuple[Tensor, Pullback]]) -> Tensor:
     return Tensor(out, tape, tape._append(parents, pulls, out.shape))
 
 
-def _check_binary(op: str, a: Tensor, b: Tensor) -> None:
-    # Elementwise ops accept identical shapes, or a size-1 operand broadcast
-    # against the other.
-    if a.data.shape == b.data.shape:
-        return
-    if a.data.size == 1 or b.data.size == 1:
-        return
-    raise ValueError(f"{op}: shape mismatch {a.data.shape} vs {b.data.shape}")
+# OpenBLAS runs a matrix product on one thread when M*N*K <= 2**18 and
+# wakes its thread pool above that. At a train step's sizes the pool
+# costs more than it saves, and the worker processes of a sweep (one per
+# core) then oversubscribe the cores: on 2 vCPUs with OpenBLAS 0.3.31,
+# `sweep --loss-sets --jobs 2` ran twice as long with one stacked product.
+# So the products of a tracked ``linear`` run in blocks that each stay
+# under the limit.
+_ONE_THREAD_MNK = 2 ** 18
 
 
-def _reduce_to(shape: tuple[int, ...], g: Array) -> Array:
-    if g.shape == shape:
-        return g
-    return np.asarray(g.sum()).reshape(shape)
+def _block_rows(inner: int, outer: int) -> int:
+    return max(1, _ONE_THREAD_MNK // max(1, inner * outer))
 
 
-def add(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    _check_binary("add", a, b)
-    ash, bsh = a.data.shape, b.data.shape
-    return _record(a.data + b.data,
-                   [(a, lambda g: _reduce_to(ash, g)),
-                    (b, lambda g: _reduce_to(bsh, g))])
+def _row_blocked(a: Array, b: Array) -> Array:
+    """``a @ b`` computed over blocks of rows of ``a``."""
+    step = _block_rows(*b.shape)
+    if a.shape[0] <= step:
+        return a @ b
+    out = np.empty((a.shape[0], b.shape[1]))
+    for i in range(0, a.shape[0], step):
+        np.matmul(a[i:i + step], b, out=out[i:i + step])
+    return out
 
 
-def sub(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    _check_binary("sub", a, b)
-    ash, bsh = a.data.shape, b.data.shape
-    return _record(a.data - b.data,
-                   [(a, lambda g: _reduce_to(ash, g)),
-                    (b, lambda g: _reduce_to(bsh, -g))])
+def _inner_blocked(a: Array, b: Array) -> Array:
+    """``a.T @ b`` summed over blocks of the shared row dimension."""
+    step = _block_rows(a.shape[1], b.shape[1])
+    out = a[:step].T @ b[:step]
+    for i in range(step, a.shape[0], step):
+        out += a[i:i + step].T @ b[i:i + step]
+    return out
 
 
-def mul(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    _check_binary("mul", a, b)
-    ad, bd = a.data, b.data
-    return _record(ad * bd,
-                   [(a, lambda g: _reduce_to(ad.shape, g * bd)),
-                    (b, lambda g: _reduce_to(bd.shape, g * ad))])
+def linear(x, w, b) -> Tensor:
+    """``x @ w + b``: a (n, k) matrix times a (k, m) matrix plus a bias
+    added to every row, as one node.
 
-
-def div(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    _check_binary("div", a, b)
-    ad, bd = a.data, b.data
-    return _record(ad / bd,
-                   [(a, lambda g: _reduce_to(ad.shape, g / bd)),
-                    (b, lambda g: _reduce_to(bd.shape, -g * ad / (bd * bd)))])
-
-
-def matmul(a, b) -> Tensor:
-    """Matrix product of two matrices; a vector enters as a (n, 1) column."""
-    a, b = _lift(a), _lift(b)
-    ad, bd = a.data, b.data
-    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
-        raise ValueError(f"matmul: incompatible shapes {ad.shape} and {bd.shape}")
-    return _record(ad @ bd, [(a, lambda g: g @ bd.T), (b, lambda g: ad.T @ g)])
+    Untracked, it is exactly ``x @ w + b``. Tracked, the products run in
+    blocks that keep each one on a single BLAS thread, which may change
+    the last bits of the values and gradients.
+    """
+    x, w, b = _lift(x), _lift(w), _lift(b)
+    xd, wd, bd = x.data, w.data, b.data
+    if (xd.ndim != 2 or wd.ndim != 2 or bd.ndim != 1
+            or xd.shape[1] != wd.shape[0] or wd.shape[1] != bd.shape[0]):
+        raise ValueError(f"linear: incompatible shapes {xd.shape}, {wd.shape} and {bd.shape}")
+    if _single_tape((x, w, b)) is None:
+        return Tensor(xd @ wd + bd)
+    return record(_row_blocked(xd, wd) + bd,
+                  [(x, lambda g: _row_blocked(g, wd.T)), (w, lambda g: _inner_blocked(xd, g)),
+                   (b, lambda g: g.sum(axis=0))])
 
 
 def relu(a) -> Tensor:
     # Subgradient 0 at the kink: the mask is strict.
     a = _lift(a)
     ad = a.data
-    return _record(np.maximum(ad, 0.0), [(a, lambda g: g * (ad > 0.0))])
-
-
-def clamp_min(a, floor: float) -> Tensor:
-    a = _lift(a)
-    ad = a.data
-    return _record(np.maximum(ad, floor), [(a, lambda g: g * (ad > floor))])
-
-
-def log(a) -> Tensor:
-    a = _lift(a)
-    ad = a.data
-    return _record(np.log(ad), [(a, lambda g: g / ad)])
-
-
-def sqrt(a) -> Tensor:
-    a = _lift(a)
-    out = np.sqrt(a.data)
-    return _record(out, [(a, lambda g: g / (2.0 * out))])
-
-
-def sum_all(a) -> Tensor:
-    a = _lift(a)
-    ad = a.data
-    return _record(np.asarray(ad.sum()),
-                   [(a, lambda g: np.full(ad.shape, float(g)))])
-
-
-def row_sum(a) -> Tensor:
-    a = _lift(a)
-    ad = a.data
-    if ad.ndim != 2:
-        raise ValueError(f"row_sum: expected a matrix, got shape {ad.shape}")
-    return _record(ad.sum(axis=1),
-                   [(a, lambda g: np.broadcast_to(g[:, None], ad.shape))])
+    return record(np.maximum(ad, 0.0), [(a, lambda g: g * (ad > 0.0))])
 
 
 def softmax_rows(logits) -> Tensor:
@@ -280,35 +220,47 @@ def softmax_rows(logits) -> Tensor:
         raise NonFiniteError("softmax_rows: non-finite logit")
     e = np.exp(zd - zd.max(axis=1, keepdims=True))
     s = e / e.sum(axis=1, keepdims=True)
-    return _record(s, [(z, lambda g: s * (g - (g * s).sum(axis=1, keepdims=True)))])
-
-
-def add_rowvec(m, v) -> Tensor:
-    """Add a vector to every row of a matrix."""
-    m, v = _lift(m), _lift(v)
-    md, vd = m.data, v.data
-    if md.ndim != 2 or vd.ndim != 1 or md.shape[1] != vd.shape[0]:
-        raise ValueError(f"add_rowvec: shape mismatch {md.shape} vs {vd.shape}")
-    return _record(md + vd,
-                   [(m, lambda g: g), (v, lambda g: g.sum(axis=0))])
+    return record(s, [(z, lambda g: s * (g - (g * s).sum(axis=1, keepdims=True)))])
 
 
 def take_rows(m, indices) -> Tensor:
-    """Gather rows of a matrix; duplicate indices accumulate gradient."""
+    """Gather the rows of a matrix at strictly increasing indices.
+
+    No row repeats, so the pullback assigns each row's gradient instead
+    of accumulating it.
+    """
     m = _lift(m)
     md = m.data
     idx = np.asarray(indices, dtype=np.intp)
     if md.ndim != 2 or idx.ndim != 1:
         raise ValueError(f"take_rows: expected matrix and index vector, got {md.shape} and {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= md.shape[0]):
-        raise ValueError(f"take_rows: index out of range for {md.shape[0]} rows")
+    if idx.size and (idx[0] < 0 or idx[-1] >= md.shape[0] or np.any(idx[1:] <= idx[:-1])):
+        raise ValueError(f"take_rows: indices must increase strictly within 0..{md.shape[0] - 1}")
 
     def pull(g: Array) -> Array:
         out = np.zeros(md.shape)
-        np.add.at(out, idx, g)
+        out[idx] = g
         return out
 
-    return _record(md[idx], [(m, pull)])
+    return record(md[idx], [(m, pull)])
+
+
+def weighted_sum(terms, coefs) -> Tensor:
+    """``sum_i sum(coefs[i] * terms[i])`` as one scalar node.
+
+    A term is a tensor or a float constant; its coefficient is a float
+    or an array broadcasting against it. The value accumulates term by
+    term in the order given.
+    """
+    terms = [_lift(t) for t in terms]
+    if len(terms) != len(coefs):
+        raise ValueError(f"weighted_sum: {len(terms)} terms for {len(coefs)} coefficients")
+    coefs = [np.asarray(c, dtype=np.float64) for c in coefs]
+    total = 0.0
+    for t, c in zip(terms, coefs):
+        total += float(np.sum(c * t.data))
+    return record(total, [(t, lambda g, c=c, shape=t.data.shape: np.broadcast_to(g * c, shape))
+                          for t, c in zip(terms, coefs)])
 
 
 def grad_check(fn, *points, eps: float = 1e-5) -> float:

@@ -5,7 +5,9 @@ identity label. For an anchor a, the positive candidates share its age
 but not its identity; the negative candidates differ in both. Batch
 sampling draws anchors without replacement per epoch pass and picks p/n
 uniformly from those candidate sets; an anchor whose candidate set is
-empty keeps a null slot so contrastive terms can be skipped for it.
+empty keeps a null slot so contrastive terms can be skipped for it. A
+batch is a ``TripletBatch``: three int64 arrays ``a``, ``p``, ``n`` with
+-1 in a null slot, built without a Python object per triplet.
 
 The sampler never filters the dataset per anchor. Each dataset sorts its
 rows once, age-major and identity-minor, into ``order``. In that order an
@@ -35,7 +37,8 @@ integer per slot gives an exactly uniform candidate:
 integer in range, so the brute-force checks of those sets check the code
 that draws. Building the index costs O(N log N) once per dataset, and a
 batch costs one ``rng.integers`` call per slot kind plus O(log N) per
-triplet.
+triplet. The per-identity row lists come from one stable argsort, also
+O(N log N).
 
 Datasets round-trip through CSV (header ``identity,age,v0,v1,...``) with
 a JSON sidecar recording input_dim and the age range.
@@ -58,11 +61,48 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class Triplet:
-    """Sample indices; p or n is None when no valid candidate exists."""
+    """One triplet slot of a batch; p or n is None when no valid candidate
+    exists."""
 
     a: int
     p: int | None
     n: int | None
+
+
+@dataclass(frozen=True, eq=False)
+class TripletBatch:
+    """A batch of triplets as three int64 row-index arrays of one length.
+
+    ``a`` holds the anchors; ``p[i]`` and ``n[i]`` are anchor i's
+    positive and negative, or -1 where that candidate set is empty.
+    Training reads the arrays. ``len`` counts the slots, iterating yields
+    one ``Triplet`` per slot (None for -1), and two batches are equal
+    when their arrays are.
+    """
+
+    a: Array
+    p: Array
+    n: Array
+
+    def __post_init__(self):
+        for name in ("a", "p", "n"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.int64))
+        if not (self.a.ndim == 1 and self.a.shape == self.p.shape == self.n.shape):
+            raise ValueError(f"TripletBatch: a, p and n must be vectors of one length, got "
+                             f"{self.a.shape}, {self.p.shape} and {self.n.shape}")
+
+    def __len__(self) -> int:
+        return len(self.a)
+
+    def __iter__(self) -> Iterator[Triplet]:
+        for a, p, n in zip(self.a.tolist(), self.p.tolist(), self.n.tolist()):
+            yield Triplet(a, p if p >= 0 else None, n if n >= 0 else None)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TripletBatch):
+            return NotImplemented
+        return all(np.array_equal(x, y) for x, y in
+                   ((self.a, other.a), (self.p, other.p), (self.n, other.n)))
 
 
 class LabeledDataset:
@@ -106,8 +146,10 @@ class LabeledDataset:
         codes = np.empty(n, dtype=np.int64)
         for i, ident in enumerate(identities):
             codes[i] = code_of.setdefault(ident, len(code_of))
-        self._by_identity: dict[str, Array] = {
-            ident: np.flatnonzero(codes == code) for ident, code in code_of.items()}
+        # Rows of each identity, ascending, keyed in order of first appearance.
+        by_code = np.argsort(codes, kind="stable")
+        self._by_identity: dict[str, Array] = dict(
+            zip(code_of, np.split(by_code, np.cumsum(np.bincount(codes))[:-1])))
         self._sampler = _SamplerIndex(ages, codes)
 
     def __len__(self) -> int:
@@ -207,7 +249,7 @@ def has_triplet_negatives(ds: LabeledDataset) -> bool:
 
 
 def _triplets_for(ds: LabeledDataset, anchors: Array,
-                  rng: np.random.Generator) -> list[Triplet]:
+                  rng: np.random.Generator) -> TripletBatch:
     ix = ds._sampler
     n_pos, n_neg = ix.n_pos[anchors], ix.n_neg[anchors]
     # An empty set draws from [0, 1) and its slot is nulled below.
@@ -218,18 +260,17 @@ def _triplets_for(ds: LabeledDataset, anchors: Array,
     has_p, has_n = n_pos > 0, n_neg > 0
     p[has_p] = ix.positive(anchors[has_p], u[has_p])
     n[has_n] = ix.negative(anchors[has_n], x[has_n])
-    return [Triplet(ai, pi if pi >= 0 else None, ni if ni >= 0 else None)
-            for ai, pi, ni in zip(anchors.tolist(), p.tolist(), n.tolist())]
+    return TripletBatch(anchors, p, n)
 
 
-def sample_triplet_batch(ds: LabeledDataset, batch_size: int, seed: int) -> list[Triplet]:
+def sample_triplet_batch(ds: LabeledDataset, batch_size: int, seed: int) -> TripletBatch:
     """One seeded batch: anchors uniform without replacement, p and n
-    uniform over the candidate sets (None where a set is empty)."""
+    uniform over the candidate sets (-1 where a set is empty)."""
     return next(iter_epoch_batches(ds, batch_size, np.random.default_rng(seed)))
 
 
 def iter_epoch_batches(ds: LabeledDataset, batch_size: int, rng: np.random.Generator,
-                       triplets_per_anchor: int = 1) -> Iterator[list[Triplet]]:
+                       triplets_per_anchor: int = 1) -> Iterator[TripletBatch]:
     """Batches covering one epoch: every sample anchors exactly once."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")

@@ -4,6 +4,7 @@ The extractor maps an input vector through relu layers to a feature
 vector f (post-activation of the last extractor layer); a final fully
 connected layer maps f to one logit per age label, and softmax turns the
 logits into an age distribution s. The age estimate is the mean of s.
+Each layer is one ``linear`` node on the tape.
 """
 
 from __future__ import annotations
@@ -104,12 +105,13 @@ def init_model(config: ModelConfig, seed: int) -> Model:
     return Model(config, weights, biases)
 
 
-def forward_batch(model: Model, x_rows) -> tuple[Tensor, Tensor]:
+def forward_batch(model: Model, x_rows) -> tuple[Tensor, Tensor, Tensor]:
     """Run a (batch, input_dim) matrix of inputs through the network.
 
-    Returns (F, S) row-wise: the extractor features and the softmax age
-    distributions. Both are recorded on the tape when the parameters are
-    tracked; a single input is a one-row matrix.
+    Returns (F, S, Z) row-wise: the extractor features, the softmax age
+    distributions and the logits they come from. All three are recorded
+    on the tape when the parameters are tracked; a single input is a
+    one-row matrix.
     """
     xt = x_rows if isinstance(x_rows, Tensor) else Tensor(x_rows)
     if xt.data.ndim != 2 or xt.data.shape[1] != model.config.input_dim:
@@ -117,14 +119,14 @@ def forward_batch(model: Model, x_rows) -> tuple[Tensor, Tensor]:
             f"forward_batch: expected (n, {model.config.input_dim}) inputs, got shape {xt.data.shape}")
     h = xt
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        h = ad.relu(ad.add_rowvec(ad.matmul(h, w), b))
-    logits = ad.add_rowvec(ad.matmul(h, model.weights[-1]), model.biases[-1])
-    return h, ad.softmax_rows(logits)
+        h = ad.relu(ad.linear(h, w, b))
+    logits = ad.linear(h, model.weights[-1], model.biases[-1])
+    return h, ad.softmax_rows(logits), logits
 
 
 def forward_values(model: Model, x_rows: Array) -> tuple[Array, Array]:
     """``forward_batch`` of an untracked model, as (features, distributions) arrays."""
-    f, s = forward_batch(model, x_rows)
+    f, s, _ = forward_batch(model, x_rows)
     return f.data, s.data
 
 

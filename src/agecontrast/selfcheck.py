@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, grad_check
-from .data import (LabeledDataset, Triplet, negative_set, positive_set,
+from .data import (LabeledDataset, TripletBatch, negative_set, positive_set,
                    sample_triplet_batch)
 from .losses import (LossWeights, ce_sum, cosine_mean, kld_mean, mean_sum, total_loss,
                      triplet_mean, variance_sum)
@@ -41,19 +41,19 @@ class CheckResult:
 
 
 def _random_distributions(rng: np.random.Generator, batch: int, num_ages: int) -> np.ndarray:
-    z = rng.normal(0.0, 1.0, (batch, num_ages))
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    return ad.softmax_rows(rng.normal(0.0, 1.0, (batch, num_ages))).data
 
 
-def _triplet_rows(rng: np.random.Generator, batch: int, num_ages: int, alpha: float):
-    """(s_a, s_p, s_n) distribution rows, every hinge clearly one-sided."""
+def _triplet_logits(rng: np.random.Generator, batch: int, num_ages: int, alpha: float):
+    """(z_a, z_p, z_n) logit rows, every hinge on their softmax rows
+    clearly one-sided."""
     rows = []
     while len(rows) < batch:
-        sa, sp, sn = _random_distributions(rng, 3, num_ages)
+        z = rng.normal(0.0, 1.0, (3, num_ages))
+        sa, sp, sn = ad.softmax_rows(z).data
         gap = ((sa - sp) ** 2).sum() - ((sa - sn) ** 2).sum() + alpha
         if abs(gap) > KINK_MARGIN:
-            rows.append((sa, sp, sn))
+            rows.append(z)
     return [np.array(block) for block in zip(*rows)]
 
 
@@ -64,7 +64,7 @@ def _loss_cases(rng: np.random.Generator, num_ages: int = 7, feat_dim: int = 8):
 
     def case_ce(batch):
         ages = rng.integers(1, a + 1, batch)
-        return lambda s: ce_sum(s, ages), [_random_distributions(rng, batch, a)]
+        return lambda z: ce_sum(z, ages), [rng.normal(0.0, 1.0, (batch, a))]
 
     def case_mean(batch):
         ages = rng.integers(1, a + 1, batch)
@@ -79,23 +79,24 @@ def _loss_cases(rng: np.random.Generator, num_ages: int = 7, feat_dim: int = 8):
     def case_triplet(batch):
         alpha = 0.2
         return (lambda s_a, s_p, s_n: triplet_mean(s_a, s_p, s_n, alpha),
-                _triplet_rows(rng, batch, a, alpha))
+                [ad.softmax_rows(z).data for z in _triplet_logits(rng, batch, a, alpha)])
 
     def case_kld(batch):
-        return kld_mean, [_random_distributions(rng, batch, a) for _ in range(2)]
+        return kld_mean, list(rng.normal(0.0, 1.0, (2, batch, a)))
 
     def case_total(batch):
-        # All five terms over the blocks (s_a, s_p, s_n, f_a, f_p).
+        # All five terms over the blocks (z_a, z_p, z_n, f_a, f_p), the
+        # distributions taken through softmax_rows.
         weights = LossWeights(lambda_c=10.0, lambda_t=1.0)
         ages = rng.integers(1, a + 1, batch)
-        blocks = _triplet_rows(rng, batch, a, weights.alpha) + list(
+        blocks = _triplet_logits(rng, batch, a, weights.alpha) + list(
             rng.normal(0.0, 1.0, (2, batch, d)))
 
-        def fn(s_a, s_p, s_n, f_a, f_p):
+        def fn(z_a, z_p, z_n, f_a, f_p):
+            s_a, s_p, s_n = (ad.softmax_rows(z) for z in (z_a, z_p, z_n))
             total, _ = total_loss(
-                ce_sum(s_a, ages) * (1.0 / batch), mean_sum(s_a, ages) * (1.0 / batch),
-                variance_sum(s_a) * (1.0 / batch), cosine_mean(f_a, f_p),
-                triplet_mean(s_a, s_p, s_n, weights.alpha), weights)
+                ce_sum(z_a, ages), mean_sum(s_a, ages), variance_sum(s_a),
+                cosine_mean(f_a, f_p), triplet_mean(s_a, s_p, s_n, weights.alpha), weights)
             return total
 
         return fn, blocks
@@ -117,9 +118,8 @@ def _poison_gradient(fn: Callable) -> Callable:
 
     def wrapped(*xs: Tensor):
         out = fn(*xs)
-        for x in xs:
-            out = out + (ad.sum_all(x) - float(x.data.sum())) * 0.01
-        return out
+        return ad.record(out.data, [(out, lambda g: g)] + [
+            (x, lambda g, shape=x.data.shape: np.full(shape, 0.01 * g)) for x in xs])
 
     return wrapped
 
@@ -137,13 +137,14 @@ def _end_to_end_points(rng: np.random.Generator, config: ModelConfig, weights: L
         ds = LabeledDataset(rng.normal(0.0, 1.0, (batch * 3, config.input_dim)),
                             rng.integers(1, config.num_ages + 1, batch * 3),
                             [f"p{i}" for i in range(batch * 3)], config.num_ages)
-        triplets = [Triplet(i, batch + i, 2 * batch + i) for i in range(batch)]
+        slots = np.arange(batch)
+        triplets = TripletBatch(slots, batch + slots, 2 * batch + slots)
         if _away_from_kinks(model, ds, triplets, weights):
             return model, ds, triplets
 
 
 def _away_from_kinks(model, ds, triplets, weights) -> bool:
-    idx = np.array([[t.a, t.p, t.n] for t in triplets]).ravel()
+    idx = np.concatenate([triplets.a, triplets.p, triplets.n])
     h = ds.inputs[idx]
     for w, b in list(zip(model.weights, model.biases))[:-1]:
         pre = h @ w + b
@@ -203,18 +204,17 @@ def sampler_suite(num_triplets: int = 100_000) -> list[CheckResult]:
                       input_dim=8, identity_dims=4, age_dims=2, noise_std=0.1)
     ds, _ = generate_dataset(cfg, seed=7)
     batch = len(ds)
+    ages, identities = ds.ages, np.asarray(ds.identities)
     violations = 0
     seen = 0
     seed = 0
     while seen < num_triplets:
-        for t in sample_triplet_batch(ds, batch, seed):
-            if t.p is not None and not (
-                    ds.ages[t.p] == ds.ages[t.a] and ds.identities[t.p] != ds.identities[t.a]):
-                violations += 1
-            if t.n is not None and not (
-                    ds.ages[t.n] != ds.ages[t.a] and ds.identities[t.n] != ds.identities[t.a]):
-                violations += 1
-            seen += 1
+        b = sample_triplet_batch(ds, batch, seed)
+        p, n = b.p[b.p >= 0], b.n[b.n >= 0]
+        ap, an = b.a[b.p >= 0], b.a[b.n >= 0]
+        violations += int(np.sum((ages[p] != ages[ap]) | (identities[p] == identities[ap])))
+        violations += int(np.sum((ages[n] == ages[an]) | (identities[n] == identities[an])))
+        seen += len(b)
         seed += 1
     results.append(CheckResult(
         "sampler.triplet_constraints", violations == 0,

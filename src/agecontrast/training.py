@@ -2,10 +2,11 @@
 
 One epoch passes every sample as anchor once. For each batch the anchors
 (and, when contrastive weights are active, their positives/negatives)
-run through the network in one tracked batched forward; the combined
-loss backpropagates through the tape and Adam updates the parameters
-in place. Everything is deterministic per (dataset, config): epoch
-sampling uses seeds spawned from the config seed.
+run through the network in one tracked stacked forward; each loss term
+is one fused tape node over its row blocks and the weighted total is one
+more. The total backpropagates through the tape and Adam updates the
+parameters in place. Everything is deterministic per (dataset, config):
+epoch sampling uses seeds spawned from the config seed.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Array, Tape
-from .data import LabeledDataset, Triplet, has_triplet_negatives, iter_epoch_batches
+from .data import LabeledDataset, TripletBatch, has_triplet_negatives, iter_epoch_batches
 from .errors import IncompatibleDataError, NonFiniteError, OptimizationError
 from .losses import (LossBreakdown, LossWeights, ce_sum, cosine_mean, kld_mean,
-                     mean_sum, total_loss, triplet_mean, variance_sum)
+                     mean_variance, total_loss, triplet_mean)
 from .model import Model, ModelConfig, forward_batch, init_model
 
 ADAM_BETA1 = 0.9
@@ -109,51 +110,62 @@ def adam_step(model: Model, grads: list[Array], state: AdamState,
 # Batched loss composition
 
 def build_batch_loss(params: Model, ds: LabeledDataset,
-                     triplets: list[Triplet], weights: LossWeights):
-    """Forward the batch and compose the weighted loss.
+                     batch: TripletBatch, weights: LossWeights):
+    """Forward the batch once and compose the weighted loss.
 
-    Anchors receive the supervised terms; contrastive terms only cover
-    triplet slots whose candidates existed. Returns (total,
+    The anchors, then the positives and the negatives the active terms
+    use, run through one stacked forward; each term reads its row blocks
+    from it. Anchors receive the supervised terms; contrastive terms only
+    cover triplet slots whose candidates existed. Returns (total,
     LossBreakdown); total is a tracked scalar when params are.
     """
-    anchors = np.array([t.a for t in triplets], dtype=np.int64)
-    f_a, s_a = forward_batch(params, ds.inputs[anchors])
-    need_pos = weights.lambda_c > 0 or weights.lambda_t > 0
-    need_neg = weights.lambda_t > 0
+    a = batch.a
+    num_a = len(a)
+    empty = np.empty(0, dtype=np.intp)
+    # Anchor slots with a positive, then those of them with a negative too.
+    pos = np.flatnonzero(batch.p >= 0) if weights.lambda_c > 0 or weights.lambda_t > 0 else empty
+    trip = np.flatnonzero(batch.n[pos] >= 0) if weights.lambda_t > 0 else empty
+    num_p = len(pos)
+    rows = np.concatenate([a, batch.p[pos], batch.n[pos[trip]]])
+    f, s, z = forward_batch(params, ds.inputs[rows])
 
-    pos_rows = [(bi, t.p) for bi, t in enumerate(triplets) if t.p is not None]
-    trip_rows = [(bi, t.p, t.n) for bi, t in enumerate(triplets)
-                 if t.p is not None and t.n is not None]
+    def anchor_block(t):
+        return t if len(rows) == num_a else ad.take_rows(t, np.arange(num_a))
 
-    f_p = s_p = s_n = None
-    if need_pos and pos_rows:
-        f_p, s_p = forward_batch(params, ds.inputs[[p for _, p in pos_rows]])
-    if need_neg and trip_rows:
-        _, s_n = forward_batch(params, ds.inputs[[n for _, _, n in trip_rows]])
+    ages = ds.ages[a]
+    scale = 1.0 / num_a
+    ce = ce_sum(anchor_block(z), ages)
+    terms, coefs = [ce], [scale]
+    l_m = l_v = l_c = l_t = 0.0
+    if weights.lambda_m > 0 or weights.lambda_v > 0:
+        mv = mean_variance(anchor_block(s), ages)
+        terms.append(mv)
+        coefs.append((scale * weights.lambda_m, scale * weights.lambda_v))
+        if weights.lambda_m > 0:
+            l_m = float(mv.data[0]) * scale
+        if weights.lambda_v > 0:
+            l_v = float(mv.data[1]) * scale
 
-    ages = ds.ages[anchors]
-    scale = 1.0 / len(anchors)
-    l_s = ce_sum(s_a, ages) * scale
-    l_m = mean_sum(s_a, ages) * scale if weights.lambda_m > 0 else 0.0
-    l_v = variance_sum(s_a) * scale if weights.lambda_v > 0 else 0.0
-
-    l_c = 0.0
-    if weights.lambda_c > 0 and pos_rows:
-        sel = [bi for bi, _ in pos_rows]
+    if weights.lambda_c > 0 and num_p:
+        pair_rows = num_a + np.arange(num_p)
         if weights.pair_loss == "cosine":
-            l_c = cosine_mean(ad.take_rows(f_a, sel), f_p)
+            pair = cosine_mean(ad.take_rows(f, pos), ad.take_rows(f, pair_rows))
         else:
-            l_c = kld_mean(ad.take_rows(s_a, sel), s_p)
+            pair = kld_mean(ad.take_rows(z, pos), ad.take_rows(z, pair_rows))
+        terms.append(pair)
+        coefs.append(weights.lambda_c)
+        l_c = pair.item()
 
-    l_t = 0.0
-    if weights.lambda_t > 0 and trip_rows:
-        pos_slot = {bi: k for k, (bi, _) in enumerate(pos_rows)}
-        a_sel = [bi for bi, _, _ in trip_rows]
-        p_sel = [pos_slot[bi] for bi, _, _ in trip_rows]
-        l_t = triplet_mean(
-            ad.take_rows(s_a, a_sel), ad.take_rows(s_p, p_sel), s_n, weights.alpha)
+    if weights.lambda_t > 0 and len(trip):
+        hinge = triplet_mean(ad.take_rows(s, pos[trip]), ad.take_rows(s, num_a + trip),
+                             ad.take_rows(s, num_a + num_p + np.arange(len(trip))),
+                             weights.alpha)
+        terms.append(hinge)
+        coefs.append(weights.lambda_t)
+        l_t = hinge.item()
 
-    return total_loss(l_s, l_m, l_v, l_c, l_t, weights)
+    total = ad.weighted_sum(terms, coefs)
+    return total, LossBreakdown(ce.item() * scale, l_m, l_v, l_c, l_t, total.item())
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +186,8 @@ def train(ds: LabeledDataset, cfg: TrainConfig) -> tuple[Model, list[LossBreakdo
         rng = np.random.default_rng(epoch_seeds[epoch])
         sums = np.zeros(5)
         batches = 0
-        for triplets in iter_epoch_batches(ds, cfg.batch_size, rng, cfg.triplets_per_anchor):
-            breakdown = _train_step(model, state, ds, triplets, cfg)
+        for batch in iter_epoch_batches(ds, cfg.batch_size, rng, cfg.triplets_per_anchor):
+            breakdown = _train_step(model, state, ds, batch, cfg)
             sums += [breakdown.l_s, breakdown.l_m, breakdown.l_v, breakdown.l_c, breakdown.l_t]
             batches += 1
         means = sums / batches
@@ -185,11 +197,11 @@ def train(ds: LabeledDataset, cfg: TrainConfig) -> tuple[Model, list[LossBreakdo
 
 
 def _train_step(model: Model, state: AdamState, ds: LabeledDataset,
-                triplets: list[Triplet], cfg: TrainConfig) -> LossBreakdown:
+                batch: TripletBatch, cfg: TrainConfig) -> LossBreakdown:
     tape = Tape()
     tracked = model.track(tape)
     try:
-        total, breakdown = build_batch_loss(tracked, ds, triplets, cfg.weights)
+        total, breakdown = build_batch_loss(tracked, ds, batch, cfg.weights)
     except NonFiniteError as exc:
         raise OptimizationError(f"training diverged at step {state.step + 1}: {exc}") from exc
     grad_map = tape.backward(total)

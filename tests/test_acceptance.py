@@ -116,9 +116,7 @@ def test_criterion_4_loss_fixed_points():
 
     for _ in range(20):
         z = rng.normal(0, 1, (4, 8))
-        s = np.exp(z - z.max(axis=1, keepdims=True))
-        s /= s.sum(axis=1, keepdims=True)
-        if kld_mean(s, s).item() != 0.0:
+        if kld_mean(z, z).item() != 0.0:
             problems.append("kld(s,s) != 0")
         f = rng.normal(0, 1, (4, 8))
         for c in (1e-6, 0.5, 7.0, 1e5):

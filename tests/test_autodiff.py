@@ -1,4 +1,10 @@
-"""Tensor engine: primitive values, backward rules, and the FD oracle."""
+"""Tensor engine: primitive values, backward rules, and the FD oracle.
+
+The elementwise and matrix cases run on the test-side primitives in
+``tape_ops``, defined through the same ``record`` hook as the package's
+own nodes; they check the tape's accumulation and the oracle the fused
+losses are compared against.
+"""
 
 import numpy as np
 import numpy.testing as npt
@@ -7,6 +13,8 @@ import pytest
 from agecontrast import autodiff as ad
 from agecontrast.autodiff import Tape, Tensor, grad_check
 
+import tape_ops as ops
+
 
 def test_relu_values():
     npt.assert_array_equal(ad.relu([-1.0, 0.0, 2.0]).data, [0.0, 0.0, 2.0])
@@ -14,18 +22,18 @@ def test_relu_values():
 
 def test_matmul_identity():
     m = np.arange(12, dtype=float).reshape(3, 4)
-    npt.assert_array_equal(ad.matmul(np.eye(3), m).data, m)
+    npt.assert_array_equal(ops.matmul(np.eye(3), m).data, m)
 
 
 def test_matmul_vector_cases():
     # vectors enter as (n, 1) columns or (1, n) rows; bare 1-D operands are rejected
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
     v = np.array([5.0, 6.0])
-    npt.assert_array_equal(ad.matmul(a, v[:, None]).data[:, 0], a @ v)
-    npt.assert_array_equal(ad.matmul(v[None, :], a).data[0], v @ a)
+    npt.assert_array_equal(ops.matmul(a, v[:, None]).data[:, 0], a @ v)
+    npt.assert_array_equal(ops.matmul(v[None, :], a).data[0], v @ a)
     for x, y in ((a, v), (v, a)):
         with pytest.raises(ValueError, match="matmul"):
-            ad.matmul(x, y)
+            ops.matmul(x, y)
 
 
 @pytest.mark.parametrize("op,shapes", [
@@ -38,11 +46,11 @@ def test_matmul_vector_cases():
 def test_shape_mismatch_diagnostics(op, shapes):
     a, b = (np.zeros(s) for s in shapes)
     with pytest.raises(ValueError, match=op):
-        getattr(ad, op)(a, b)
+        getattr(ops, op)(a, b)
 
 
 def test_untracked_ops_stay_off_tape():
-    out = ad.add([1.0], [2.0])
+    out = ops.add([1.0], [2.0])
     assert not out.tracked and out.tape is None
 
 
@@ -50,7 +58,7 @@ def test_mixed_tapes_rejected():
     t1, t2 = Tape(), Tape()
     x1, x2 = t1.watch([1.0]), t2.watch([1.0])
     with pytest.raises(ValueError, match="different tapes"):
-        ad.add(x1, x2)
+        ad.weighted_sum([x1, x2], [1.0, 1.0])
 
 
 class TestSoftmax:
@@ -89,19 +97,19 @@ class TestBackward:
     def test_sum_gives_ones(self):
         tape = Tape()
         x = tape.watch(np.arange(6, dtype=float).reshape(2, 3))
-        grads = tape.backward(ad.sum_all(x))
+        grads = tape.backward(ops.sum_all(x))
         npt.assert_array_equal(grads[x.node], np.ones((2, 3)))
 
     def test_dot_self_gradient(self):
         tape = Tape()
         x = tape.watch([1.0, 2.0])
-        grads = tape.backward(ad.sum_all(ad.mul(x, x)))
+        grads = tape.backward(ops.sum_all(ops.mul(x, x)))
         npt.assert_array_equal(grads[x.node], [2.0, 4.0])
 
     def test_fanout_accumulates(self):
         tape = Tape()
         z = tape.watch(3.0)
-        grads = tape.backward(ad.add(z, z))
+        grads = tape.backward(ops.add(z, z))
         assert float(grads[z.node]) == 2.0
 
     def test_loss_must_be_scalar(self):
@@ -119,18 +127,18 @@ class TestBackward:
 
 class TestGradCheck:
     def test_sum_of_squares(self):
-        assert grad_check(lambda x: ad.sum_all(x * x), [1.0, 2.0, 3.0]) < 1e-7
+        assert grad_check(lambda x: ops.sum_all(ops.mul(x, x)), [1.0, 2.0, 3.0]) < 1e-7
 
     def test_constant_function(self):
         assert grad_check(lambda x: Tensor(4.0), [1.0, 2.0]) == 0.0
 
     def test_non_finite_rejected(self):
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
-            grad_check(lambda x: ad.log(x), [1e-6])  # crosses zero at x - eps
+            grad_check(lambda x: ops.log(x), [1e-6])  # crosses zero at x - eps
 
     def test_eps_must_be_positive(self):
         with pytest.raises(ValueError, match="eps"):
-            grad_check(lambda x: ad.sum_all(x * x), [1.0], eps=0.0)
+            grad_check(lambda x: ops.sum_all(ops.mul(x, x)), [1.0], eps=0.0)
 
     def test_needs_a_point(self):
         # with no point nothing would be checked, and 0.0 would read as a pass
@@ -140,11 +148,11 @@ class TestGradCheck:
     def test_wrong_gradient_of_second_point_fails(self):
         # sum(x*y) plus a zero-valued term that shifts only y's tape gradient
         def product(x, y):
-            wrong = (ad.sum_all(y) - float(y.data.sum())) * 0.01
-            return ad.sum_all(x * y) + wrong
+            wrong = ops.mul(ops.sub(ops.sum_all(y), float(y.data.sum())), 0.01)
+            return ops.add(ops.sum_all(ops.mul(x, y)), wrong)
 
         x, y = [1.0, 2.0, 3.0], [0.5, -1.0, 2.0]
-        assert grad_check(lambda a, b: ad.sum_all(a * b), x, y) < 1e-7
+        assert grad_check(lambda a, b: ops.sum_all(ops.mul(a, b)), x, y) < 1e-7
         assert grad_check(product, x, y) > 5e-3
 
     def test_perturbs_every_coordinate_of_every_point_in_order(self):
@@ -152,7 +160,7 @@ class TestGradCheck:
 
         def record(x, y):
             seen.append(np.concatenate([x.data.ravel(), y.data.ravel()]))
-            return ad.sum_all(x) + ad.sum_all(y)
+            return ops.add(ops.sum_all(x), ops.sum_all(y))
 
         grad_check(record, [[1.0, 2.0]], [3.0], eps=0.5)
         expected = [[1.0, 2.0, 3.0]]
@@ -182,32 +190,35 @@ def _primitive_cases(rng):
         return [rng.normal(0, 1, shape) for shape in shapes]
 
     def reduce(t, c):
-        return ad.sum_all(ad.mul(t, c))
+        return ops.sum_all(ops.mul(t, c))
 
     return {
-        "add": (lambda a, b: reduce(ad.add(a, b), c4), normal(4, 4)),
-        "add_scalar_bcast": (lambda a, b: reduce(ad.add(a, b), c4), normal(4, 1)),
-        "sub": (lambda a, b: reduce(ad.sub(a, b), c4), normal(4, 4)),
-        "mul": (lambda a, b: reduce(ad.mul(a, b), c4), normal(4, 4)),
-        "div": (lambda a, b: reduce(ad.div(a, b), c4),
+        "add": (lambda a, b: reduce(ops.add(a, b), c4), normal(4, 4)),
+        "add_scalar_bcast": (lambda a, b: reduce(ops.add(a, b), c4), normal(4, 1)),
+        "sub": (lambda a, b: reduce(ops.sub(a, b), c4), normal(4, 4)),
+        "mul": (lambda a, b: reduce(ops.mul(a, b), c4), normal(4, 4)),
+        "div": (lambda a, b: reduce(ops.div(a, b), c4),
                 [rng.normal(0, 1, 4), rng.uniform(1.0, 2.0, 4)]),
-        "matmul_2d2d": (lambda a, b: reduce(ad.matmul(a, b), c32), normal((3, 4), (4, 2))),
-        "matmul_2d_column": (lambda a, b: reduce(ad.matmul(a, b), c31),
+        "matmul_2d2d": (lambda a, b: reduce(ops.matmul(a, b), c32), normal((3, 4), (4, 2))),
+        "matmul_2d_column": (lambda a, b: reduce(ops.matmul(a, b), c31),
                              normal((3, 4), (4, 1))),
-        "matmul_row_2d": (lambda a, b: reduce(ad.matmul(a, b), c4[None, :]),
+        "matmul_row_2d": (lambda a, b: reduce(ops.matmul(a, b), c4[None, :]),
                           normal((1, 3), (3, 4))),
         "relu": (lambda x: reduce(ad.relu(x), c4), [_signed_away_from(rng, 4)]),
-        "clamp_min": (lambda x: reduce(ad.clamp_min(x, 0.5), c4),
+        "clamp_min": (lambda x: reduce(ops.clamp_min(x, 0.5), c4),
                       [0.5 + _signed_away_from(rng, 4)]),
-        "log": (lambda x: reduce(ad.log(x), c4), [rng.uniform(0.1, 3.0, 4)]),
-        "sqrt": (lambda x: reduce(ad.sqrt(x), c4), [rng.uniform(0.1, 3.0, 4)]),
-        "sum_all": (lambda x: ad.sum_all(ad.mul(x, c4)), normal(4)),
-        "row_sum": (lambda x: reduce(ad.row_sum(x), c3), normal((3, 4))),
+        "log": (lambda x: reduce(ops.log(x), c4), [rng.uniform(0.1, 3.0, 4)]),
+        "sqrt": (lambda x: reduce(ops.sqrt(x), c4), [rng.uniform(0.1, 3.0, 4)]),
+        "sum_all": (lambda x: ops.sum_all(ops.mul(x, c4)), normal(4)),
+        "row_sum": (lambda x: reduce(ops.row_sum(x), c3), normal((3, 4))),
         "softmax_rows": (lambda x: reduce(ad.softmax_rows(x), c34),
                          [rng.normal(0, 2, (3, 4))]),
-        "add_rowvec": (lambda m, v: reduce(ad.add_rowvec(m, v), c34), normal((3, 4), 4)),
-        "take_rows": (lambda x: reduce(ad.take_rows(x, [2, 0, 2]), c34.T[:3]),
+        "add_rowvec": (lambda m, v: reduce(ops.add_rowvec(m, v), c34), normal((3, 4), 4)),
+        "take_rows": (lambda x: reduce(ad.take_rows(x, [0, 2, 3]), c34.T[:3]),
                       normal((4, 3))),
+        "linear": (lambda x, w, b: reduce(ad.linear(x, w, b), c32), normal((3, 4), (4, 2), 2)),
+        "weighted_sum": (lambda a, b: ad.weighted_sum([a, b, 2.0], [c4, 0.5, 3.0]),
+                         normal(4, (2, 3))),
     }
 
 
@@ -225,10 +236,61 @@ def test_primitive_gradients_match_finite_differences(name):
 
 
 def test_take_rows_duplicate_indices_accumulate():
+    # the np.add.at oracle; the package's take_rows refuses repeats instead
     tape = Tape()
     m = tape.watch(np.arange(6, dtype=float).reshape(3, 2))
-    grads = tape.backward(ad.sum_all(ad.take_rows(m, [1, 1, 0])))
+    grads = tape.backward(ops.sum_all(ops.take_rows(m, [1, 1, 0])))
     npt.assert_array_equal(grads[m.node], [[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("indices", [[1, 1], [2, 0], [-1, 0], [0, 3]])
+def test_take_rows_needs_strictly_increasing_indices_in_range(indices):
+    with pytest.raises(ValueError, match="take_rows"):
+        ad.take_rows(np.zeros((3, 2)), indices)
+
+
+def test_take_rows_assigns_each_row_gradient():
+    tape = Tape()
+    m = tape.watch(np.arange(8, dtype=float).reshape(4, 2))
+    out = ad.take_rows(m, [0, 2, 3])
+    npt.assert_array_equal(out.data, m.data[[0, 2, 3]])
+    grads = tape.backward(ad.weighted_sum([out], [[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]]))
+    npt.assert_array_equal(grads[m.node], [[1.0, 2.0], [0.0, 0.0], [3.0, 4.0], [5.0, 6.0]])
+
+
+def test_linear_is_bitwise_matmul_plus_bias():
+    rng = np.random.default_rng(12)
+    for rows in (1, 7, 64, 300):
+        x, w, b = rng.normal(0, 1, (rows, 20)), rng.normal(0, 1, (20, 9)), rng.normal(0, 1, 9)
+        npt.assert_array_equal(ad.linear(x, w, b).data, ops.add_rowvec(ops.matmul(x, w), b).data)
+    with pytest.raises(ValueError, match="linear"):
+        ad.linear(np.zeros((2, 3)), np.zeros((4, 2)), np.zeros(2))
+    with pytest.raises(ValueError, match="linear"):
+        ad.linear(np.zeros((2, 3)), np.zeros((3, 2)), np.zeros(3))
+
+
+def test_tracked_linear_blocks_agree_with_one_product():
+    # 512 x 512 weights put each row in its own block; 300 inputs per row
+    # split the weight gradient's inner sum into blocks of 3 rows.
+    rng = np.random.default_rng(13)
+    for (n, k, m) in ((5, 512, 512), (7, 300, 290)):
+        x, w, b = rng.normal(0, 1, (n, k)), rng.normal(0, 1, (k, m)), rng.normal(0, 1, m)
+        c = rng.normal(0, 1, (n, m))
+        tape = Tape()
+        xt, wt, bt = tape.watch(x), tape.watch(w), tape.watch(b)
+        out = ad.linear(xt, wt, bt)
+        npt.assert_allclose(out.data, x @ w + b, rtol=1e-12, atol=1e-12)
+        grads = tape.backward(ad.weighted_sum([out], [c]))
+        npt.assert_allclose(grads[xt.node], c @ w.T, rtol=1e-12, atol=1e-11)
+        npt.assert_allclose(grads[wt.node], x.T @ c, rtol=1e-12, atol=1e-11)
+        npt.assert_allclose(grads[bt.node], c.sum(axis=0), rtol=1e-12, atol=1e-12)
+
+
+def test_weighted_sum_value_and_validation():
+    assert ad.weighted_sum([1.5, 2.0], [1.0, 0.25]).item() == 2.0
+    assert ad.weighted_sum([np.array([1.0, 2.0])], [(3.0, 0.5)]).item() == 4.0
+    with pytest.raises(ValueError, match="weighted_sum"):
+        ad.weighted_sum([1.0, 2.0], [1.0])
 
 
 def test_tape_replay_determinism():
@@ -237,8 +299,8 @@ def test_tape_replay_determinism():
         tape = Tape()
         x = tape.watch(rng.normal(0, 1, (4, 3)))
         w = tape.watch(rng.normal(0, 1, (3, 2)))
-        h = ad.relu(ad.matmul(x, w))
-        loss = ad.sum_all(ad.mul(h, h))
+        h = ad.relu(ops.matmul(x, w))
+        loss = ops.sum_all(ops.mul(h, h))
         grads = tape.backward(loss)
         return loss.data.copy(), grads[x.node].copy(), grads[w.node].copy()
 

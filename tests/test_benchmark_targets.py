@@ -1,23 +1,35 @@
-"""The benchmark's span wrappers find every function they trace.
+"""The benchmark's span wrappers and output checks still read the package.
 
 ``perfbench/tracing.py`` patches functions by name; a renamed or deleted
-target makes its per-layer metrics read 0 without any error. This test
-loads that module (without editing it) and checks that ``install`` finds
-every target and that its undo restores every patched name.
+target makes its per-layer metrics read 0 without any error. Its sampler
+wrapper counts null slots by iterating a batch, and ``perfbench/oracles.py``
+checks sampled ``(a, p, n)`` tuples, so a change to the batch type could
+zero the ``data.*`` metrics or break the benchmark's check. These tests
+load both modules (without editing them) and run them on the package.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+import numpy as np
+
+from agecontrast.data import iter_epoch_batches, sample_triplet_batch
+
+from conftest import make_dataset
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_tracing():
+    return _load("tracing")
 
 
 def _bindings() -> dict:
@@ -50,3 +62,30 @@ def test_install_finds_every_target_and_undo_restores_them():
         undo()
     after = _bindings()
     assert all(after[key] is value for key, value in before.items())
+
+
+def test_sampler_span_counts_match_the_batch_arrays():
+    # Z's age-4 row has no positive; Z's age-3 row has no negative, since
+    # every row of another identity shares its age.
+    ds = make_dataset([3, 3, 3, 4], ["W", "V", "Z", "Z"], num_ages=5)
+    batch = next(iter_epoch_batches(ds, len(ds), np.random.default_rng(0)))
+    counts = _load_tracing()._batch_counts(batch)
+    assert counts == {
+        "drawn": len(batch.a),
+        "null_p": int(np.sum(batch.p < 0)),
+        "null_n": int(np.sum(batch.n < 0)),
+        "complete": int(np.sum((batch.p >= 0) & (batch.n >= 0))),
+    }
+    assert counts["null_p"] == 1 and counts["null_n"] == 1
+
+
+def test_oracle_accepts_sampled_triplets(small_synth):
+    _, ds, truth = small_synth
+    oracles = _load("oracles")
+    batch = sample_triplet_batch(ds, len(ds), seed=4)
+    triplets = [(t.a, t.p, t.n) for t in batch]
+    assert oracles.check_triplets(truth.sample_ages, truth.sample_identities, triplets) == []
+    # the oracle does catch a broken slot
+    a, p, n = triplets[0]
+    assert oracles.check_triplets(truth.sample_ages, truth.sample_identities,
+                                  [(a, a, n)] + triplets[1:]) != []

@@ -185,6 +185,20 @@ class TestTrain:
             "error: training diverged at its last step: softmax_rows: non-finite logit"]
         assert list(out.iterdir()) == []
 
+    def test_huge_learning_rate_reports_the_exact_cross_entropy(self, tmp_path):
+        # lr 1e6 collapses the softmax rows in the first epoch. A floor on the
+        # probabilities used to pin l_s near -ln(1e-12) = 27.6 (27.04 here)
+        # with a zero gradient; log-sum-exp reports the whole loss.
+        out = tmp_path / "t"
+        out.mkdir()
+        assert main(["gen", "--seed", "0", "--out", str(out)]) == 0
+        assert main(["train", "--dataset", str(out / "dataset.csv"), "--lr", "1e6",
+                     "--lambda-c", "10", "--lambda-t", "1", "--epochs", "3", "--seed", "0",
+                     "--out", str(out)]) == 0
+        rows = (out / "train_log.csv").read_text().splitlines()[1:]
+        l_s = [float(row.split(",")[1]) for row in rows]
+        assert len(l_s) == 3 and all(v > 100.0 for v in l_s), l_s
+
     def test_non_utf8_config_exits_2(self, tiny_dataset, tmp_path, capsys):
         cfg = tmp_path / "train.cfg"
         cfg.write_bytes(b"epochs = \xff\n")

@@ -5,9 +5,9 @@ import numpy.testing as npt
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from agecontrast.data import (LabeledDataset, _candidate_rows, has_triplet_negatives,
-                              iter_epoch_batches, load_dataset, negative_set,
-                              positive_set, sample_triplet_batch, save_dataset)
+from agecontrast.data import (LabeledDataset, Triplet, TripletBatch, _candidate_rows,
+                              has_triplet_negatives, iter_epoch_batches, load_dataset,
+                              negative_set, positive_set, sample_triplet_batch, save_dataset)
 from agecontrast.errors import DatasetError
 
 from conftest import make_dataset
@@ -114,6 +114,25 @@ class TestBatchSampling:
         by_anchor = {t.a: t for t in batch}
         assert by_anchor[1].p is None
         assert by_anchor[1].n is not None
+
+    def test_batch_is_arrays_with_minus_one_for_null_slots(self):
+        ds = make_dataset([3, 4, 3], ["A", "B", "C"], num_ages=6)
+        batch = sample_triplet_batch(ds, 3, seed=1)
+        assert isinstance(batch, TripletBatch) and len(batch) == 3
+        assert all(x.dtype == np.int64 and x.shape == (3,) for x in (batch.a, batch.p, batch.n))
+        assert batch.p[batch.a == 1] == -1  # age 4 is unique
+        views = list(batch)
+        assert views == [Triplet(a, None if p < 0 else p, None if n < 0 else n)
+                         for a, p, n in zip(batch.a.tolist(), batch.p.tolist(),
+                                            batch.n.tolist())]
+        assert all(type(v) is int for t in views for v in (t.a, t.p, t.n) if v is not None)
+
+    def test_batch_equality_and_shape_validation(self):
+        batch = TripletBatch([0, 1], [2, -1], [-1, 3])
+        assert batch == TripletBatch(np.array([0, 1]), [2, -1], [-1, 3])
+        assert batch != TripletBatch([0, 1], [2, -1], [-1, 4])
+        with pytest.raises(ValueError, match="one length"):
+            TripletBatch([0, 1], [2], [3, 4])
 
     def test_batch_size_validation(self, grid_dataset):
         with pytest.raises(ValueError, match="batch_size"):
@@ -224,6 +243,19 @@ class TestIndexes:
         sub = grid_dataset.subset([0, 5, 6, 11])
         assert_identity_index(sub)
         assert len(sub) == 4
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=40))
+    def test_identity_index_matches_one_scan_per_identity(self, labels):
+        identities = [f"id{k}" for k in labels]
+        ds = make_dataset([1] * len(labels), identities, num_ages=2)
+        first_seen = list(dict.fromkeys(identities))
+        assert list(ds._by_identity) == first_seen
+        codes = np.array([first_seen.index(i) for i in identities])
+        for code, ident in enumerate(first_seen):
+            rows = ds._by_identity[ident]
+            npt.assert_array_equal(rows, np.flatnonzero(codes == code))
+            assert rows.dtype == np.intp
 
     def test_validation(self):
         with pytest.raises(DatasetError, match="age"):

@@ -1,0 +1,250 @@
+"""Properties of the fused tape nodes a train step is made of.
+
+Each node (``linear``, unique-index ``take_rows``, cross-entropy, the
+mean/variance pair, cosine, triplet hinge and KL) is checked three ways
+over random shapes: its value against the plain-numpy reference in
+``loss_reference``, its closed-form pullback against central finite
+differences, and that pullback against the gradient of the same formula
+composed from small tape primitives (``tape_ops``) where the composition
+is exact. The inputs reach logits of +-50, collapsed rows and all-zero
+feature rows; hinges are kept away from their kink.
+"""
+
+import hypothesis.extra.numpy as hnp
+import numpy as np
+import numpy.testing as npt
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from agecontrast import autodiff as ad
+from agecontrast.autodiff import Tape, grad_check
+from agecontrast.losses import (NORM_FLOOR, ce_sum, cosine_mean, kld_mean, mean_variance,
+                                triplet_mean)
+
+import loss_reference as ref
+import tape_ops as ops
+
+PROPERTY = settings(max_examples=30, deadline=None)
+GRAD_TOL = 1e-4
+
+
+def tape_grads(fn, *points):
+    """Tape gradients of a scalar function at the given arrays."""
+    tape = Tape()
+    xs = [tape.watch(p) for p in points]
+    grads = tape.backward(fn(*xs))
+    return [grads.get(x.node, np.zeros(x.shape)) for x in xs]
+
+
+def assert_grads_close(got, want):
+    for g, w in zip(got, want):
+        npt.assert_allclose(g, w, rtol=1e-9, atol=1e-12 * max(1.0, np.abs(w).max()))
+
+
+def projected(node_fn, coef):
+    """A scalar through a fixed random projection, so the pullback sees a
+    non-uniform gradient."""
+    return lambda *xs: ad.weighted_sum([node_fn(*xs)], [coef])
+
+
+@st.composite
+def shapes(draw, max_rows=4, max_cols=6):
+    return draw(st.integers(1, max_rows)), draw(st.integers(2, max_cols))
+
+
+def floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def logits(draw, rows, cols):
+    """Logits in [-50, 50]; sometimes row 0 is collapsed onto one label."""
+    z = draw(hnp.arrays(np.float64, (rows, cols), elements=floats(-50.0, 50.0)))
+    if draw(st.booleans()):
+        z[0] = -50.0
+        z[0, draw(st.integers(0, cols - 1))] = 50.0
+    return z
+
+
+# ---------------------------------------------------------------------------
+# linear and take_rows
+
+@PROPERTY
+@given(st.data())
+def test_linear(data):
+    n, k = data.draw(shapes())
+    m = data.draw(st.integers(1, 5))
+    x, w, b, c = (data.draw(hnp.arrays(np.float64, shape, elements=floats(-3.0, 3.0)))
+                  for shape in ((n, k), (k, m), (m,), (n, m)))
+    npt.assert_array_equal(ad.linear(x, w, b).data, x @ w + b)
+    fn = projected(ad.linear, c)
+    assert grad_check(fn, x, w, b) < GRAD_TOL
+    composed = projected(lambda x, w, b: ops.add_rowvec(ops.matmul(x, w), b), c)
+    assert_grads_close(tape_grads(fn, x, w, b), tape_grads(composed, x, w, b))
+
+
+@PROPERTY
+@given(st.data())
+def test_take_rows_unique_indices(data):
+    n, k = data.draw(shapes(max_rows=6))
+    m = data.draw(hnp.arrays(np.float64, (n, k), elements=floats(-3.0, 3.0)))
+    idx = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    c = data.draw(hnp.arrays(np.float64, (len(idx), k), elements=floats(-3.0, 3.0)))
+    npt.assert_array_equal(ad.take_rows(m, idx).data, m[idx])
+    fn = projected(lambda t: ad.take_rows(t, idx), c)
+    assert grad_check(fn, m) < GRAD_TOL
+    oracle = projected(lambda t: ops.take_rows(t, idx), c)
+    npt.assert_array_equal(tape_grads(fn, m)[0], tape_grads(oracle, m)[0])
+
+
+# ---------------------------------------------------------------------------
+# Log-domain terms: cross-entropy and KL from logits
+
+@PROPERTY
+@given(st.data())
+def test_ce_sum(data):
+    n, k = data.draw(shapes())
+    z = data.draw(logits(n, k))
+    ages = data.draw(hnp.arrays(np.int64, n, elements=st.integers(1, k)))
+    got = ce_sum(z, ages).item()
+    assert got == pytest.approx(sum(ref.ce(z[i], ages[i]) for i in range(n)), rel=1e-12)
+    assert grad_check(lambda t: ce_sum(t, ages), z) < GRAD_TOL
+
+
+@PROPERTY
+@given(st.data())
+def test_kld_mean(data):
+    n, k = data.draw(shapes())
+    za, zp = data.draw(logits(n, k)), data.draw(logits(n, k))
+    got = kld_mean(za, zp).item()
+    assert np.isfinite(got)
+    want = np.mean([ref.kld(za[i], zp[i]) for i in range(n)])
+    assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
+    assert grad_check(kld_mean, za, zp) < GRAD_TOL
+
+
+@PROPERTY
+@given(st.data())
+def test_log_domain_terms_match_the_composed_softmax(data):
+    # On moderate logits log(softmax) is exact enough to compose, so the
+    # closed-form pullbacks must equal the tape's chain rule.
+    n, k = data.draw(shapes())
+    za, zp = (data.draw(hnp.arrays(np.float64, (n, k), elements=floats(-4.0, 4.0)))
+              for _ in range(2))
+    ages = data.draw(hnp.arrays(np.int64, n, elements=st.integers(1, k)))
+    onehot = np.eye(k)[ages - 1]
+
+    def ce_composed(z):
+        picked = ops.row_sum(ops.mul(ad.softmax_rows(z), onehot))
+        return ops.mul(ops.sum_all(ops.log(picked)), -1.0)
+
+    def kld_composed(za, zp):
+        log_a, log_p = ops.log(ad.softmax_rows(za)), ops.log(ad.softmax_rows(zp))
+        per_row = ops.row_sum(ops.mul(ad.softmax_rows(zp), ops.sub(log_p, log_a)))
+        return ops.mul(ops.sum_all(per_row), 1.0 / (k * n))
+
+    assert_grads_close(tape_grads(lambda z: ce_sum(z, ages), za), tape_grads(ce_composed, za))
+    assert_grads_close(tape_grads(kld_mean, za, zp), tape_grads(kld_composed, za, zp))
+
+
+# ---------------------------------------------------------------------------
+# Probability-domain terms: the mean/variance pair and the triplet hinge
+
+@PROPERTY
+@given(st.data())
+def test_mean_variance(data):
+    n, k = data.draw(shapes())
+    s = ad.softmax_rows(data.draw(logits(n, k))).data
+    ages = data.draw(hnp.arrays(np.int64, n, elements=st.integers(1, k)))
+    got = mean_variance(s, ages).data
+    assert got[0] == pytest.approx(sum(ref.mean(s[i], ages[i]) for i in range(n)),
+                                   rel=1e-12, abs=1e-12)
+    # the moment form cancels terms of size up to A^2
+    assert got[1] == pytest.approx(sum(ref.variance(s[i]) for i in range(n)),
+                                   rel=1e-10, abs=1e-10)
+    c = data.draw(hnp.arrays(np.float64, 2, elements=floats(-2.0, 2.0)))
+    fn = projected(lambda t: mean_variance(t, ages), c)
+    assert grad_check(fn, s) < GRAD_TOL
+    labels = np.arange(1.0, k + 1.0)[:, None]
+
+    def composed(t):
+        mu = ops.matmul(t, labels)
+        diff = ops.sub(mu, ages[:, None].astype(float))
+        second = ops.matmul(t, labels * labels)
+        return ops.add(ops.mul(ops.sum_all(ops.mul(diff, diff)), 0.5 * c[0]),
+                       ops.mul(ops.sum_all(ops.sub(second, ops.mul(mu, mu))), c[1]))
+
+    assert_grads_close(tape_grads(fn, s), tape_grads(composed, s))
+
+
+@PROPERTY
+@given(st.data(), floats(0.0, 1.0))
+def test_triplet_mean(data, alpha):
+    n, k = data.draw(shapes())
+    sa, sp, sn = (ad.softmax_rows(data.draw(logits(n, k))).data for _ in range(3))
+    gap = ((sa - sp) ** 2).sum(axis=1) - ((sa - sn) ** 2).sum(axis=1) + alpha
+    assume(np.all(np.abs(gap) > 1e-3))
+    got = triplet_mean(sa, sp, sn, alpha).item()
+    want = np.mean([ref.triplet(sa[i], sp[i], sn[i], alpha) for i in range(n)])
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+    fn = lambda a, p, q: triplet_mean(a, p, q, alpha)  # noqa: E731
+    assert grad_check(fn, sa, sp, sn) < GRAD_TOL
+
+    def composed(a, p, q):
+        dp, dn = ops.sub(a, p), ops.sub(a, q)
+        hinge = ops.add(ops.sub(ops.row_sum(ops.mul(dp, dp)), ops.row_sum(ops.mul(dn, dn))),
+                        alpha)
+        return ops.mul(ops.sum_all(ad.relu(hinge)), 1.0 / n)
+
+    assert_grads_close(tape_grads(fn, sa, sp, sn), tape_grads(composed, sa, sp, sn))
+
+
+# ---------------------------------------------------------------------------
+# Feature-domain term: cosine
+
+def cosine_composed(fa, fp):
+    floor = NORM_FLOOR * NORM_FLOOR
+    na = ops.sqrt(ops.clamp_min(ops.row_sum(ops.mul(fa, fa)), floor))
+    nb = ops.sqrt(ops.clamp_min(ops.row_sum(ops.mul(fp, fp)), floor))
+    per_row = ops.sub(1.0, ops.div(ops.row_sum(ops.mul(fa, fp)), ops.mul(na, nb)))
+    return ops.mul(ops.sum_all(per_row), 1.0 / fa.data.shape[0])
+
+
+@PROPERTY
+@given(st.data())
+def test_cosine_mean(data):
+    n, d = data.draw(shapes())
+    fa, fp = (data.draw(hnp.arrays(np.float64, (n, d), elements=floats(-1e3, 1e3)))
+              for _ in range(2))
+    # no row too close to zero for a finite difference of step 1e-5
+    assume(np.all(np.linalg.norm(fa, axis=1) > 1e-2) and np.all(np.linalg.norm(fp, axis=1) > 1e-2))
+    got = cosine_mean(fa, fp).item()
+    want = np.mean([ref.cosine(fa[i], fp[i]) for i in range(n)])
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert grad_check(cosine_mean, fa, fp) < GRAD_TOL
+    assert_grads_close(tape_grads(cosine_mean, fa, fp), tape_grads(cosine_composed, fa, fp))
+
+
+@PROPERTY
+@given(st.data())
+def test_cosine_mean_with_a_zero_feature_row(data):
+    # A row whose norm is below NORM_FLOOR (all zero, or tiny) has its norm
+    # floored: a zero row's cosine is 0 and its partner gets no gradient
+    # from it, and the other rows are unaffected. The loss is not
+    # differentiable in such a row itself, so the finite differences run
+    # over the partner only.
+    n, d = data.draw(shapes())
+    fa, fp = (data.draw(hnp.arrays(np.float64, (n, d), elements=floats(-3.0, 3.0)))
+              for _ in range(2))
+    assume(np.all(np.linalg.norm(fp, axis=1) > 1e-2))
+    zero = data.draw(st.booleans())
+    fa[0] = 0.0 if zero else fa[0] * 1e-14
+    got = cosine_mean(fa, fp).item()
+    assert got == pytest.approx(np.mean([ref.cosine(fa[i], fp[i]) for i in range(n)]),
+                                rel=1e-12, abs=1e-12)
+    assert grad_check(lambda t: cosine_mean(fa, t), fp) < GRAD_TOL
+    grads = tape_grads(cosine_mean, fa, fp)
+    assert all(np.all(np.isfinite(g)) for g in grads)
+    if zero:
+        npt.assert_array_equal(grads[1][0], 0.0)
+    assert_grads_close(grads, tape_grads(cosine_composed, fa, fp))

@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from agecontrast import autodiff as ad
 from agecontrast.autodiff import Tape, grad_check
 from agecontrast.losses import (LossBreakdown, LossWeights, ce_sum, cosine_mean, kld_mean,
                                 mean_sum, total_loss, triplet_mean, variance_sum)
 
 import loss_reference as ref
+import tape_ops as ops
 
 row = np.atleast_2d
 
@@ -26,18 +26,23 @@ def rand_dist(rng, n, rows=None):
 
 
 class TestSoftmaxCE:
+    # ce_sum takes logits; log() of a distribution is one logit row for it.
     def test_perfect_prediction(self):
-        s = np.zeros(4)
-        s[2] = 1.0
-        assert ce_sum(row(s), [3]).item() == 0.0
+        z = np.full(4, -800.0)
+        z[2] = 0.0
+        assert ce_sum(row(z), [3]).item() == 0.0
 
     def test_uniform(self):
-        assert ce_sum(np.full((1, 6), 1 / 6), [2]).item() == pytest.approx(math.log(6), rel=1e-12)
+        assert ce_sum(np.zeros((1, 6)), [2]).item() == pytest.approx(math.log(6), rel=1e-12)
 
     def test_direct_evaluation(self):
-        assert ce_sum([[0.1, 0.9]], [1]).item() == pytest.approx(-math.log(0.1), rel=1e-12)
-        assert ce_sum([[0.1, 0.9], [0.5, 0.5]], [1, 2]).item() == pytest.approx(
+        assert ce_sum(np.log([[0.1, 0.9]]), [1]).item() == pytest.approx(
+            -math.log(0.1), rel=1e-12)
+        assert ce_sum(np.log([[0.1, 0.9], [0.5, 0.5]]), [1, 2]).item() == pytest.approx(
             -math.log(0.1) - math.log(0.5), rel=1e-12)
+        # the value does not depend on a shift of the row
+        assert ce_sum(np.log([[0.1, 0.9]]) + 300.0, [1]).item() == pytest.approx(
+            -math.log(0.1), rel=1e-12)
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -181,25 +186,50 @@ class TestTripletMarginLoss:
 
 
 class TestKLDLoss:
+    # kld_mean takes the anchor's and the positive's logits.
     def test_identical_is_exactly_zero(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
-            s = rand_dist(rng, 6, rows=2)
-            assert kld_mean(s, s).item() == 0.0
+            z = rng.normal(0, 3, (2, 6))
+            assert kld_mean(z, z).item() == 0.0
 
     def test_nonnegative(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
-            assert kld_mean(rand_dist(rng, 5, rows=2), rand_dist(rng, 5, rows=2)).item() >= 0.0
+            assert kld_mean(rng.normal(0, 3, (2, 5)), rng.normal(0, 3, (2, 5))).item() >= 0.0
 
     def test_direct_evaluation(self):
         expected = 0.5 * (0.5 * math.log(0.5 / 0.9) + 0.5 * math.log(0.5 / 0.1))
-        assert kld_mean([[0.9, 0.1]], [[0.5, 0.5]]).item() == pytest.approx(expected, rel=1e-12)
+        assert kld_mean(np.log([[0.9, 0.1]]), np.log([[0.5, 0.5]])).item() == pytest.approx(
+            expected, rel=1e-12)
         assert expected == pytest.approx(0.255413, abs=5e-7)
 
     def test_clamped_zero_entries_stay_finite(self):
-        v = kld_mean([[1.0, 0.0]], [[0.5, 0.5]]).item()
-        assert np.isfinite(v) and v > 0
+        # The anchor gives label 2 a probability of about e^-100, far below
+        # any floor: the divergence stays finite and exact.
+        v = kld_mean([[50.0, -50.0]], [[0.0, 0.0]]).item()
+        assert np.isfinite(v)
+        assert v == pytest.approx((50.0 - math.log(2.0)) / 2.0, rel=1e-14)
+
+
+class TestNoProbabilityFloor:
+    """Collapsed rows: a probability far below any floor keeps its exact
+    log, so the loss is the true one and its gradient does not vanish."""
+
+    def test_ce_of_a_collapsed_row_is_exact_with_a_gradient(self):
+        tape = Tape()
+        z = tape.watch([[50.0, -50.0]])
+        loss = ce_sum(z, [2])
+        assert loss.item() == pytest.approx(100.0, rel=1e-15)
+        grad = tape.backward(loss)[z.node]
+        np.testing.assert_allclose(grad, [[1.0, -1.0]], rtol=1e-15)
+
+    def test_kld_of_collapsed_rows_is_finite_and_checks(self):
+        za = np.array([[50.0, -50.0, 0.0], [-50.0, 50.0, 50.0]])
+        zp = np.array([[-50.0, 50.0, 0.0], [0.0, 0.0, -50.0]])
+        assert np.isfinite(kld_mean(za, zp).item())
+        assert grad_check(kld_mean, za, zp) < 1e-4
+        assert grad_check(lambda z: ce_sum(z, [2, 3]), za) < 1e-4
 
 
 class TestGradients:
@@ -210,12 +240,11 @@ class TestGradients:
         for _ in range(5):
             s = rand_dist(rng, 6, rows=2)
             y = rng.integers(1, 7, 2)
-            assert grad_check(lambda x: ce_sum(x, y), s) < 1e-4
+            assert grad_check(lambda x: ce_sum(x, y), rng.normal(0, 2, (2, 6))) < 1e-4
             assert grad_check(lambda x: mean_sum(x, y), s) < 1e-4
             assert grad_check(variance_sum, s) < 1e-4
             assert grad_check(cosine_mean, *rng.normal(0, 1, (2, 2, 5))) < 1e-4
-            assert grad_check(kld_mean, rand_dist(rng, 6, rows=2),
-                              rand_dist(rng, 6, rows=2)) < 1e-4
+            assert grad_check(kld_mean, *rng.normal(0, 2, (2, 2, 6))) < 1e-4
 
 
 class TestTotalLoss:
@@ -251,7 +280,7 @@ class TestTotalLoss:
 
         def f(x):
             total, _ = total_loss(ce_sum(x, [2]), mean_sum(x, [2]),
-                                  variance_sum(x), ad.sum_all(x * x), 0.0, w)
+                                  variance_sum(x), ops.sum_all(ops.mul(x, x)), 0.0, w)
             return total
 
         assert grad_check(f, s) < 1e-4
@@ -282,8 +311,9 @@ PROPERTY = settings(max_examples=60, deadline=None)
 
 @st.composite
 def batches(draw):
-    """(distribution rows x3, labels, feature rows x2) for one batch; rows
-    may hold exact zeros and a row of zero weights becomes uniform."""
+    """(distribution rows x3, labels, feature rows x2, logit rows x2) for
+    one batch; distribution rows may hold exact zeros and a row of zero
+    weights becomes uniform; logits reach +-50."""
     b = draw(st.integers(1, 4))
     k = draw(st.integers(2, 8))
     d = draw(st.integers(1, 6))
@@ -295,7 +325,8 @@ def batches(draw):
         dists.append(w / w.sum(axis=1, keepdims=True))
     ages = draw(hnp.arrays(np.int64, b, elements=st.integers(1, k)))
     features = hnp.arrays(np.float64, (b, d), elements=st.floats(-1e3, 1e3))
-    return dists, ages, draw(features), draw(features)
+    logits = hnp.arrays(np.float64, (b, k), elements=st.floats(-50.0, 50.0))
+    return dists, ages, draw(features), draw(features), (draw(logits), draw(logits))
 
 
 def _each_row(fn, *arrays):
@@ -305,9 +336,9 @@ def _each_row(fn, *arrays):
 @PROPERTY
 @given(batches(), st.floats(0.0, 1.0))
 def test_batch_equals_its_single_row_calls(batch, alpha):
-    (s_a, s_p, s_n), ages, f_a, f_p = batch
+    (s_a, s_p, s_n), ages, f_a, f_p, (z_a, z_p) = batch
     sums = {
-        "ce": (ce_sum, (s_a, ages)),
+        "ce": (ce_sum, (z_a, ages)),
         "mean": (mean_sum, (s_a, ages)),
         "variance": (variance_sum, (s_a,)),
     }
@@ -315,7 +346,7 @@ def test_batch_equals_its_single_row_calls(batch, alpha):
         assert fn(*args).item() == pytest.approx(sum(_each_row(fn, *args)), **CLOSE), name
     means = {
         "cosine": (cosine_mean, (f_a, f_p)),
-        "kld": (kld_mean, (s_a, s_p)),
+        "kld": (kld_mean, (z_a, z_p)),
         "triplet": (lambda a, p, n: triplet_mean(a, p, n, alpha), (s_a, s_p, s_n)),
     }
     for name, (fn, args) in means.items():
@@ -325,15 +356,15 @@ def test_batch_equals_its_single_row_calls(batch, alpha):
 @PROPERTY
 @given(batches(), st.floats(0.0, 1.0))
 def test_batch_matches_numpy_reference(batch, alpha):
-    (s_a, s_p, s_n), ages, f_a, f_p = batch
+    (s_a, s_p, s_n), ages, f_a, f_p, (z_a, z_p) = batch
     rows = range(len(ages))
     checks = [
-        ("ce", ce_sum(s_a, ages), sum(ref.ce(s_a[i], ages[i]) for i in rows)),
+        ("ce", ce_sum(z_a, ages), sum(ref.ce(z_a[i], ages[i]) for i in rows)),
         ("mean", mean_sum(s_a, ages), sum(ref.mean(s_a[i], ages[i]) for i in rows)),
         ("variance", variance_sum(s_a), sum(ref.variance(s_a[i]) for i in rows)),
         ("cosine", cosine_mean(f_a, f_p),
          np.mean([ref.cosine(f_a[i], f_p[i]) for i in rows])),
-        ("kld", kld_mean(s_a, s_p), np.mean([ref.kld(s_a[i], s_p[i]) for i in rows])),
+        ("kld", kld_mean(z_a, z_p), np.mean([ref.kld(z_a[i], z_p[i]) for i in rows])),
         ("triplet", triplet_mean(s_a, s_p, s_n, alpha),
          np.mean([ref.triplet(s_a[i], s_p[i], s_n[i], alpha) for i in rows])),
     ]

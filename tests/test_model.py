@@ -10,6 +10,7 @@ from agecontrast.model import (Model, ModelConfig, forward_batch, forward_values
                                load_model, predict_ages, save_model)
 
 import loss_reference as ref
+import tape_ops as ops
 
 TINY = ModelConfig(input_dim=8, hidden_widths=(16,), feature_dim=8, num_ages=5)
 
@@ -47,15 +48,16 @@ def test_init_weight_variance_tracks_fan_in():
 def test_forward_shapes_and_distribution():
     m = init_model(TINY, 2)
     x_rows = np.random.default_rng(0).normal(0, 1, (10, 8))
-    f, s = forward_batch(m, x_rows)
-    assert f.data.shape == (10, 8) and s.data.shape == (10, 5)
+    f, s, z = forward_batch(m, x_rows)
+    assert f.data.shape == (10, 8) and s.data.shape == (10, 5) and z.data.shape == (10, 5)
     npt.assert_allclose(s.data.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    npt.assert_array_equal(s.data, ad.softmax_rows(z.data).data)
 
 
 def test_forward_zero_head_is_uniform():
     m = init_model(TINY, 2)
     m.weights[-1][:] = 0.0
-    _, s = forward_batch(m, np.ones((1, 8)))
+    _, s, _ = forward_batch(m, np.ones((1, 8)))
     npt.assert_allclose(s.data, np.full((1, 5), 0.2), rtol=1e-15)
 
 
@@ -73,9 +75,9 @@ def test_forward_matches_straight_line_reimplementation():
     # Independent second implementation of the same matrices, one row at a time.
     m = init_model(TINY, 11)
     x_rows = np.random.default_rng(1).normal(0, 1, (5, 8))
-    f, s = forward_batch(m, x_rows)
+    f, s, _ = forward_batch(m, x_rows)
     for i, x in enumerate(x_rows):
-        f_ref, s_ref = ref.forward(m, x)
+        f_ref, s_ref, _ = ref.forward(m, x)
         npt.assert_allclose(f.data[i], f_ref, rtol=1e-13)
         npt.assert_allclose(s.data[i], s_ref, rtol=1e-13)
 
@@ -83,12 +85,12 @@ def test_forward_matches_straight_line_reimplementation():
 def test_forward_batch_and_values_agree_with_forward():
     m = init_model(TINY, 4)
     x_rows = np.random.default_rng(2).normal(0, 1, (6, 8))
-    fb, sb = forward_batch(m, x_rows)
+    fb, sb, _ = forward_batch(m, x_rows)
     fv, sv = forward_values(m, x_rows)
     npt.assert_allclose(fb.data, fv, rtol=1e-13)
     npt.assert_allclose(sb.data, sv, rtol=1e-13)
     for i in range(6):
-        fi, si = forward_batch(m, x_rows[i:i + 1])
+        fi, si, _ = forward_batch(m, x_rows[i:i + 1])
         npt.assert_allclose(fb.data[i], fi.data[0], rtol=1e-12)
         npt.assert_allclose(sb.data[i], si.data[0], rtol=1e-12)
 
@@ -165,8 +167,8 @@ def test_unpacked_forward_is_differentiable_end_to_end():
     x_rows = np.random.default_rng(6).normal(0, 1, (2, 8))
 
     def loss_of(*params):
-        _, s = forward_batch(Model(TINY, list(params[0::2]), list(params[1::2])), x_rows)
-        return ad.sum_all(s * s)
+        _, s, _ = forward_batch(Model(TINY, list(params[0::2]), list(params[1::2])), x_rows)
+        return ops.sum_all(ops.mul(s, s))
 
     assert grad_check(loss_of, *m.parameters()) < 1e-4
 
@@ -176,7 +178,7 @@ def test_tracked_forward_populates_tape():
     tape = Tape()
     tracked = m.track(tape)
     assert isinstance(tracked, Model) and tracked.config == m.config
-    f, s = forward_batch(tracked, np.ones((1, 8)))
-    assert f.tracked and s.tracked
-    grads = tape.backward(ad.sum_all(f) + ad.sum_all(s * s))
+    f, s, z = forward_batch(tracked, np.ones((1, 8)))
+    assert f.tracked and s.tracked and z.tracked
+    grads = tape.backward(ops.add(ops.sum_all(f), ops.sum_all(ops.mul(s, s))))
     assert all(p.node in grads for p in tracked.parameters())

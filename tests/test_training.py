@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from agecontrast.data import Triplet
+from agecontrast.data import TripletBatch
 from agecontrast.errors import IncompatibleDataError, OptimizationError
 from agecontrast.losses import LossWeights
 from agecontrast.model import ModelConfig, init_model
@@ -171,7 +171,7 @@ class TestBatchLossAgainstPerSample:
         outs = {i: ref.forward(model, ds.inputs[i]) for i in
                 sorted({j for t in triplets for j in (t.a, t.p, t.n) if j is not None})}
         anchors = [t.a for t in triplets]
-        l_s = np.mean([ref.ce(outs[i][1], int(ds.ages[i])) for i in anchors])
+        l_s = np.mean([ref.ce(outs[i][2], int(ds.ages[i])) for i in anchors])
         l_m = np.mean([ref.mean(outs[i][1], int(ds.ages[i])) for i in anchors])
         l_v = np.mean([ref.variance(outs[i][1]) for i in anchors])
         pairs = [t for t in triplets if t.p is not None]
@@ -179,7 +179,7 @@ class TestBatchLossAgainstPerSample:
             l_c = np.mean([ref.cosine(outs[t.a][0], outs[t.p][0])
                            for t in pairs]) if pairs else 0.0
         else:
-            l_c = np.mean([ref.kld(outs[t.a][1], outs[t.p][1])
+            l_c = np.mean([ref.kld(outs[t.a][2], outs[t.p][2])
                            for t in pairs]) if pairs else 0.0
         trips = [t for t in triplets if t.p is not None and t.n is not None]
         l_t = np.mean([ref.triplet(outs[t.a][1], outs[t.p][1], outs[t.n][1], weights.alpha)
@@ -190,7 +190,7 @@ class TestBatchLossAgainstPerSample:
     def test_terms_match(self, train_ds, pair_loss):
         weights = LossWeights(lambda_c=3.0, lambda_t=0.7, pair_loss=pair_loss)
         model = init_model(ModelConfig(train_ds.input_dim, (12,), 8, train_ds.num_ages), 1)
-        triplets = [Triplet(0, 4, 8), Triplet(1, None, 9), Triplet(2, 6, None), Triplet(3, 7, 10)]
+        triplets = TripletBatch([0, 1, 2, 3], [4, -1, 6, 7], [8, 9, -1, 10])
         _, bd = build_batch_loss(model, train_ds, triplets, weights)
         expected = self._per_sample_means(model, train_ds, triplets, weights)
         for got, want, name in zip((bd.l_s, bd.l_m, bd.l_v, bd.l_c, bd.l_t),
@@ -200,6 +200,6 @@ class TestBatchLossAgainstPerSample:
     def test_all_null_positives_skip_pair_terms(self, train_ds):
         weights = LossWeights(lambda_c=3.0, lambda_t=0.7)
         model = init_model(ModelConfig(train_ds.input_dim, (12,), 8, train_ds.num_ages), 1)
-        triplets = [Triplet(0, None, 8), Triplet(1, None, 9)]
+        triplets = TripletBatch([0, 1], [-1, -1], [8, 9])
         _, bd = build_batch_loss(model, train_ds, triplets, weights)
         assert bd.l_c == 0.0 and bd.l_t == 0.0 and bd.l_s > 0.0
