@@ -71,7 +71,6 @@ class Tape:
     def __init__(self):
         self._parents: list[tuple[int, ...]] = []
         self._pullbacks: list[tuple[Pullback, ...]] = []
-        self._shapes: list[tuple[int, ...]] = []
 
     def __len__(self) -> int:
         return len(self._parents)
@@ -79,14 +78,12 @@ class Tape:
     def watch(self, values) -> Tensor:
         """Register a leaf whose gradient should be available after backward."""
         arr = _as_array(values)
-        node = self._append((), (), arr.shape)
+        node = self._append((), ())
         return Tensor(arr, self, node)
 
-    def _append(self, parents: tuple[int, ...], pullbacks: tuple[Pullback, ...],
-                shape: tuple[int, ...]) -> int:
+    def _append(self, parents: tuple[int, ...], pullbacks: tuple[Pullback, ...]) -> int:
         self._parents.append(parents)
         self._pullbacks.append(pullbacks)
-        self._shapes.append(shape)
         return len(self._parents) - 1
 
     def backward(self, loss: Tensor) -> dict[int, Array]:
@@ -94,7 +91,8 @@ class Tape:
 
         Returns a map from node handle to gradient array; gradients
         accumulate additively across fan-out. Handles absent from the map
-        did not influence the loss (their gradient is zero).
+        did not influence the loss (their gradient is zero). A gradient may
+        be a read-only view: copy it before writing to it.
         """
         if loss.node is None or loss.tape is not self:
             raise ValueError("backward: loss was not recorded on this tape")
@@ -107,11 +105,9 @@ class Tape:
             if gout is None:
                 continue
             for parent, pull in zip(self._parents[node], self._pullbacks[node]):
-                buf = grads[parent]
-                if buf is None:
-                    buf = np.zeros(self._shapes[parent])
-                    grads[parent] = buf
-                buf += pull(gout)
+                g = pull(gout)
+                # Never in place: a contribution may be a view of another gradient.
+                grads[parent] = g if grads[parent] is None else grads[parent] + g
         return {node: g for node, g in enumerate(grads) if g is not None}
 
 
@@ -135,7 +131,7 @@ def record(out, pairs: Sequence[tuple[Tensor, Pullback]]) -> Tensor:
     """One tape node with value ``out``, one pullback per operand.
 
     Each pullback maps the gradient of ``out`` to the gradient of its
-    operand (a result broadcastable to the operand's shape). Untracked
+    operand, an array of the operand's shape. Untracked
     operands are dropped; with none tracked the result is untracked. This
     is how every primitive, and every fused loss, defines its node.
     """
@@ -146,7 +142,7 @@ def record(out, pairs: Sequence[tuple[Tensor, Pullback]]) -> Tensor:
     tracked = [(t.node, pull) for t, pull in pairs if t.node is not None]
     parents = tuple(node for node, _ in tracked)
     pulls = tuple(pull for _, pull in tracked)
-    return Tensor(out, tape, tape._append(parents, pulls, out.shape))
+    return Tensor(out, tape, tape._append(parents, pulls))
 
 
 # OpenBLAS runs a matrix product on one thread when M*N*K <= 2**18 and
@@ -210,16 +206,26 @@ def relu(a) -> Tensor:
     return record(np.maximum(ad, 0.0), [(a, lambda g: g * (ad > 0.0))])
 
 
+def softmax_parts(z: Array, op: str) -> tuple[Array, Array, Array]:
+    """(s, shifted, total) of a finite logit matrix: the row softmax, the
+    logits less their row max (none is exponentiated above 0) and the row
+    sums of their exponentials, so log s = shifted - log(total) exactly."""
+    if not np.all(np.isfinite(z)):
+        raise NonFiniteError(f"{op}: non-finite logit")
+    shifted = z - z.max(axis=1, keepdims=True)
+    s = np.exp(shifted)
+    total = s.sum(axis=1, keepdims=True)
+    s /= total  # in place, so keeping shifted adds no matrix to peak memory
+    return s, shifted, total
+
+
 def softmax_rows(logits) -> Tensor:
     """Row-wise stabilized softmax of a logit matrix."""
     z = _lift(logits)
     zd = z.data
     if zd.ndim != 2:
         raise ValueError(f"softmax_rows: expected a matrix, got shape {zd.shape}")
-    if not np.all(np.isfinite(zd)):
-        raise NonFiniteError("softmax_rows: non-finite logit")
-    e = np.exp(zd - zd.max(axis=1, keepdims=True))
-    s = e / e.sum(axis=1, keepdims=True)
+    s = softmax_parts(zd, "softmax_rows")[0]
     return record(s, [(z, lambda g: s * (g - (g * s).sum(axis=1, keepdims=True)))])
 
 

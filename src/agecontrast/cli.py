@@ -1,9 +1,12 @@
 """Command-line entry point.
 
 Subcommands: gen (synthetic dataset), train, eval, sweep, selfcheck.
-Options can come from a flat ``key = value`` config file; command-line
-flags override file keys, and the fully resolved configuration is echoed
-into the run manifest next to every artifact's checksum.
+Each setting is one field of a config dataclass (``SynthConfig``;
+``TrainConfig`` with its nested ``LossWeights``). From the fields come
+the flat ``key = value`` config-file keys and their parsers (by
+annotation), the flag overrides (a flag whose dest is a key wins), the
+checks (a rejected value is a ConfigError before any work) and the
+manifest's echo of the resolved configuration (``asdict``).
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error,
 a diverged training run (OptimizationError) or a checkpoint whose
@@ -16,15 +19,17 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .data import LabeledDataset, load_dataset, save_dataset
 from .errors import ConfigError, NonFiniteError, OptimizationError, VerificationError
-from .evaluation import (evaluate_checkpoint, lambda_grid_cells, loss_set_cells,
+from .evaluation import (PROTOCOLS, evaluate_checkpoint, lambda_grid_cells, loss_set_cells,
                          sweep)
-from .losses import PAIR_LOSSES, LossBreakdown, LossWeights
+from .losses import LossBreakdown
 from .manifest import build_manifest, write_manifest
 from .model import Model, forward_values, load_model, save_model
 from .selfcheck import run_all
@@ -32,57 +37,51 @@ from .synth import SynthConfig, generate_dataset, save_ground_truth
 from .training import TrainConfig, train
 
 
-def _parse_int(v: str) -> int:
-    return int(v)
+def _list_of(parse):
+    """A parser of comma-separated items; blank items are skipped."""
+    def parse_list(v: str) -> tuple:
+        return tuple(parse(p) for p in v.split(",") if p.strip() != "")
+    return parse_list
 
 
-def _parse_float(v: str) -> float:
-    return float(v)
+def _parser(hint):
+    """The parser of a value annotated ``hint``: int, float and str parse
+    as themselves, a tuple as a comma list of its item type, and an
+    optional value as its non-None type."""
+    args = [a for a in get_args(hint) if a is not type(None)]
+    if get_origin(hint) is tuple:
+        return _list_of(args[0])
+    return _parser(args[0]) if args else hint
 
 
-def _parse_int_list(v: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in v.split(",") if p.strip() != "")
+def _settings(cls):
+    """(name, annotation) of every field of a config dataclass."""
+    hints = get_type_hints(cls)
+    return [(f.name, hints[f.name]) for f in fields(cls)]
 
 
-def _parse_float_list(v: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in v.split(",") if p.strip() != "")
+def _schema(cls) -> dict:
+    """Config-file key -> parser for every field of a config dataclass; a
+    nested config dataclass contributes its fields as keys of their own."""
+    schema = {}
+    for name, hint in _settings(cls):
+        schema.update(_schema(hint) if is_dataclass(hint) else {name: _parser(hint)})
+    return schema
 
 
-def _choice(options):
-    def parse(v: str) -> str:
-        if v not in options:
-            raise ValueError(f"expected one of {', '.join(options)}, got {v!r}")
-        return v
-    return parse
+def _build(cls, resolved: dict):
+    """cls from the resolved keys; a field without a key keeps its default."""
+    kwargs = {}
+    for name, hint in _settings(cls):
+        if is_dataclass(hint):
+            kwargs[name] = _build(hint, resolved)
+        elif name in resolved:
+            kwargs[name] = resolved[name]
+    return cls(**kwargs)
 
 
-GEN_SCHEMA = {
-    "num_identities": _parse_int,
-    "samples_per_identity": _parse_int,
-    "num_ages": _parse_int,
-    "input_dim": _parse_int,
-    "identity_dims": _parse_int,
-    "age_dims": _parse_int,
-    "noise_std": _parse_float,
-    "age_bin_weights": _parse_float_list,
-    "seed": _parse_int,
-}
-
-TRAIN_SCHEMA = {
-    "learning_rate": _parse_float,
-    "epochs": _parse_int,
-    "batch_size": _parse_int,
-    "seed": _parse_int,
-    "lambda_m": _parse_float,
-    "lambda_v": _parse_float,
-    "lambda_c": _parse_float,
-    "lambda_t": _parse_float,
-    "alpha": _parse_float,
-    "pair_loss": _choice(PAIR_LOSSES),
-    "hidden_widths": _parse_int_list,
-    "feature_dim": _parse_int,
-    "triplets_per_anchor": _parse_int,
-}
+GEN_SCHEMA = _schema(SynthConfig)
+TRAIN_SCHEMA = _schema(TrainConfig)
 
 
 def parse_config_file(path: Path) -> dict[str, str]:
@@ -150,34 +149,36 @@ def _load_checkpoint(path: str, ds: LabeledDataset) -> Model:
     return model
 
 
-def _weights_from(resolved: dict) -> LossWeights:
-    kwargs = {k: resolved[k] for k in
-              ("lambda_m", "lambda_v", "lambda_c", "lambda_t", "alpha",
-               "pair_loss") if k in resolved}
-    return LossWeights(**kwargs)
+def _checked(build, *args):
+    """build(*args), with a value a config dataclass rejects as a ConfigError."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
-def _train_config_from(resolved: dict) -> TrainConfig:
-    kwargs = {k: resolved[k] for k in
-              ("learning_rate", "epochs", "batch_size", "seed", "hidden_widths",
-               "feature_dim", "triplets_per_anchor")
-              if k in resolved}
-    return TrainConfig(weights=_weights_from(resolved), **kwargs)
+def _config(cls, schema: dict, args):
+    """cls from the config file's keys, each overridden by the flag whose
+    dest is that key."""
+    file_values = parse_config_file(Path(args.config)) if args.config else {}
+    flags = {key: value for key, value in vars(args).items() if key in schema}
+    return _checked(_build, cls, resolve_config(schema, file_values, flags))
+
+
+def _train_config(args, ds: LabeledDataset) -> TrainConfig:
+    """The train/sweep config, with the network it builds on ds checked too."""
+    cfg = _config(TrainConfig, TRAIN_SCHEMA, args)
+    _checked(cfg.model_config, ds)
+    return cfg
 
 
 def cmd_gen(args) -> int:
     # The output directory is validated before anything is generated or
     # written, so a bad invocation leaves no partial files.
     out = _require_out_dir(args.out)
-    file_values = parse_config_file(Path(args.config)) if args.config else {}
-    resolved = resolve_config(GEN_SCHEMA, file_values, {"seed": args.seed})
-    seed = resolved.pop("seed", 0)
-    try:
-        cfg = SynthConfig(**resolved)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    cfg = _config(SynthConfig, GEN_SCHEMA, args)
     started = time.perf_counter()
-    ds, truth = generate_dataset(cfg, seed)
+    ds, truth = generate_dataset(cfg, cfg.seed)
 
     csv_path = out / "dataset.csv"
     save_dataset(ds, csv_path)  # also writes dataset.meta.json
@@ -185,8 +186,7 @@ def cmd_gen(args) -> int:
     save_ground_truth(truth, truth_path)
     outputs = [csv_path, out / "dataset.meta.json", truth_path]
     manifest = build_manifest(
-        "gen", {**cfg.to_dict(), "seed": seed}, {"seed": seed}, [], outputs,
-        time.perf_counter() - started)
+        "gen", asdict(cfg), {"seed": cfg.seed}, [], outputs, time.perf_counter() - started)
     write_manifest(out, manifest)
     print(f"wrote {len(ds)} samples to {csv_path}")
     return 0
@@ -195,17 +195,7 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     out = _require_out_dir(args.out)
     ds = load_dataset(args.dataset)
-    file_values = parse_config_file(Path(args.config)) if args.config else {}
-    flags = {
-        "seed": args.seed, "lambda_c": args.lambda_c, "lambda_t": args.lambda_t,
-        "alpha": args.alpha, "epochs": args.epochs, "batch_size": args.batch_size,
-        "learning_rate": args.lr,
-    }
-    resolved = resolve_config(TRAIN_SCHEMA, file_values, flags)
-    try:
-        cfg = _train_config_from(resolved)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    cfg = _train_config(args, ds)
 
     started = time.perf_counter()
     model, history = train(ds, cfg)
@@ -225,7 +215,7 @@ def cmd_train(args) -> int:
     log_path.write_text("\n".join(log_lines) + "\n", encoding="utf-8")
 
     manifest = build_manifest(
-        "train", cfg.to_dict(), {"seed": cfg.seed}, [Path(args.dataset)],
+        "train", asdict(cfg), {"seed": cfg.seed}, [Path(args.dataset)],
         [ckpt, log_path], time.perf_counter() - started)
     write_manifest(out, manifest)
     print(f"trained {cfg.epochs} epochs; checkpoint at {ckpt}")
@@ -235,6 +225,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     out = _require_out_dir(args.out)
     _require_at_least("--k", args.k, 2)
+    _require_at_least("--seed", args.seed, 0)
     ds = load_dataset(args.dataset)
     model = _load_checkpoint(args.checkpoint, ds)
     started = time.perf_counter()
@@ -267,36 +258,25 @@ def cmd_sweep(args) -> int:
     _require_at_least("--k", args.k, 2)
     _require_at_least("--jobs", args.jobs, 1)
     ds = load_dataset(args.dataset)
-    file_values = parse_config_file(Path(args.config)) if args.config else {}
-    flags = {
-        "seed": args.seed, "lambda_c": args.lambda_c, "lambda_t": args.lambda_t,
-        "alpha": args.alpha, "epochs": args.epochs, "batch_size": args.batch_size,
-        "learning_rate": args.lr,
-    }
-    resolved = resolve_config(TRAIN_SCHEMA, file_values, flags)
-    try:
-        base_cfg = _train_config_from(resolved)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
+    base_cfg = _train_config(args, ds)
     if args.loss_sets:
         lc = base_cfg.weights.lambda_c or 10.0
         lt = base_cfg.weights.lambda_t or 1.0
         cells = loss_set_cells(lc, lt)
-    else:
-        if not args.grid_lambda_c or not args.grid_lambda_t:
-            raise ConfigError("sweep needs --loss-sets or both --grid-lambda-c and --grid-lambda-t")
+    elif args.grid_lambda_c and args.grid_lambda_t:
         cells = lambda_grid_cells(args.grid_lambda_c, args.grid_lambda_t)
-    if not cells:
-        raise ConfigError("sweep grid is empty")
+    else:
+        raise ConfigError("sweep needs --loss-sets or both --grid-lambda-c and --grid-lambda-t")
+    for cell in cells:
+        _checked(cell.config, base_cfg)
 
     started = time.perf_counter()
     rows = sweep(ds, base_cfg, cells, protocol=args.protocol, k=args.k,
-                 split_seed=args.seed if args.seed is not None else 0, jobs=args.jobs)
+                 split_seed=base_cfg.seed, jobs=args.jobs)
 
     rows_path = out / "sweep_rows.jsonl"
     rows_path.write_text(
-        "".join(json.dumps(r.to_dict()) + "\n" for r in rows), encoding="utf-8")
+        "".join(json.dumps(asdict(r)) + "\n" for r in rows), encoding="utf-8")
     csv_lines = ["label,lambda_c,lambda_t,pair_loss,mean_mae,mu_vf,mu_vs"]
     for r in rows:
         csv_lines.append(f"{r.label},{r.lambda_c!r},{r.lambda_t!r},{r.pair_loss},"
@@ -305,7 +285,7 @@ def cmd_sweep(args) -> int:
     csv_path.write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
 
     manifest = build_manifest(
-        "sweep", {**base_cfg.to_dict(), "protocol": args.protocol, "k": args.k,
+        "sweep", {**asdict(base_cfg), "protocol": args.protocol, "k": args.k,
                   "cells": [c.label for c in cells]},
         {"seed": base_cfg.seed}, [Path(args.dataset)], [rows_path, csv_path],
         time.perf_counter() - started)
@@ -349,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", type=float, default=None)
         p.add_argument("--epochs", type=int, default=None)
         p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-        p.add_argument("--lr", type=float, default=None)
+        p.add_argument("--lr", dest="learning_rate", type=float, default=None)
         p.add_argument("--out", required=True)
 
     tr = sub.add_parser("train", help="train a model on a dataset CSV")
@@ -359,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="evaluate a checkpoint under a protocol")
     ev.add_argument("--checkpoint", required=True)
     ev.add_argument("--dataset", required=True)
-    ev.add_argument("--protocol", choices=["rs", "se", "lopo"], default="rs")
+    ev.add_argument("--protocol", choices=PROTOCOLS, default="rs")
     ev.add_argument("--k", type=int, default=5)
     ev.add_argument("--seed", type=int, default=0)
     ev.add_argument("--out", required=True)
@@ -367,11 +347,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sw = sub.add_parser("sweep", help="train/evaluate a weight grid or loss-set table")
     add_train_flags(sw)
-    sw.add_argument("--protocol", choices=["rs", "se", "lopo"], default="se")
+    sw.add_argument("--protocol", choices=PROTOCOLS, default="se")
     sw.add_argument("--k", type=int, default=5)
     sw.add_argument("--jobs", type=int, default=1)
-    sw.add_argument("--grid-lambda-c", dest="grid_lambda_c", type=_parse_float_list, default=None)
-    sw.add_argument("--grid-lambda-t", dest="grid_lambda_t", type=_parse_float_list, default=None)
+    sw.add_argument("--grid-lambda-c", dest="grid_lambda_c", type=_list_of(float), default=None)
+    sw.add_argument("--grid-lambda-t", dest="grid_lambda_t", type=_list_of(float), default=None)
     sw.add_argument("--loss-sets", dest="loss_sets", action="store_true",
                     help="emit the six loss-combination rows instead of a grid")
     sw.set_defaults(func=cmd_sweep)

@@ -11,7 +11,7 @@ values mean the representation depends less on who the person is.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -192,7 +192,7 @@ def evaluate_checkpoint(model: Model, ds: LabeledDataset, protocol: str,
         fold_maes=fold_maes, fold_sizes=[len(fold.test) for fold in folds],
         mean_mae=float(np.mean(fold_maes)),
         mu_vf=mu_vf, mu_vs=mu_vs, histories=[],
-        config={"checkpoint": model.config.to_dict(), "predict_mode": "mean"},
+        config={"checkpoint": asdict(model.config), "predict_mode": "mean"},
     )
 
 
@@ -233,7 +233,7 @@ def run_protocol(ds: LabeledDataset, cfg: TrainConfig, protocol: str,
         mu_vf=float(np.mean([r[1] for r in results])),
         mu_vs=float(np.mean([r[2] for r in results])),
         histories=[r[3] for r in results],
-        config=cfg.to_dict(),
+        config=asdict(cfg),
     )
 
 
@@ -247,6 +247,12 @@ class SweepCell:
     lambda_t: float
     pair_loss: str = "cosine"
 
+    def config(self, base_cfg: TrainConfig) -> TrainConfig:
+        """base_cfg with this cell's pair weights; rejects invalid weights."""
+        return replace(base_cfg, weights=replace(
+            base_cfg.weights, lambda_c=self.lambda_c, lambda_t=self.lambda_t,
+            pair_loss=self.pair_loss))
+
 
 @dataclass
 class SweepRow:
@@ -258,13 +264,6 @@ class SweepRow:
     mean_mae: float
     mu_vf: float
     mu_vs: float
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label, "lambda_c": self.lambda_c, "lambda_t": self.lambda_t,
-            "pair_loss": self.pair_loss, "fold_maes": self.fold_maes,
-            "mean_mae": self.mean_mae, "mu_vf": self.mu_vf, "mu_vs": self.mu_vs,
-        }
 
 
 def lambda_grid_cells(lambda_cs, lambda_ts) -> list[SweepCell]:
@@ -291,11 +290,9 @@ def sweep(ds: LabeledDataset, base_cfg: TrainConfig, cells: list[SweepCell],
     """Retrain and evaluate every cell under shared seeds; one row per cell."""
     if not cells:
         raise ValueError("sweep: empty grid")
+    configs = [cell.config(base_cfg) for cell in cells]  # all checked before any training
     rows = []
-    for cell in cells:
-        cfg = replace(base_cfg, weights=replace(
-            base_cfg.weights, lambda_c=cell.lambda_c, lambda_t=cell.lambda_t,
-            pair_loss=cell.pair_loss))
+    for cell, cfg in zip(cells, configs):
         report = run_protocol(ds, cfg, protocol, k, split_seed, jobs)
         rows.append(SweepRow(
             label=cell.label, lambda_c=cell.lambda_c, lambda_t=cell.lambda_t,

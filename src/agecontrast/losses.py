@@ -30,7 +30,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import NonFiniteError
 
 # Feature norms below this are raised to it inside the cosine loss, so an
 # all-zero feature row gives a cosine of 0 and passes no gradient through
@@ -63,13 +62,6 @@ class LossWeights:
                 raise ValueError(f"LossWeights: {name} must be finite and >= 0, got {v}")
         if self.pair_loss not in PAIR_LOSSES:
             raise ValueError(f"LossWeights: pair_loss must be one of {PAIR_LOSSES}")
-
-    def to_dict(self) -> dict:
-        return {
-            "lambda_m": self.lambda_m, "lambda_v": self.lambda_v,
-            "lambda_c": self.lambda_c, "lambda_t": self.lambda_t,
-            "alpha": self.alpha, "pair_loss": self.pair_loss,
-        }
 
 
 @dataclass(frozen=True)
@@ -109,17 +101,6 @@ def _checked_ages(ages, rows: int, num_ages: int) -> np.ndarray:
     return ages
 
 
-def _log_softmax(z: np.ndarray, op: str) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise (log s, s) of a logit matrix by log-sum-exp: no logit is
-    exponentiated above 0, and log s is exact however small s is."""
-    if not np.all(np.isfinite(z)):
-        raise NonFiniteError(f"{op}: non-finite logit")
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    total = e.sum(axis=1, keepdims=True)
-    return shifted - np.log(total), e / total
-
-
 def ce_sum(logits, ages) -> Tensor:
     """Summed cross-entropy -log s_y over the rows of a logit matrix.
 
@@ -129,7 +110,7 @@ def ce_sum(logits, ages) -> Tensor:
     """
     (z,) = _rows(logits)
     ages = _checked_ages(ages, *z.data.shape)
-    log_s, s = _log_softmax(z.data, "ce_sum")
+    s, shifted, total = ad.softmax_parts(z.data, "ce_sum")
     rows, cols = np.arange(len(ages)), ages - 1
 
     def pull(g):
@@ -137,7 +118,8 @@ def ce_sum(logits, ages) -> Tensor:
         d[rows, cols] -= 1.0
         return g * d
 
-    return ad.record(-log_s[rows, cols].sum(), [(z, pull)])
+    log_s_y = shifted[rows, cols] - np.log(total[:, 0])
+    return ad.record(-log_s_y.sum(), [(z, pull)])
 
 
 def mean_variance(s_rows, ages) -> Tensor:
@@ -209,9 +191,9 @@ def kld_mean(z_anchor, z_pos) -> Tensor:
     matrices. The log-probabilities come from log-sum-exp, so the
     divergence is exact and finite for any finite logits."""
     za, zp = _rows(z_anchor, z_pos)
-    log_a, s_a = _log_softmax(za.data, "kld_mean")
-    log_p, s_p = _log_softmax(zp.data, "kld_mean")
-    d = log_p - log_a
+    s_a, shifted_a, total_a = ad.softmax_parts(za.data, "kld_mean")
+    s_p, shifted_p, total_p = ad.softmax_parts(zp.data, "kld_mean")
+    d = (shifted_p - np.log(total_p)) - (shifted_a - np.log(total_a))  # log s_p - log s_a
     per_row = (s_p * d).sum(axis=1)
     scale = 1.0 / (za.data.shape[1] * za.data.shape[0])
     mass = s_p.sum(axis=1, keepdims=True)  # 1 up to rounding

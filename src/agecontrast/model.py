@@ -10,7 +10,7 @@ Each layer is one ``linear`` node on the tape.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,31 +31,17 @@ class ModelConfig:
     num_ages: int = 60
 
     def __post_init__(self):
+        # Coerced, so a config read back from JSON equals the one saved.
+        for name in ("input_dim", "feature_dim", "num_ages"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
         for d in self.layer_dims:
-            if int(d) < 1:
+            if d < 1:
                 raise ValueError(f"ModelConfig: all dimensions must be >= 1, got {self.layer_dims}")
 
     @property
     def layer_dims(self) -> list[int]:
         return [self.input_dim, *self.hidden_widths, self.feature_dim, self.num_ages]
-
-    def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "hidden_widths": list(self.hidden_widths),
-            "feature_dim": self.feature_dim,
-            "num_ages": self.num_ages,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(
-            input_dim=int(d["input_dim"]),
-            hidden_widths=tuple(int(w) for w in d["hidden_widths"]),
-            feature_dim=int(d["feature_dim"]),
-            num_ages=int(d["num_ages"]),
-        )
 
 
 @dataclass
@@ -141,7 +127,7 @@ def save_model(model: Model, path) -> None:
     """Write a self-describing textual checkpoint; load(save(m)) is bitwise m."""
     payload = {
         "format": CHECKPOINT_FORMAT,
-        "config": model.config.to_dict(),
+        "config": asdict(model.config),
         "parameters": [
             {"name": name, "shape": list(arr.shape), "data": [float(v) for v in arr.ravel()]}
             for name, arr in zip(model.param_names(), model.parameters())
@@ -156,7 +142,9 @@ def load_model(path) -> Model:
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"load_model: unrecognized checkpoint format in {path}")
     try:
-        config = ModelConfig.from_dict(payload["config"])
+        if set(payload["config"]) != {f.name for f in fields(ModelConfig)}:
+            raise ValueError(f"config keys {list(payload['config'])} are not ModelConfig's")
+        config = ModelConfig(**payload["config"])
         arrays = [np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
                   for entry in payload["parameters"]]
     except (KeyError, TypeError, ValueError) as exc:

@@ -33,6 +33,9 @@ BIN_BOUNDS = ((1, 19), (20, 39), (40, 59), (60, None))
 
 @dataclass(frozen=True)
 class SynthConfig:
+    """Generator settings; ``seed`` is the one a ``gen`` run passes to
+    ``generate_dataset``."""
+
     num_identities: int = 200
     samples_per_identity: int = 5
     num_ages: int = 60
@@ -41,6 +44,7 @@ class SynthConfig:
     age_dims: int = 8
     noise_std: float = 0.1
     age_bin_weights: tuple[float, float, float, float] | None = None
+    seed: int = 0
 
     def __post_init__(self):
         if self.num_identities < 2:
@@ -59,24 +63,15 @@ class SynthConfig:
             raise ConfigError("noise_std must be finite and >= 0")
         if self.age_bin_weights is not None:
             w = tuple(float(v) for v in self.age_bin_weights)
-            if len(w) != 4 or any(v < 0 for v in w) or sum(w) <= 0:
-                raise ConfigError("age_bin_weights must be 4 non-negative values with positive sum")
+            if len(w) != 4 or not all(0 <= v < np.inf for v in w) or sum(w) <= 0:
+                raise ConfigError(
+                    "age_bin_weights must be 4 finite non-negative values with positive sum")
             object.__setattr__(self, "age_bin_weights", w)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def bin_weights(self) -> tuple[float, ...]:
         return self.age_bin_weights if self.age_bin_weights is not None else DEFAULT_BIN_COUNTS
-
-    def to_dict(self) -> dict:
-        return {
-            "num_identities": self.num_identities,
-            "samples_per_identity": self.samples_per_identity,
-            "num_ages": self.num_ages,
-            "input_dim": self.input_dim,
-            "identity_dims": self.identity_dims,
-            "age_dims": self.age_dims,
-            "noise_std": self.noise_std,
-            "age_bin_weights": list(self.age_bin_weights) if self.age_bin_weights else None,
-        }
 
 
 @dataclass

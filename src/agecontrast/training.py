@@ -48,22 +48,13 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.triplets_per_anchor < 1:
             raise ValueError(f"triplets_per_anchor must be >= 1, got {self.triplets_per_anchor}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
 
     def model_config(self, ds: LabeledDataset) -> ModelConfig:
+        """The network this config trains on ds; rejects widths below 1."""
         return ModelConfig(ds.input_dim, self.hidden_widths, self.feature_dim, ds.num_ages)
-
-    def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "weights": self.weights.to_dict(),
-            "seed": self.seed,
-            "hidden_widths": list(self.hidden_widths),
-            "feature_dim": self.feature_dim,
-            "triplets_per_anchor": self.triplets_per_anchor,
-        }
 
 
 @dataclass

@@ -112,6 +112,19 @@ class TestBackward:
         grads = tape.backward(ops.add(z, z))
         assert float(grads[z.node]) == 2.0
 
+    def test_fanout_never_writes_into_a_pullback_result(self):
+        # weighted_sum passes read-only broadcast views and add_rowvec hands
+        # its gradient to m as is; summing in place would fail on the first
+        # and change y's gradient through the second.
+        tape = Tape()
+        x = tape.watch(np.ones((2, 3)))
+        v = tape.watch(np.zeros(3))
+        y = ops.add_rowvec(x, v)
+        grads = tape.backward(ad.weighted_sum([y, x], [2.0, 5.0]))
+        npt.assert_array_equal(grads[y.node], np.full((2, 3), 2.0))
+        npt.assert_array_equal(grads[x.node], np.full((2, 3), 7.0))
+        npt.assert_array_equal(grads[v.node], [4.0, 4.0, 4.0])
+
     def test_loss_must_be_scalar(self):
         tape = Tape()
         x = tape.watch([1.0, 2.0])

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from agecontrast.cli import TRAIN_SCHEMA, main
+from agecontrast.cli import GEN_SCHEMA, TRAIN_SCHEMA, main
 from agecontrast.losses import LossWeights
 from agecontrast.manifest import sha256_file
 from agecontrast.model import ModelConfig, init_model, load_model, save_model
@@ -344,11 +344,27 @@ class TestEvalBoundary:
     @pytest.mark.parametrize("key", ["input_dim", "num_ages"])
     def test_checkpoint_dataset_mismatch_exits_2(self, checkpoint, tiny_dataset, tmp_path,
                                                  capsys, key):
-        model = load_model(checkpoint)
-        dims = {**model.config.to_dict(), key: getattr(model.config, key) + 1}
-        save_model(init_model(ModelConfig.from_dict(dims), 0), checkpoint)
+        config = load_model(checkpoint).config
+        changed = dataclasses.replace(config, **{key: getattr(config, key) + 1})
+        save_model(init_model(changed, 0), checkpoint)
         assert self._eval(checkpoint, tiny_dataset, tmp_path) == 2
         assert f"error: checkpoint {checkpoint} has {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda config: config.pop("hidden_widths"),   # its default would fit the weights
+        lambda config: config.pop("input_dim"),
+        lambda config: config.update(dropout=0.5),
+    ], ids=["missing-defaulted-key", "missing-key", "unknown-key"])
+    def test_checkpoint_config_keys_must_be_exact(self, checkpoint, tiny_dataset, tmp_path,
+                                                  capsys, edit):
+        payload = json.loads(checkpoint.read_text())
+        edit(payload["config"])
+        checkpoint.write_text(json.dumps(payload))
+        assert self._eval(checkpoint, tiny_dataset, tmp_path) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: cannot read checkpoint {checkpoint}")
+        assert f"config keys {list(payload['config'])} are not ModelConfig's" in line
+        assert list((tmp_path / "e").iterdir()) == []
 
     @pytest.fixture()
     def three_rows(self, tmp_path):
@@ -442,6 +458,158 @@ class TestSweep:
         assert main(["sweep", "--dataset", str(tiny_dataset),
                      "--grid-lambda-c", "", "--grid-lambda-t", "0",
                      "--out", str(out)]) == 2
+
+
+class TestRejectedBeforeWork:
+    """A value a config dataclass rejects, from a flag or a config file,
+    exits 2 with one error line before anything is written."""
+
+    @pytest.fixture()
+    def paths(self, tiny_dataset, tmp_path):
+        trained = tmp_path / "t"
+        trained.mkdir()
+        assert main(["train", "--dataset", str(tiny_dataset), "--epochs", "0",
+                     "--out", str(trained)]) == 0
+        return {"dataset": str(tiny_dataset), "checkpoint": str(trained / "checkpoint.json")}
+
+    @pytest.mark.parametrize("argv, config, message", [
+        (["gen", "--seed", "-1"], None, "seed must be >= 0, got -1"),
+        (["gen"], "seed = -1", "seed must be >= 0, got -1"),
+        (["gen"], "age_bin_weights = 1, 1, 1, inf", "age_bin_weights must be 4 finite"),
+        (["train", "--seed", "-1"], None, "seed must be >= 0, got -1"),
+        (["train"], "seed = -1", "seed must be >= 0, got -1"),
+        (["train"], "hidden_widths = 0", "ModelConfig: all dimensions must be >= 1"),
+        (["train"], "feature_dim = -1", "ModelConfig: all dimensions must be >= 1"),
+        (["eval", "--seed", "-1"], None, "--seed must be >= 0, got -1"),
+        (["sweep", "--loss-sets", "--seed", "-1"], None, "seed must be >= 0, got -1"),
+        (["sweep", "--grid-lambda-c=-1", "--grid-lambda-t", "0"], None,
+         "lambda_c must be finite and >= 0, got -1.0"),
+        (["sweep", "--grid-lambda-c=nan", "--grid-lambda-t", "0"], None,
+         "lambda_c must be finite and >= 0, got nan"),
+        (["sweep", "--grid-lambda-c", "0", "--grid-lambda-t=-1"], None,
+         "lambda_t must be finite and >= 0, got -1.0"),
+        (["sweep", "--grid-lambda-c", "0", "--grid-lambda-t=nan"], None,
+         "lambda_t must be finite and >= 0, got nan"),
+    ], ids=["gen-flag-seed", "gen-file-seed", "gen-inf-bin-weight", "train-flag-seed",
+            "train-file-seed", "hidden-width-0", "feature-dim-neg", "eval-flag-seed",
+            "sweep-flag-seed", "grid-lambda-c-neg", "grid-lambda-c-nan", "grid-lambda-t-neg",
+            "grid-lambda-t-nan"])
+    def test_exits_2_with_one_error_line(self, paths, tmp_path, capsys, argv, config, message):
+        inputs = {"gen": [], "eval": ["--dataset", paths["dataset"],
+                                      "--checkpoint", paths["checkpoint"]]}
+        argv = [*argv, *inputs.get(argv[0], ["--dataset", paths["dataset"], "--epochs", "1"])]
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config + "\n")
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        out = tmp_path / "o"
+        out.mkdir()
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and message in line
+        assert list(out.iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def tiny_csv(tmp_path_factory):
+    out = tmp_path_factory.mktemp("tiny")
+    (out / "gen.cfg").write_text(GEN_CFG)
+    assert main(["gen", "--config", str(out / "gen.cfg"), "--seed", "3", "--out", str(out)]) == 0
+    return out / "dataset.csv"
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "-inf", "", "x", "1,2", "0.5"])
+@pytest.mark.parametrize("command, key", [*(("gen", key) for key in GEN_SCHEMA),
+                                          *(("train", key) for key in TRAIN_SCHEMA)])
+def test_any_config_value_exits_0_or_2(tiny_csv, tmp_path, capsys, command, key, value):
+    # Sizes stay those of the 30-row set unless the key under test sets one.
+    out = tmp_path / "o"
+    out.mkdir()
+    cfg = tmp_path / "run.cfg"
+    if command == "gen":
+        kept = [line for line in GEN_CFG.splitlines() if line.split(" = ")[0] != key]
+        cfg.write_text("\n".join([*kept, f"{key} = {value}"]) + "\n")
+        argv = ["gen"]
+    else:
+        cfg.write_text(f"{key} = {value}\n")
+        epochs = [] if key == "epochs" else ["--epochs", "1"]
+        argv = ["train", "--dataset", str(tiny_csv), *epochs]
+    code = main([*argv, "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert code in (0, 2)
+    if code == 2:
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert list(out.iterdir()) == []
+
+
+class TestArtifactKeyOrder:
+    """The config dataclasses' field order defines these artifacts' bytes
+    (through ``dataclasses.asdict``); a reordered field must fail here."""
+
+    TRAIN = ["learning_rate", "epochs", "batch_size", "weights", "seed", "hidden_widths",
+             "feature_dim", "triplets_per_anchor"]
+    WEIGHTS = ["lambda_m", "lambda_v", "lambda_c", "lambda_t", "alpha", "pair_loss"]
+    MODEL = ["input_dim", "hidden_widths", "feature_dim", "num_ages"]
+
+    @staticmethod
+    def _config(out):
+        return json.loads((out / "manifest.json").read_text())["config"]
+
+    def test_gen_manifest(self, tiny_dataset):
+        assert list(self._config(tiny_dataset.parent)) == [
+            "num_identities", "samples_per_identity", "num_ages", "input_dim", "identity_dims",
+            "age_dims", "noise_std", "age_bin_weights", "seed"]
+
+    def test_train_manifest_and_checkpoint(self, tiny_dataset, tmp_path):
+        out = tmp_path / "t"
+        out.mkdir()
+        assert main(["train", "--dataset", str(tiny_dataset), "--epochs", "0",
+                     "--out", str(out)]) == 0
+        config = self._config(out)
+        assert list(config) == self.TRAIN and list(config["weights"]) == self.WEIGHTS
+        checkpoint = json.loads((out / "checkpoint.json").read_text())
+        assert list(checkpoint["config"]) == self.MODEL
+
+    def test_sweep_manifest_and_rows(self, tiny_dataset, tmp_path):
+        out = tmp_path / "s"
+        out.mkdir()
+        assert main(["sweep", "--dataset", str(tiny_dataset), "--grid-lambda-c", "1",
+                     "--grid-lambda-t", "0", "--epochs", "1", "--k", "2",
+                     "--out", str(out)]) == 0
+        config = self._config(out)
+        assert list(config) == [*self.TRAIN, "protocol", "k", "cells"]
+        assert list(config["weights"]) == self.WEIGHTS
+        for line in (out / "sweep_rows.jsonl").read_text().splitlines():
+            assert list(json.loads(line)) == [
+                "label", "lambda_c", "lambda_t", "pair_loss", "fold_maes", "mean_mae",
+                "mu_vf", "mu_vs"]
+
+
+def test_sweep_seed_from_a_config_file_also_seeds_the_split(tiny_dataset, tmp_path):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("seed = 3\n")
+    tables = []
+    for name, extra in (("file", ["--config", str(cfg)]), ("flag", ["--seed", "3"])):
+        out = tmp_path / name
+        out.mkdir()
+        assert main(["sweep", "--dataset", str(tiny_dataset), "--grid-lambda-c", "1",
+                     "--grid-lambda-t", "0", "--epochs", "1", "--k", "2", *extra,
+                     "--out", str(out)]) == 0
+        tables.append((out / "sweep.csv").read_bytes())
+    assert tables[0] == tables[1]
+
+
+def test_readme_names_exactly_the_config_keys():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("### Config files")[1].split("\n## ")[0]
+    tables = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        if line.startswith("| ") and cells[0].endswith(" key") and cells[0] != "key":
+            current = tables.setdefault(cells[0], [])
+        elif line.startswith("| `"):
+            current.append(cells[0].strip("`"))
+    assert tables == {"`gen` key": list(GEN_SCHEMA), "`train`/`sweep` key": list(TRAIN_SCHEMA)}
 
 
 class TestSelfcheck:

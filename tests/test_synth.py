@@ -130,6 +130,15 @@ def test_config_validation():
         SynthConfig(age_bin_weights=(1.0, 2.0, 3.0))
     with pytest.raises(ConfigError, match="noise_std"):
         SynthConfig(noise_std=-0.1)
+    with pytest.raises(ConfigError, match="seed"):
+        SynthConfig(seed=-1)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_bin_weight_is_rejected(bad):
+    # inf or nan passes the sign and sum checks but would break the age draw
+    with pytest.raises(ConfigError, match="age_bin_weights"):
+        SynthConfig(age_bin_weights=(bad, 1.0, 1.0, 1.0))
 
 
 def test_ground_truth_sidecar_round_trip(tmp_path):
