@@ -260,9 +260,7 @@ def cmd_sweep(args) -> int:
     ds = load_dataset(args.dataset)
     base_cfg = _train_config(args, ds)
     if args.loss_sets:
-        lc = base_cfg.weights.lambda_c or 10.0
-        lt = base_cfg.weights.lambda_t or 1.0
-        cells = loss_set_cells(lc, lt)
+        cells = loss_set_cells(base_cfg.weights.lambda_c, base_cfg.weights.lambda_t)
     elif args.grid_lambda_c and args.grid_lambda_t:
         cells = lambda_grid_cells(args.grid_lambda_c, args.grid_lambda_t)
     else:

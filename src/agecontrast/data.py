@@ -2,12 +2,13 @@
 
 A sample carries an input vector, an integer age label in 1..A and an
 identity label. For an anchor a, the positive candidates share its age
-but not its identity; the negative candidates differ in both. Batch
-sampling draws anchors without replacement per epoch pass and picks p/n
-uniformly from those candidate sets; an anchor whose candidate set is
-empty keeps a null slot so contrastive terms can be skipped for it. A
-batch is a ``TripletBatch``: three int64 arrays ``a``, ``p``, ``n`` with
--1 in a null slot, built without a Python object per triplet.
+but not its identity; the negative candidates differ in both. An epoch's
+batches hold every sample as anchor exactly once, in a seeded random
+order, and pick each anchor's p/n uniformly from its candidate sets; an
+anchor whose candidate set is empty keeps a null slot so contrastive
+terms can be skipped for it. A batch is a ``TripletBatch``: three int64
+arrays ``a``, ``p``, ``n`` with -1 in a null slot, built without a
+Python object per triplet.
 
 The sampler never filters the dataset per anchor. Each dataset sorts its
 rows once, age-major and identity-minor, into ``order``. In that order an
@@ -269,17 +270,14 @@ def sample_triplet_batch(ds: LabeledDataset, batch_size: int, seed: int) -> Trip
     return next(iter_epoch_batches(ds, batch_size, np.random.default_rng(seed)))
 
 
-def iter_epoch_batches(ds: LabeledDataset, batch_size: int, rng: np.random.Generator,
-                       triplets_per_anchor: int = 1) -> Iterator[TripletBatch]:
+def iter_epoch_batches(ds: LabeledDataset, batch_size: int,
+                       rng: np.random.Generator) -> Iterator[TripletBatch]:
     """Batches covering one epoch: every sample anchors exactly once."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if triplets_per_anchor < 1:
-        raise ValueError(f"triplets_per_anchor must be >= 1, got {triplets_per_anchor}")
-    perm = np.repeat(rng.permutation(len(ds)), triplets_per_anchor)
-    step = batch_size * triplets_per_anchor
-    for start in range(0, len(perm), step):
-        yield _triplets_for(ds, perm[start:start + step], rng)
+    perm = rng.permutation(len(ds))
+    for start in range(0, len(perm), batch_size):
+        yield _triplets_for(ds, perm[start:start + batch_size], rng)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +292,9 @@ def save_dataset(ds: LabeledDataset, path) -> None:
     round-trip is bitwise."""
     path = Path(path)
     for ident in ds._by_identity:
-        if "," in ident or "\n" in ident or "\r" in ident:
+        # load_dataset splits rows with str.splitlines, which also breaks
+        # at \x0b, \x0c, \x1c-\x1e, \x85, \u2028 and \u2029.
+        if "," in ident or ident.splitlines() != [ident]:
             raise DatasetError(f"identity {ident!r} cannot be stored in CSV")
     header = "identity,age," + ",".join(f"v{i}" for i in range(ds.input_dim))
     lines = [header]
@@ -315,11 +315,12 @@ def load_dataset(path) -> LabeledDataset:
         raise DatasetError(f"missing metadata sidecar: {meta_path}")
     try:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        input_dim = int(meta["input_dim"])
-        num_ages = int(meta["num_ages"])
+        input_dim, num_ages = meta["input_dim"], meta["num_ages"]
+        if not all(type(v) is int and v >= 1 for v in (input_dim, num_ages)):
+            raise ValueError("input_dim and num_ages must be positive JSON integers")
     except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise DatasetError(f"metadata sidecar {meta_path} must be JSON defining "
-                           "input_dim and num_ages") from exc
+                           "input_dim and num_ages as positive integers") from exc
 
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -327,8 +328,10 @@ def load_dataset(path) -> LabeledDataset:
         raise DatasetError(f"{path}: byte {exc.start} is not UTF-8 text") from exc
     if not lines:
         raise DatasetError(f"empty dataset file: {path}")
-    expected_header = "identity,age," + ",".join(f"v{i}" for i in range(input_dim))
-    if lines[0] != expected_header:
+    header = lines[0].split(",")
+    # Count the fields before naming them: the sidecar's input_dim may be huge.
+    if len(header) != 2 + input_dim or header != [
+            "identity", "age", *(f"v{i}" for i in range(input_dim))]:
         raise DatasetError(f"unexpected CSV header in {path}")
     inputs = np.empty((len(lines) - 1, input_dim))
     identities: list[str] = []

@@ -272,8 +272,10 @@ def lambda_grid_cells(lambda_cs, lambda_ts) -> list[SweepCell]:
             for lc in lambda_cs for lt in lambda_ts]
 
 
-def loss_set_cells(lambda_c: float = 10.0, lambda_t: float = 1.0) -> list[SweepCell]:
-    """The six loss-combination rows of the ablation table."""
+def loss_set_cells(lambda_c: float = 0.0, lambda_t: float = 0.0) -> list[SweepCell]:
+    """The six loss-combination rows of the ablation table; a zero weight
+    falls back to the table's lambda_c = 10 or lambda_t = 1."""
+    lambda_c, lambda_t = lambda_c or 10.0, lambda_t or 1.0
     return [
         SweepCell("MV", 0.0, 0.0),
         SweepCell("MV+KLD", lambda_c, 0.0, pair_loss="kld"),

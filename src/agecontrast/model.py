@@ -17,6 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Array, Tape, Tensor
+from .errors import ConfigError
 
 CHECKPOINT_FORMAT = "agecontrast-checkpoint-v1"
 
@@ -26,9 +27,9 @@ class ModelConfig:
     """Layer widths chain input_dim -> hidden_widths... -> feature_dim -> num_ages."""
 
     input_dim: int
-    hidden_widths: tuple[int, ...] = (64,)
-    feature_dim: int = 64
-    num_ages: int = 60
+    hidden_widths: tuple[int, ...]
+    feature_dim: int
+    num_ages: int
 
     def __post_init__(self):
         # Coerced, so a config read back from JSON equals the one saved.
@@ -81,13 +82,17 @@ class Model:
 
 
 def init_model(config: ModelConfig, seed: int) -> Model:
-    """He-style init: weights ~ Normal(0, sqrt(2/fan_in)), biases zero."""
+    """He-style init: weights ~ Normal(0, sqrt(2/fan_in)), biases zero.
+    Layers that numpy cannot allocate are a ConfigError."""
     rng = np.random.default_rng(seed)
     dims = config.layer_dims
     weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        weights.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
+    try:
+        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+            weights.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out)))
+            biases.append(np.zeros(fan_out))
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"cannot allocate a model with layer dimensions {dims}: {exc}") from exc
     return Model(config, weights, biases)
 
 
@@ -142,9 +147,14 @@ def load_model(path) -> Model:
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"load_model: unrecognized checkpoint format in {path}")
     try:
-        if set(payload["config"]) != {f.name for f in fields(ModelConfig)}:
-            raise ValueError(f"config keys {list(payload['config'])} are not ModelConfig's")
-        config = ModelConfig(**payload["config"])
+        raw = payload["config"]
+        if set(raw) != {f.name for f in fields(ModelConfig)}:
+            raise ValueError(f"config keys {list(raw)} are not ModelConfig's")
+        widths = raw["hidden_widths"]
+        if not (isinstance(widths, list) and all(type(d) is int for d in [
+                raw["input_dim"], *widths, raw["feature_dim"], raw["num_ages"]])):
+            raise ValueError(f"config dimensions must be JSON integers, got {raw}")
+        config = ModelConfig(**raw)
         arrays = [np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
                   for entry in payload["parameters"]]
     except (KeyError, TypeError, ValueError) as exc:

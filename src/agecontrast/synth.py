@@ -138,9 +138,9 @@ def generate_dataset(cfg: SynthConfig, seed: int) -> tuple[LabeledDataset, Groun
     return LabeledDataset(inputs, ages, identities, cfg.num_ages), truth
 
 
-def prior_baseline_mae(ds: LabeledDataset, median_age: float | None = None) -> float:
+def prior_baseline_mae(ds: LabeledDataset) -> float:
     """MAE of the constant predictor that always answers the age median."""
-    med = float(np.median(ds.ages)) if median_age is None else float(median_age)
+    med = float(np.median(ds.ages))
     return float(np.mean(np.abs(ds.ages - med)))
 
 

@@ -6,7 +6,7 @@ run through the network in one tracked stacked forward; each loss term
 is one fused tape node over its row blocks and the weighted total is one
 more. The total backpropagates through the tape and Adam updates the
 parameters in place. Everything is deterministic per (dataset, config):
-epoch sampling uses seeds spawned from the config seed.
+epoch e samples with child e of the config seed's ``SeedSequence``.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ class TrainConfig:
     seed: int = 0
     hidden_widths: tuple[int, ...] = (64,)
     feature_dim: int = 64
-    triplets_per_anchor: int = 1
 
     def __post_init__(self):
         if not self.learning_rate > 0:
@@ -46,8 +45,6 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.triplets_per_anchor < 1:
-            raise ValueError(f"triplets_per_anchor must be >= 1, got {self.triplets_per_anchor}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
@@ -172,12 +169,12 @@ def train(ds: LabeledDataset, cfg: TrainConfig) -> tuple[Model, list[LossBreakdo
     model = init_model(cfg.model_config(ds), cfg.seed)
     state = AdamState.for_model(model)
     history: list[LossBreakdown] = []
-    epoch_seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.epochs)
     for epoch in range(cfg.epochs):
-        rng = np.random.default_rng(epoch_seeds[epoch])
+        # Child `epoch` of SeedSequence(cfg.seed).spawn, without spawning every epoch first.
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(epoch,)))
         sums = np.zeros(5)
         batches = 0
-        for batch in iter_epoch_batches(ds, cfg.batch_size, rng, cfg.triplets_per_anchor):
+        for batch in iter_epoch_batches(ds, cfg.batch_size, rng):
             breakdown = _train_step(model, state, ds, batch, cfg)
             sums += [breakdown.l_s, breakdown.l_m, breakdown.l_v, breakdown.l_c, breakdown.l_t]
             batches += 1

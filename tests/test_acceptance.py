@@ -17,7 +17,7 @@ from agecontrast.losses import (LossWeights, cosine_mean, kld_mean, triplet_mean
                                 variance_sum)
 from agecontrast.evaluation import evaluate_mae, identity_variance, mean_absolute_error
 from agecontrast.manifest import sha256_file
-from agecontrast.selfcheck import gradient_suite
+from agecontrast.selfcheck import GRAD_TOL, gradient_suite
 from agecontrast.synth import SynthConfig, generate_dataset, prior_baseline_mae
 from agecontrast.training import TrainConfig, train
 
@@ -35,7 +35,7 @@ def report(number: int, name: str, ok: bool, detail: str = ""):
 
 def test_criterion_1_gradient_suite():
     started = time.perf_counter()
-    results = gradient_suite(points=100, eps=1e-5, tol=1e-4)
+    results = gradient_suite(points=100)
     elapsed = time.perf_counter() - started
     names = {r.name for r in results}
     assert {"gradients.softmax_ce", "gradients.mean_loss", "gradients.variance_loss",
@@ -45,7 +45,7 @@ def test_criterion_1_gradient_suite():
     bad = [r.name for r in results if not r.passed]
     ok = not bad and elapsed < 60.0
     report(1, "gradient suite", ok,
-           f"{len(results)} checks at tolerance 1e-4, {elapsed:.1f}s (< 60s)"
+           f"{len(results)} checks at tolerance {GRAD_TOL:g}, {elapsed:.1f}s (< 60s)"
            + (f"; failing: {', '.join(bad)}" if bad else ""))
 
 

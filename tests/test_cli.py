@@ -14,7 +14,7 @@ from agecontrast.cli import GEN_SCHEMA, TRAIN_SCHEMA, main
 from agecontrast.losses import LossWeights
 from agecontrast.manifest import sha256_file
 from agecontrast.model import ModelConfig, init_model, load_model, save_model
-from agecontrast.selfcheck import run_all
+from agecontrast import autodiff as ad, selfcheck
 from agecontrast.training import TrainConfig
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -480,6 +480,11 @@ class TestRejectedBeforeWork:
         (["train"], "seed = -1", "seed must be >= 0, got -1"),
         (["train"], "hidden_widths = 0", "ModelConfig: all dimensions must be >= 1"),
         (["train"], "feature_dim = -1", "ModelConfig: all dimensions must be >= 1"),
+        (["train"], f"hidden_widths = {2 ** 60}", f"layer dimensions [10, {2 ** 60}, 64, 12]"),
+        (["train"], f"feature_dim = {2 ** 60}", f"layer dimensions [10, 64, {2 ** 60}, 12]"),
+        (["sweep", "--loss-sets"], f"hidden_widths = {2 ** 60}", "cannot allocate a model"),
+        (["sweep", "--loss-sets", "--jobs", "2"], f"hidden_widths = {2 ** 60}",
+         "cannot allocate a model"),
         (["eval", "--seed", "-1"], None, "--seed must be >= 0, got -1"),
         (["sweep", "--loss-sets", "--seed", "-1"], None, "seed must be >= 0, got -1"),
         (["sweep", "--grid-lambda-c=-1", "--grid-lambda-t", "0"], None,
@@ -491,9 +496,10 @@ class TestRejectedBeforeWork:
         (["sweep", "--grid-lambda-c", "0", "--grid-lambda-t=nan"], None,
          "lambda_t must be finite and >= 0, got nan"),
     ], ids=["gen-flag-seed", "gen-file-seed", "gen-inf-bin-weight", "train-flag-seed",
-            "train-file-seed", "hidden-width-0", "feature-dim-neg", "eval-flag-seed",
-            "sweep-flag-seed", "grid-lambda-c-neg", "grid-lambda-c-nan", "grid-lambda-t-neg",
-            "grid-lambda-t-nan"])
+            "train-file-seed", "hidden-width-0", "feature-dim-neg", "hidden-width-2**60",
+            "feature-dim-2**60", "sweep-hidden-width-2**60", "sweep-jobs-2-hidden-width-2**60",
+            "eval-flag-seed", "sweep-flag-seed", "grid-lambda-c-neg", "grid-lambda-c-nan",
+            "grid-lambda-t-neg", "grid-lambda-t-nan"])
     def test_exits_2_with_one_error_line(self, paths, tmp_path, capsys, argv, config, message):
         inputs = {"gen": [], "eval": ["--dataset", paths["dataset"],
                                       "--checkpoint", paths["checkpoint"]]}
@@ -518,9 +524,14 @@ def tiny_csv(tmp_path_factory):
     return out / "dataset.csv"
 
 
+# Keys a config file may no longer set: any value exits 2 as an unknown key.
+REMOVED_TRAIN_KEYS = ["triplets_per_anchor"]
+
+
 @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "-inf", "", "x", "1,2", "0.5"])
 @pytest.mark.parametrize("command, key", [*(("gen", key) for key in GEN_SCHEMA),
-                                          *(("train", key) for key in TRAIN_SCHEMA)])
+                                          *(("train", key) for key in TRAIN_SCHEMA),
+                                          *(("train", key) for key in REMOVED_TRAIN_KEYS)])
 def test_any_config_value_exits_0_or_2(tiny_csv, tmp_path, capsys, command, key, value):
     # Sizes stay those of the 30-row set unless the key under test sets one.
     out = tmp_path / "o"
@@ -540,6 +551,61 @@ def test_any_config_value_exits_0_or_2(tiny_csv, tmp_path, capsys, command, key,
     if code == 2:
         assert len(err) == 1 and err[0].startswith("error: "), err
         assert list(out.iterdir()) == []
+    if key in REMOVED_TRAIN_KEYS:
+        assert code == 2 and err[0].startswith(f"error: unknown config key {key!r}")
+
+
+@pytest.fixture(scope="module")
+def twelve_rows(tmp_path_factory):
+    """A 12-row set (input_dim 8, num_ages 10) and an untrained checkpoint for it."""
+    out = tmp_path_factory.mktemp("twelve")
+    (out / "gen.cfg").write_text("num_identities = 4\nsamples_per_identity = 3\n"
+                                 "num_ages = 10\ninput_dim = 8\nidentity_dims = 4\n"
+                                 "age_dims = 3\n")
+    assert main(["gen", "--config", str(out / "gen.cfg"), "--out", str(out)]) == 0
+    assert main(["train", "--dataset", str(out / "dataset.csv"), "--epochs", "0",
+                 "--out", str(out)]) == 0
+    return out / "dataset.csv", out / "checkpoint.json"
+
+
+# Raw JSON texts: non-finite, fractional, boolean, string, null, out of
+# range, a float too large for a layer, 2**60 and 10**30.
+JSON_VALUES = ["Infinity", "-Infinity", "NaN", "8.5", "true", '"8"', "null", "-1", "0",
+               "1e30", "1152921504606846976", "1000000000000000000000000000000"]
+
+
+@pytest.mark.parametrize("value", JSON_VALUES)
+@pytest.mark.parametrize("source, key", [
+    ("sidecar", "input_dim"), ("sidecar", "num_ages"),
+    *(("checkpoint", key) for key in ("input_dim", "hidden_widths", "hidden_widths[0]",
+                                      "feature_dim", "num_ages"))])
+def test_any_json_dimension_exits_0_or_2(twelve_rows, tmp_path, capsys, source, key, value):
+    # sidecar values run `train`, checkpoint values run `eval`
+    dataset, checkpoint = twelve_rows
+    csv = tmp_path / "dataset.csv"
+    csv.write_bytes(dataset.read_bytes())
+    meta = {"input_dim": 8, "num_ages": 10}
+    payload = json.loads(checkpoint.read_text())
+    target = meta if source == "sidecar" else payload["config"]
+    if key == "hidden_widths[0]":
+        target["hidden_widths"] = ["VALUE"]
+    else:
+        target[key] = "VALUE"
+    (tmp_path / "dataset.meta.json").write_text(json.dumps(meta).replace('"VALUE"', value))
+    (tmp_path / "checkpoint.json").write_text(json.dumps(payload).replace('"VALUE"', value))
+    out = tmp_path / "o"
+    out.mkdir()
+    if source == "sidecar":
+        argv = ["train", "--dataset", str(csv), "--epochs", "1"]
+    else:
+        argv = ["eval", "--dataset", str(csv), "--checkpoint", str(tmp_path / "checkpoint.json"),
+                "--k", "2"]
+    code = main([*argv, "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert code in (0, 2)
+    if code == 2:
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert list(out.iterdir()) == []
 
 
 class TestArtifactKeyOrder:
@@ -547,7 +613,7 @@ class TestArtifactKeyOrder:
     (through ``dataclasses.asdict``); a reordered field must fail here."""
 
     TRAIN = ["learning_rate", "epochs", "batch_size", "weights", "seed", "hidden_widths",
-             "feature_dim", "triplets_per_anchor"]
+             "feature_dim"]
     WEIGHTS = ["lambda_m", "lambda_v", "lambda_c", "lambda_t", "alpha", "pair_loss"]
     MODEL = ["input_dim", "hidden_widths", "feature_dim", "num_ages"]
 
@@ -612,6 +678,14 @@ def test_readme_names_exactly_the_config_keys():
     assert tables == {"`gen` key": list(GEN_SCHEMA), "`train`/`sweep` key": list(TRAIN_SCHEMA)}
 
 
+def poison_gradient(out, xs):
+    """out with its value kept and the tape gradient of every x in xs
+    shifted by 0.01 per coordinate: a corrupted gradient for selfcheck
+    to name."""
+    return ad.record(out.data, [(out, lambda g: g)] + [
+        (x, lambda g, shape=x.data.shape: np.full(shape, 0.01 * g)) for x in xs])
+
+
 class TestSelfcheck:
     def test_quick_selfcheck_passes(self, capsys):
         assert main(["selfcheck", "--gradient-points", "2"]) == 0
@@ -633,13 +707,34 @@ class TestSelfcheck:
         assert main(["selfcheck"]) == 0
         assert time.perf_counter() - started < 120.0
 
-    def test_corrupted_gradient_is_named(self):
-        results = run_all(inject_fault="cosine_loss", gradient_points=2)
+    def test_corrupted_gradient_is_named(self, monkeypatch):
+        loss_cases = selfcheck._loss_cases
+
+        def cases_with_poisoned_cosine(rng):
+            cases = loss_cases(rng)
+            make_cosine = cases["cosine_loss"]
+
+            def make_poisoned(batch):
+                fn, blocks = make_cosine(batch)
+                return (lambda *xs: poison_gradient(fn(*xs), xs)), blocks
+
+            cases["cosine_loss"] = make_poisoned
+            return cases
+
+        monkeypatch.setattr(selfcheck, "_loss_cases", cases_with_poisoned_cosine)
+        results = selfcheck.run_all(gradient_points=2)
         failing = [r.name for r in results if not r.passed]
         assert failing == ["gradients.cosine_loss"]
 
-    def test_corrupted_end_to_end_is_named(self):
-        results = run_all(inject_fault="end_to_end", gradient_points=2)
+    def test_corrupted_end_to_end_is_named(self, monkeypatch):
+        build = selfcheck.build_batch_loss
+
+        def poisoned_build(model, ds, batch, weights):
+            total, breakdown = build(model, ds, batch, weights)
+            return poison_gradient(total, model.parameters()), breakdown
+
+        monkeypatch.setattr(selfcheck, "build_batch_loss", poisoned_build)
+        results = selfcheck.run_all(gradient_points=2)
         failing = [r.name for r in results if not r.passed]
         assert failing == ["gradients.end_to_end"]
 

@@ -1,9 +1,10 @@
 """Dataset indexes, candidate sets vs brute force, triplet sampling, CSV."""
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from agecontrast.data import (LabeledDataset, Triplet, TripletBatch, _candidate_rows,
                               has_triplet_negatives, iter_epoch_batches, load_dataset,
@@ -11,6 +12,23 @@ from agecontrast.data import (LabeledDataset, Triplet, TripletBatch, _candidate_
 from agecontrast.errors import DatasetError
 
 from conftest import make_dataset
+
+
+# The characters a CSV identity field cannot hold: the field separator and
+# every line boundary of str.splitlines.
+CSV_BREAKS = ",\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@st.composite
+def csv_datasets(draw):
+    """Datasets of arbitrary finite inputs and arbitrary non-empty labels."""
+    labels = draw(st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=6))
+    num_ages = draw(st.integers(1, 100))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    inputs = draw(hnp.arrays(np.float64, (len(labels), draw(st.integers(1, 3))),
+                             elements=finite))
+    ages = draw(hnp.arrays(np.int64, len(labels), elements=st.integers(1, num_ages)))
+    return LabeledDataset(inputs, ages, labels, num_ages)
 
 
 def brute_positive(ds, a):
@@ -145,13 +163,6 @@ class TestBatchSampling:
             anchors.extend(t.a for t in batch)
         assert sorted(anchors) == list(range(len(grid_dataset)))
 
-    def test_triplets_per_anchor(self, grid_dataset):
-        rng = np.random.default_rng(6)
-        batches = list(iter_epoch_batches(grid_dataset, 5, rng, triplets_per_anchor=3))
-        assert all(len(b) == 3 * 5 for b in batches[:-1])
-        anchors = [t.a for b in batches for t in b]
-        assert all(anchors.count(a) == 3 for a in range(len(grid_dataset)))
-
     def test_positive_draws_uniform_chi_square(self, grid_dataset):
         # Pooled chi-square over all (anchor, positive) cells; every anchor
         # has exactly 5 positive candidates in this dataset.
@@ -197,13 +208,12 @@ class TestBatchSampling:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.integers(1, 4), st.sampled_from("ABCD")),
                     min_size=1, max_size=16),
-           st.integers(1, 3), st.integers(0, 2**32 - 1))
-    @example([(2, "A"), (2, "B"), (2, "C"), (2, "B")], 1, 0)  # a single age
-    @example([(1, "A"), (2, "A"), (3, "A"), (1, "A")], 1, 0)  # a single identity
+           st.integers(0, 2**32 - 1))
+    @example([(2, "A"), (2, "B"), (2, "C"), (2, "B")], 0)  # a single age
+    @example([(1, "A"), (2, "A"), (3, "A"), (1, "A")], 0)  # a single identity
     @example([(1, "A"), (2, "A"), (3, "A"), (4, "A"), (1, "B"), (3, "C"), (3, "B")],
-             1, 0)  # one identity spanning every age
-    @example([(1, "A"), (2, "B"), (1, "C"), (2, "A"), (1, "B")], 3, 0)  # triplets_per_anchor > 1
-    def test_draws_and_maps_match_brute_force(self, layout, triplets_per_anchor, seed):
+             0)  # one identity spanning every age
+    def test_draws_and_maps_match_brute_force(self, layout, seed):
         ages, identities = zip(*layout)
         ds = make_dataset(ages, identities, num_ages=4)
         for a in range(len(ds)):
@@ -212,14 +222,13 @@ class TestBatchSampling:
                                    (brute_positive(ds, a), brute_negative(ds, a))):
                 assert sorted(rows.tolist()) == sorted(brute)
         slots = 0
-        for batch in iter_epoch_batches(ds, 3, np.random.default_rng(seed),
-                                        triplets_per_anchor):
+        for batch in iter_epoch_batches(ds, 3, np.random.default_rng(seed)):
             for t in batch:
                 pos, neg = brute_positive(ds, t.a), brute_negative(ds, t.a)
                 assert (t.p is None) == (not pos) and (t.p is None or t.p in pos)
                 assert (t.n is None) == (not neg) and (t.n is None or t.n in neg)
                 slots += 1
-        assert slots == len(ds) * triplets_per_anchor
+        assert slots == len(ds)
 
 
 class TestIndexes:
@@ -331,3 +340,27 @@ class TestCsvRoundTrip:
         ds = make_dataset([1, 2], ["a,b", "c"], num_ages=3)
         with pytest.raises(DatasetError, match="CSV"):
             save_dataset(ds, tmp_path / "x.csv")
+
+    @pytest.mark.parametrize("char", CSV_BREAKS)
+    def test_line_break_identity_rejected_on_save(self, tmp_path, char):
+        ds = make_dataset([1, 2], [f"a{char}b", "c"], num_ages=3)
+        with pytest.raises(DatasetError, match="CSV"):
+            save_dataset(ds, tmp_path / "x.csv")
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(csv_datasets())
+    @example(LabeledDataset([[-0.0, 5e-324, 1e308], [-1e308, 2.2250738585072014e-308, 0.0]],
+                            [1, 3], ["a", "a\x00"], 3))
+    @example(LabeledDataset([[0.5]], [1], ["a\u2028b"], 1))
+    def test_any_saved_dataset_loads_back_bitwise(self, tmp_path, ds):
+        path = tmp_path / "ds.csv"
+        try:
+            save_dataset(ds, path)
+        except DatasetError:
+            assert any(c in label for label in ds.identities for c in CSV_BREAKS)
+            return
+        loaded = load_dataset(path)
+        assert loaded.inputs.tobytes() == ds.inputs.tobytes()
+        assert loaded.ages.tobytes() == ds.ages.tobytes()
+        assert loaded.identities == ds.identities and loaded.num_ages == ds.num_ages

@@ -3,6 +3,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agecontrast.errors import IncompatibleDataError
 from agecontrast.evaluation import (Fold, evaluate_checkpoint, evaluate_mae,
@@ -116,6 +117,32 @@ def test_fold_train_is_the_complement_of_test():
     fold = Fold(np.array([1, 4]), 6)
     npt.assert_array_equal(fold.train, [0, 2, 3, 5])
     assert fold.n == 6
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 7), min_size=1, max_size=30), st.integers(2, 12),
+       st.integers(0, 2**32 - 1))
+def test_every_protocol_partitions_any_layout(owners, k, seed):
+    # owners[i] is row i's identity, in any interleaving
+    ds = make_dataset([1] * len(owners), [f"p{o}" for o in owners], num_ages=1)
+    identities = np.array(ds.identities)
+    num_ids = len(set(owners))
+    for protocol, feasible in (("rs", k <= len(ds)), ("se", k <= num_ids),
+                               ("lopo", num_ids >= 2)):
+        if not feasible:
+            with pytest.raises(IncompatibleDataError):
+                split_protocol(ds, protocol, k, seed)
+            continue
+        folds = split_protocol(ds, protocol, k, seed)
+        assert_partition(folds, len(ds))
+        assert all(len(f.test) for f in folds)
+        if protocol == "lopo":
+            assert sorted(identities[f.test[0]] for f in folds) == sorted(set(identities))
+        else:
+            assert len(folds) == k
+        if protocol != "rs":
+            for f in folds:
+                assert not set(identities[f.test]) & set(identities[f.train])
 
 
 def test_split_protocol_dispatch(small_synth):

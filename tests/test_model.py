@@ -1,8 +1,10 @@
 """Model: init rules, forward consistency, prediction, checkpoints."""
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from agecontrast import autodiff as ad
 from agecontrast.autodiff import Tape, grad_check
@@ -17,9 +19,9 @@ TINY = ModelConfig(input_dim=8, hidden_widths=(16,), feature_dim=8, num_ages=5)
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        ModelConfig(input_dim=0)
+        ModelConfig(input_dim=0, hidden_widths=(4,), feature_dim=4, num_ages=5)
     with pytest.raises(ValueError):
-        ModelConfig(input_dim=4, hidden_widths=(0,))
+        ModelConfig(input_dim=4, hidden_widths=(0,), feature_dim=4, num_ages=5)
 
 
 def test_init_deterministic_per_seed():
@@ -147,6 +149,21 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     path2 = tmp_path / "model2.json"
     save_model(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data(), st.lists(st.integers(1, 4), min_size=3, max_size=5))
+def test_any_finite_checkpoint_loads_back_bitwise(tmp_path, data, dims):
+    config = ModelConfig(dims[0], tuple(dims[1:-2]), dims[-2], dims[-1])
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    params = [data.draw(hnp.arrays(np.float64, p.shape, elements=finite))
+              for p in init_model(config, 0).parameters()]
+    save_model(Model(config, params[0::2], params[1::2]), tmp_path / "model.json")
+    loaded = load_model(tmp_path / "model.json")
+    assert loaded.config == config
+    assert [(p.shape, p.tobytes()) for p in loaded.parameters()] == [
+        (p.shape, p.tobytes()) for p in params]
 
 
 def test_load_rejects_foreign_files(tmp_path):

@@ -9,6 +9,7 @@ from agecontrast.errors import IncompatibleDataError, OptimizationError
 from agecontrast.losses import LossWeights
 from agecontrast.model import ModelConfig, init_model
 from agecontrast.synth import SynthConfig, generate_dataset
+from agecontrast import training
 from agecontrast.training import (ADAM_EPS, AdamState, TrainConfig, adam_step,
                                   build_batch_loss, train)
 
@@ -120,16 +121,30 @@ class TestTrain:
         assert all(b.l_c == 0.0 and b.l_t == 0.0 for b in history)
         assert all(b.l_s > 0 and b.l_m >= 0 and b.l_v >= 0 for b in history)
 
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_epoch_streams_are_the_spawned_children(self, train_ds, monkeypatch, seed):
+        states = []
+        draw = training.iter_epoch_batches
+
+        def recording(ds, batch_size, rng):
+            states.append(rng.bit_generator.state)
+            return draw(ds, batch_size, rng)
+
+        monkeypatch.setattr(training, "iter_epoch_batches", recording)
+        train(train_ds, TrainConfig(seed=seed, **SMALL_TRAIN))
+        children = np.random.SeedSequence(seed).spawn(SMALL_TRAIN["epochs"])
+        assert states == [np.random.default_rng(c).bit_generator.state for c in children]
+
     def test_loss_mostly_non_increasing_on_separable_data(self):
-        # triplets_per_anchor > 1 averages the per-epoch pair resampling
-        # noise out of the contrastive terms
-        cfg = SynthConfig(num_identities=30, samples_per_identity=4, num_ages=8,
+        # 480 anchors per epoch average the per-epoch pair resampling noise
+        # out of the contrastive terms
+        cfg = SynthConfig(num_identities=120, samples_per_identity=4, num_ages=8,
                           input_dim=10, identity_dims=4, age_dims=3, noise_std=0.0)
         hits = total = 0
         for seed in range(3):
             ds, _ = generate_dataset(cfg, seed)
             tc = TrainConfig(epochs=15, batch_size=24, hidden_widths=(16,),
-                             feature_dim=8, seed=seed, triplets_per_anchor=4,
+                             feature_dim=8, seed=seed,
                              weights=LossWeights(lambda_c=1.0, lambda_t=1.0))
             _, history = train(ds, tc)
             totals = [b.total for b in history]
