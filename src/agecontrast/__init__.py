@@ -7,7 +7,7 @@ cross-validation protocols, and an identity-variance diagnostic — all
 verifiable end to end on synthetic data.
 """
 
-from .autodiff import Tape, Tensor, grad_check, softmax_rows
+from .autodiff import Tape, Tensor, grad_check, softmax_parts
 from .data import (LabeledDataset, Triplet, TripletBatch, load_dataset, negative_set,
                    positive_set, sample_triplet_batch, save_dataset)
 from .errors import (ConfigError, DatasetError, IncompatibleDataError, NonFiniteError,

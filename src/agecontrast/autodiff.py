@@ -1,13 +1,16 @@
 """Dense float64 tensors with a reverse-mode gradient tape.
 
-Values are numpy arrays. Every differentiable primitive records one node
-with parent handles and a pullback closure on the active tape (through
-``record``), so any scalar built from tracked inputs can be
-differentiated with ``Tape.backward``. The primitives are the few a
-train step is made of, each one node however large: ``linear``,
-``relu``, ``softmax_rows``, ``take_rows`` and ``weighted_sum``; the loss
-terms add their own fused nodes in ``losses``. The independent check
-for all analytic gradients is ``grad_check``, a central
+Values are numpy arrays. A differentiable operation records one node on
+the active tape through ``record``: its operands' handles and one
+pullback that maps the gradient of its value to the gradients of all
+its operands, so any scalar built from tracked inputs can be
+differentiated with ``Tape.backward``. The package records few and
+large nodes: a train step is one node over the model's parameter
+arrays, whose pullback runs the whole network backwards
+(``training.build_batch_loss``); each loss term in ``losses`` is one
+node for checking it alone; ``weighted_sum`` combines terms.
+``softmax_parts`` is the one row softmax they share. The independent
+check for all analytic gradients is ``grad_check``, a central
 finite-difference oracle.
 
 A tape is single-writer: build the graph and call backward on one thread
@@ -24,7 +27,7 @@ import numpy as np
 from .errors import NonFiniteError
 
 Array = np.ndarray
-Pullback = Callable[[Array], Array]
+Pullback = Callable[[Array], Sequence[Array]]
 
 
 def _as_array(values) -> Array:
@@ -69,8 +72,10 @@ class Tape:
     """Append-only operation record; append order is topological order."""
 
     def __init__(self):
-        self._parents: list[tuple[int, ...]] = []
-        self._pullbacks: list[tuple[Pullback, ...]] = []
+        # Per node: the operands' handles (None for an untracked operand)
+        # and the joint pullback, None for a leaf.
+        self._parents: list[tuple[int | None, ...]] = []
+        self._pullbacks: list[Pullback | None] = []
 
     def __len__(self) -> int:
         return len(self._parents)
@@ -78,12 +83,12 @@ class Tape:
     def watch(self, values) -> Tensor:
         """Register a leaf whose gradient should be available after backward."""
         arr = _as_array(values)
-        node = self._append((), ())
+        node = self._append((), None)
         return Tensor(arr, self, node)
 
-    def _append(self, parents: tuple[int, ...], pullbacks: tuple[Pullback, ...]) -> int:
+    def _append(self, parents: tuple[int | None, ...], pullback: Pullback | None) -> int:
         self._parents.append(parents)
-        self._pullbacks.append(pullbacks)
+        self._pullbacks.append(pullback)
         return len(self._parents) - 1
 
     def backward(self, loss: Tensor) -> dict[int, Array]:
@@ -102,10 +107,11 @@ class Tape:
         grads[loss.node] = np.ones_like(loss.data)
         for node in range(loss.node, -1, -1):
             gout = grads[node]
-            if gout is None:
+            if gout is None or self._pullbacks[node] is None:
                 continue
-            for parent, pull in zip(self._parents[node], self._pullbacks[node]):
-                g = pull(gout)
+            for parent, g in zip(self._parents[node], self._pullbacks[node](gout)):
+                if parent is None:
+                    continue
                 # Never in place: a contribution may be a view of another gradient.
                 grads[parent] = g if grads[parent] is None else grads[parent] + g
         return {node: g for node, g in enumerate(grads) if g is not None}
@@ -127,128 +133,38 @@ def _single_tape(tensors: Sequence[Tensor]) -> Tape | None:
     return tape
 
 
-def record(out, pairs: Sequence[tuple[Tensor, Pullback]]) -> Tensor:
-    """One tape node with value ``out``, one pullback per operand.
+def record(out, pullback: Pullback, operands: Sequence[Tensor]) -> Tensor:
+    """One tape node with value ``out`` over ``operands``.
 
-    Each pullback maps the gradient of ``out`` to the gradient of its
-    operand, an array of the operand's shape. Untracked
-    operands are dropped; with none tracked the result is untracked. This
-    is how every primitive, and every fused loss, defines its node.
+    ``pullback`` maps the gradient of ``out`` to one gradient per
+    operand, each an array of its operand's shape; the tape drops those
+    of untracked operands. With no operand tracked the result is
+    untracked and the pullback never runs.
     """
     out = _as_array(out)
-    tape = _single_tape([t for t, _ in pairs])
+    tape = _single_tape(operands)
     if tape is None:
         return Tensor(out)
-    tracked = [(t.node, pull) for t, pull in pairs if t.node is not None]
-    parents = tuple(node for node, _ in tracked)
-    pulls = tuple(pull for _, pull in tracked)
-    return Tensor(out, tape, tape._append(parents, pulls))
+    return Tensor(out, tape, tape._append(tuple(t.node for t in operands), pullback))
 
 
-# OpenBLAS runs a matrix product on one thread when M*N*K <= 2**18 and
-# wakes its thread pool above that. At a train step's sizes the pool
-# costs more than it saves, and the worker processes of a sweep (one per
-# core) then oversubscribe the cores: on 2 vCPUs with OpenBLAS 0.3.31,
-# `sweep --loss-sets --jobs 2` ran twice as long with one stacked product.
-# So the products of a tracked ``linear`` run in blocks that each stay
-# under the limit.
-_ONE_THREAD_MNK = 2 ** 18
-
-
-def _block_rows(inner: int, outer: int) -> int:
-    return max(1, _ONE_THREAD_MNK // max(1, inner * outer))
-
-
-def _row_blocked(a: Array, b: Array) -> Array:
-    """``a @ b`` computed over blocks of rows of ``a``."""
-    step = _block_rows(*b.shape)
-    if a.shape[0] <= step:
-        return a @ b
-    out = np.empty((a.shape[0], b.shape[1]))
-    for i in range(0, a.shape[0], step):
-        np.matmul(a[i:i + step], b, out=out[i:i + step])
-    return out
-
-
-def _inner_blocked(a: Array, b: Array) -> Array:
-    """``a.T @ b`` summed over blocks of the shared row dimension."""
-    step = _block_rows(a.shape[1], b.shape[1])
-    out = a[:step].T @ b[:step]
-    for i in range(step, a.shape[0], step):
-        out += a[i:i + step].T @ b[i:i + step]
-    return out
-
-
-def linear(x, w, b) -> Tensor:
-    """``x @ w + b``: a (n, k) matrix times a (k, m) matrix plus a bias
-    added to every row, as one node.
-
-    Untracked, it is exactly ``x @ w + b``. Tracked, the products run in
-    blocks that keep each one on a single BLAS thread, which may change
-    the last bits of the values and gradients.
-    """
-    x, w, b = _lift(x), _lift(w), _lift(b)
-    xd, wd, bd = x.data, w.data, b.data
-    if (xd.ndim != 2 or wd.ndim != 2 or bd.ndim != 1
-            or xd.shape[1] != wd.shape[0] or wd.shape[1] != bd.shape[0]):
-        raise ValueError(f"linear: incompatible shapes {xd.shape}, {wd.shape} and {bd.shape}")
-    if _single_tape((x, w, b)) is None:
-        return Tensor(xd @ wd + bd)
-    return record(_row_blocked(xd, wd) + bd,
-                  [(x, lambda g: _row_blocked(g, wd.T)), (w, lambda g: _inner_blocked(xd, g)),
-                   (b, lambda g: g.sum(axis=0))])
-
-
-def relu(a) -> Tensor:
-    # Subgradient 0 at the kink: the mask is strict.
-    a = _lift(a)
-    ad = a.data
-    return record(np.maximum(ad, 0.0), [(a, lambda g: g * (ad > 0.0))])
-
-
-def softmax_parts(z: Array, op: str) -> tuple[Array, Array, Array]:
+def softmax_parts(z: Array, op: str, out: tuple[Array, Array] | None = None
+                  ) -> tuple[Array, Array, Array]:
     """(s, shifted, total) of a finite logit matrix: the row softmax, the
     logits less their row max (none is exponentiated above 0) and the row
-    sums of their exponentials, so log s = shifted - log(total) exactly."""
+    sums of their exponentials, so log s = shifted - log(total) exactly.
+
+    ``out`` is an optional (s, shifted) pair of arrays of z's shape to
+    write into; shifted may be z itself.
+    """
     if not np.all(np.isfinite(z)):
         raise NonFiniteError(f"{op}: non-finite logit")
-    shifted = z - z.max(axis=1, keepdims=True)
-    s = np.exp(shifted)
+    s_out, shifted_out = (None, None) if out is None else out
+    shifted = np.subtract(z, z.max(axis=1, keepdims=True), out=shifted_out)
+    s = np.exp(shifted, out=s_out)
     total = s.sum(axis=1, keepdims=True)
     s /= total  # in place, so keeping shifted adds no matrix to peak memory
     return s, shifted, total
-
-
-def softmax_rows(logits) -> Tensor:
-    """Row-wise stabilized softmax of a logit matrix."""
-    z = _lift(logits)
-    zd = z.data
-    if zd.ndim != 2:
-        raise ValueError(f"softmax_rows: expected a matrix, got shape {zd.shape}")
-    s = softmax_parts(zd, "softmax_rows")[0]
-    return record(s, [(z, lambda g: s * (g - (g * s).sum(axis=1, keepdims=True)))])
-
-
-def take_rows(m, indices) -> Tensor:
-    """Gather the rows of a matrix at strictly increasing indices.
-
-    No row repeats, so the pullback assigns each row's gradient instead
-    of accumulating it.
-    """
-    m = _lift(m)
-    md = m.data
-    idx = np.asarray(indices, dtype=np.intp)
-    if md.ndim != 2 or idx.ndim != 1:
-        raise ValueError(f"take_rows: expected matrix and index vector, got {md.shape} and {idx.shape}")
-    if idx.size and (idx[0] < 0 or idx[-1] >= md.shape[0] or np.any(idx[1:] <= idx[:-1])):
-        raise ValueError(f"take_rows: indices must increase strictly within 0..{md.shape[0] - 1}")
-
-    def pull(g: Array) -> Array:
-        out = np.zeros(md.shape)
-        out[idx] = g
-        return out
-
-    return record(md[idx], [(m, pull)])
 
 
 def weighted_sum(terms, coefs) -> Tensor:
@@ -265,8 +181,8 @@ def weighted_sum(terms, coefs) -> Tensor:
     total = 0.0
     for t, c in zip(terms, coefs):
         total += float(np.sum(c * t.data))
-    return record(total, [(t, lambda g, c=c, shape=t.data.shape: np.broadcast_to(g * c, shape))
-                          for t, c in zip(terms, coefs)])
+    return record(total, lambda g: [np.broadcast_to(g * c, t.data.shape)
+                                    for t, c in zip(terms, coefs)], terms)
 
 
 def grad_check(fn, *points, eps: float = 1e-5) -> float:

@@ -318,6 +318,8 @@ def load_dataset(path) -> LabeledDataset:
         input_dim, num_ages = meta["input_dim"], meta["num_ages"]
         if not all(type(v) is int and v >= 1 for v in (input_dim, num_ages)):
             raise ValueError("input_dim and num_ages must be positive JSON integers")
+    except OSError as exc:  # e.g. a directory in its place
+        raise DatasetError(f"cannot read metadata sidecar {meta_path}: {exc.strerror or exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise DatasetError(f"metadata sidecar {meta_path} must be JSON defining "
                            "input_dim and num_ages as positive integers") from exc
@@ -326,6 +328,8 @@ def load_dataset(path) -> LabeledDataset:
         lines = path.read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise DatasetError(f"{path}: byte {exc.start} is not UTF-8 text") from exc
+    except OSError as exc:
+        raise DatasetError(f"cannot read dataset file {path}: {exc.strerror or exc}") from exc
     if not lines:
         raise DatasetError(f"empty dataset file: {path}")
     header = lines[0].split(",")

@@ -1,10 +1,13 @@
 """Training losses over batches of logits, distributions and features.
 
-Every loss takes one row per sample (or per pair or triplet) and returns
-one tape node with a closed-form pullback, so a term costs one node
-however many rows it covers. The log-domain terms (``ce_sum``,
-``kld_mean``) take logits and work in log-probabilities by log-sum-exp,
-so they are exact, with no probability floor, for any finite logits.
+Every loss takes one row per sample (or per pair or triplet). Its math
+is one plain function of the row blocks (``ce_rows`` ... ``triplet_rows``)
+that returns the value and a closed-form pullback; the named loss
+(``ce_sum`` ... ``triplet_mean``) records that pair as one tape node, and
+the fused train step calls the same functions on its stacked rows. The
+log-domain terms (``ce_sum``, ``kld_mean``) take logits and work in
+log-probabilities by log-sum-exp, so they are exact, with no
+probability floor, for any finite logits.
 The probability-domain terms (``mean_variance``, ``triplet_mean``) take
 softmax distributions, and ``cosine_mean`` takes features. The
 supervised terms (``ce_sum``, ``mean_variance`` and its two halves
@@ -101,6 +104,27 @@ def _checked_ages(ages, rows: int, num_ages: int) -> np.ndarray:
     return ages
 
 
+# Each term is a plain function of its row blocks that returns (value,
+# pull); pull maps the gradient of the value to the gradients of the
+# blocks. The tape nodes below record them one at a time, and the fused
+# train step (``training.build_batch_loss``) calls the same functions on
+# its stacked forward's rows.
+
+def ce_rows(s, shifted, total, ages):
+    """Summed cross-entropy -log s_y of rows given by their
+    ``softmax_parts``, as (value, pull); pull gives the logits' gradient."""
+    ages = _checked_ages(ages, *s.shape)
+    rows, cols = np.arange(len(ages)), ages - 1
+
+    def pull(g):
+        d = s.copy()
+        d[rows, cols] -= 1.0
+        return [g * d]
+
+    log_s_y = shifted[rows, cols] - np.log(total[:, 0])
+    return -log_s_y.sum(), pull
+
+
 def ce_sum(logits, ages) -> Tensor:
     """Summed cross-entropy -log s_y over the rows of a logit matrix.
 
@@ -109,17 +133,23 @@ def ce_sum(logits, ages) -> Tensor:
     loss and the gradient s - onehot(y).
     """
     (z,) = _rows(logits)
-    ages = _checked_ages(ages, *z.data.shape)
-    s, shifted, total = ad.softmax_parts(z.data, "ce_sum")
-    rows, cols = np.arange(len(ages)), ages - 1
+    return ad.record(*ce_rows(*ad.softmax_parts(z.data, "ce_sum"), ages), [z])
+
+
+def mean_variance_rows(s, ages):
+    """The (2,) value of ``mean_variance`` over distribution rows, and its pull."""
+    labels = np.arange(1, s.shape[1] + 1, dtype=np.float64)
+    ages = _checked_ages(ages, *s.shape).astype(np.float64)
+    mu = s @ labels
+    diff = mu - ages
+    second = s @ (labels * labels)
+    value = np.array([0.5 * (diff * diff).sum(), (second - mu * mu).sum()])
 
     def pull(g):
-        d = s.copy()
-        d[rows, cols] -= 1.0
-        return g * d
+        return [g[0] * diff[:, None] * labels
+                + g[1] * (labels * labels - 2.0 * mu[:, None] * labels)]
 
-    log_s_y = shifted[rows, cols] - np.log(total[:, 0])
-    return ad.record(-log_s_y.sum(), [(z, pull)])
+    return value, pull
 
 
 def mean_variance(s_rows, ages) -> Tensor:
@@ -131,19 +161,7 @@ def mean_variance(s_rows, ages) -> Tensor:
     mean_i)^2 on the simplex that softmax rows satisfy by construction.
     """
     (s,) = _rows(s_rows)
-    sd = s.data
-    labels = np.arange(1, sd.shape[1] + 1, dtype=np.float64)
-    ages = _checked_ages(ages, *sd.shape).astype(np.float64)
-    mu = sd @ labels
-    diff = mu - ages
-    second = sd @ (labels * labels)
-    value = [0.5 * (diff * diff).sum(), (second - mu * mu).sum()]
-
-    def pull(g):
-        return (g[0] * diff[:, None] * labels
-                + g[1] * (labels * labels - 2.0 * mu[:, None] * labels))
-
-    return ad.record(value, [(s, pull)])
+    return ad.record(*mean_variance_rows(s.data, ages), [s])
 
 
 def mean_sum(s_rows, ages) -> Tensor:
@@ -159,11 +177,8 @@ def variance_sum(s_rows) -> Tensor:
     return ad.weighted_sum([mean_variance(s_rows, ones)], [(0.0, 1.0)])
 
 
-def cosine_mean(f_anchor, f_pos) -> Tensor:
-    """Mean cosine embedding loss 1 - cos(f_a, f_p) over row pairs: zero
-    iff the features are positive scalar multiples, 2 when antiparallel."""
-    fa_t, fp_t = _rows(f_anchor, f_pos)
-    fa, fp = fa_t.data, fp_t.data
+def cosine_rows(fa, fp):
+    """``cosine_mean`` of two feature row blocks, as (value, pull)."""
     # Squared norms are floored at NORM_FLOOR**2 before the sqrt, so a dead
     # (all-zero) feature row neither divides by zero nor feeds nan into the
     # gradient; the floored norm passes no gradient, and every row with
@@ -174,15 +189,38 @@ def cosine_mean(f_anchor, f_pos) -> Tensor:
     cos = (fa * fp).sum(axis=1) / (na * nb)
     scale = 1.0 / fa.shape[0]
 
-    def pull_a(g):
-        return -g * scale * (fp / (na * nb)[:, None]
-                             - (cos * (sq_a > floor) / (na * na))[:, None] * fa)
+    def pull(g):
+        return [-g * scale * (fp / (na * nb)[:, None]
+                              - (cos * (sq_a > floor) / (na * na))[:, None] * fa),
+                -g * scale * (fa / (na * nb)[:, None]
+                              - (cos * (sq_p > floor) / (nb * nb))[:, None] * fp)]
 
-    def pull_p(g):
-        return -g * scale * (fa / (na * nb)[:, None]
-                             - (cos * (sq_p > floor) / (nb * nb))[:, None] * fp)
+    return (1.0 - cos).sum() * scale, pull
 
-    return ad.record((1.0 - cos).sum() * scale, [(fa_t, pull_a), (fp_t, pull_p)])
+
+def cosine_mean(f_anchor, f_pos) -> Tensor:
+    """Mean cosine embedding loss 1 - cos(f_a, f_p) over row pairs: zero
+    iff the features are positive scalar multiples, 2 when antiparallel."""
+    fa, fp = _rows(f_anchor, f_pos)
+    return ad.record(*cosine_rows(fa.data, fp.data), [fa, fp])
+
+
+def kld_rows(parts_a, parts_p):
+    """``kld_mean`` of two row blocks given by their ``softmax_parts``, as
+    (value, pull); pull gives the two logit blocks' gradients."""
+    s_a, shifted_a, total_a = parts_a
+    s_p, shifted_p, total_p = parts_p
+    d = (shifted_p - np.log(total_p)) - (shifted_a - np.log(total_a))  # log s_p - log s_a
+    per_row = (s_p * d).sum(axis=1)
+    rows, cols = s_a.shape
+    scale = 1.0 / (cols * rows)
+    mass = s_p.sum(axis=1, keepdims=True)  # 1 up to rounding
+
+    def pull(g):
+        return [g * scale * (s_a * mass - s_p),
+                g * scale * s_p * (d - per_row[:, None] + 1.0 - mass)]
+
+    return (per_row * (1.0 / cols)).sum() * (1.0 / rows), pull
 
 
 def kld_mean(z_anchor, z_pos) -> Tensor:
@@ -191,40 +229,33 @@ def kld_mean(z_anchor, z_pos) -> Tensor:
     matrices. The log-probabilities come from log-sum-exp, so the
     divergence is exact and finite for any finite logits."""
     za, zp = _rows(z_anchor, z_pos)
-    s_a, shifted_a, total_a = ad.softmax_parts(za.data, "kld_mean")
-    s_p, shifted_p, total_p = ad.softmax_parts(zp.data, "kld_mean")
-    d = (shifted_p - np.log(total_p)) - (shifted_a - np.log(total_a))  # log s_p - log s_a
-    per_row = (s_p * d).sum(axis=1)
-    scale = 1.0 / (za.data.shape[1] * za.data.shape[0])
-    mass = s_p.sum(axis=1, keepdims=True)  # 1 up to rounding
+    return ad.record(*kld_rows(ad.softmax_parts(za.data, "kld_mean"),
+                                     ad.softmax_parts(zp.data, "kld_mean")), [za, zp])
 
-    def pull_a(g):
-        return g * scale * (s_a * mass - s_p)
 
-    def pull_p(g):
-        return g * scale * s_p * (d - per_row[:, None] + 1.0 - mass)
+def triplet_rows(s_a, s_p, s_n, alpha: float):
+    """``triplet_mean`` of three distribution row blocks, as (value, pull)."""
+    if not np.isfinite(alpha) or alpha < 0:
+        raise ValueError(f"triplet_mean: alpha must be finite and >= 0, got {alpha}")
+    dp = s_a - s_p
+    dn = s_a - s_n
+    gap = (dp * dp).sum(axis=1) - (dn * dn).sum(axis=1) + float(alpha)
+    scale = 1.0 / dp.shape[0]
+    # Subgradient 0 at the kink: only strictly positive hinges pass gradient.
+    active = (gap > 0.0)[:, None] * (2.0 * scale)
 
-    value = (per_row * (1.0 / za.data.shape[1])).sum() * (1.0 / za.data.shape[0])
-    return ad.record(value, [(za, pull_a), (zp, pull_p)])
+    def pull(g):
+        return [g * active * (dp - dn), -g * active * dp, g * active * dn]
+
+    return np.maximum(gap, 0.0).sum() * scale, pull
 
 
 def triplet_mean(s_a, s_p, s_n, alpha: float) -> Tensor:
     """Mean hinge on squared distances between age distributions:
     max(||s_a - s_p||^2 - ||s_a - s_n||^2 + alpha, 0) per row triplet.
     """
-    if not np.isfinite(alpha) or alpha < 0:
-        raise ValueError(f"triplet_mean: alpha must be finite and >= 0, got {alpha}")
     ta, tp, tn = _rows(s_a, s_p, s_n)
-    dp = ta.data - tp.data
-    dn = ta.data - tn.data
-    gap = (dp * dp).sum(axis=1) - (dn * dn).sum(axis=1) + float(alpha)
-    scale = 1.0 / dp.shape[0]
-    # Subgradient 0 at the kink: only strictly positive hinges pass gradient.
-    active = (gap > 0.0)[:, None] * (2.0 * scale)
-    return ad.record(np.maximum(gap, 0.0).sum() * scale,
-                     [(ta, lambda g: g * active * (dp - dn)),
-                      (tp, lambda g: -g * active * dp),
-                      (tn, lambda g: g * active * dn)])
+    return ad.record(*triplet_rows(ta.data, tp.data, tn.data, alpha), [ta, tp, tn])
 
 
 def _scalar(x) -> float:

@@ -4,19 +4,23 @@ The extractor maps an input vector through relu layers to a feature
 vector f (post-activation of the last extractor layer); a final fully
 connected layer maps f to one logit per age label, and softmax turns the
 logits into an age distribution s. The age estimate is the mean of s.
-Each layer is one ``linear`` node on the tape.
+
+A model's weights and biases are views into one float64 vector
+(``Model.flat``), so an optimizer step is one update over one array.
+``forward_batch`` is the plain forward that evaluation runs; a train
+step runs its own stacked forward and its reverse inside one tape node
+(``training.build_batch_loss``).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Array, Tape, Tensor
+from .autodiff import Array, Tape, softmax_parts
 from .errors import ConfigError
 
 CHECKPOINT_FORMAT = "agecontrast-checkpoint-v1"
@@ -32,10 +36,11 @@ class ModelConfig:
     num_ages: int
 
     def __post_init__(self):
-        # Coerced, so a config read back from JSON equals the one saved.
+        # Coerced to int, so a config read back from JSON equals the one saved.
         for name in ("input_dim", "feature_dim", "num_ages"):
-            object.__setattr__(self, name, int(getattr(self, name)))
-        object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
+            object.__setattr__(self, name, integral(f"ModelConfig: {name}", getattr(self, name)))
+        object.__setattr__(self, "hidden_widths", tuple(
+            integral("ModelConfig: hidden_widths", w) for w in self.hidden_widths))
         for d in self.layer_dims:
             if d < 1:
                 raise ValueError(f"ModelConfig: all dimensions must be >= 1, got {self.layer_dims}")
@@ -44,6 +49,30 @@ class ModelConfig:
     def layer_dims(self) -> list[int]:
         return [self.input_dim, *self.hidden_widths, self.feature_dim, self.num_ages]
 
+    @property
+    def param_shapes(self) -> list[tuple[int, ...]]:
+        """Shapes of the parameters in ``Model.parameters()`` order."""
+        dims = self.layer_dims
+        return [shape for fan_in, fan_out in zip(dims[:-1], dims[1:])
+                for shape in ((fan_in, fan_out), (fan_out,))]
+
+    def param_views(self, vec: Array) -> list[Array]:
+        """Views of a vector laid out like ``Model.flat``, one per parameter."""
+        views, start = [], 0
+        for shape in self.param_shapes:
+            size = int(np.prod(shape))
+            views.append(vec[start:start + size].reshape(shape))
+            start += size
+        return views
+
+
+def integral(name: str, value) -> int:
+    """value as an int: a Python or numpy integer; a bool or any other
+    value, such as a float, is a ValueError rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
 
 @dataclass
 class Model:
@@ -51,12 +80,26 @@ class Model:
 
     The last pair is the age head; every earlier pair belongs to the
     extractor and is followed by relu. The parameters are numpy arrays,
-    or Tensors in the model that ``track`` returns.
+    or Tensors in the model that ``track`` returns. Arrays are copied
+    into one new vector ``flat`` and replaced by views of it, in
+    ``parameters()`` order; a model of Tensors has no ``flat``.
     """
 
     config: ModelConfig
     weights: list
     biases: list
+    flat: Array | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        params = self.parameters()
+        if all(isinstance(p, np.ndarray) for p in params):
+            shapes = [p.shape for p in params]
+            if shapes != self.config.param_shapes:
+                raise ValueError(f"Model: parameter shapes {shapes} do not match "
+                                 f"config {self.config.param_shapes}")
+            self.flat = np.concatenate([p.ravel() for p in params]).astype(np.float64, copy=False)
+            views = self.config.param_views(self.flat)
+            self.weights, self.biases = views[0::2], views[1::2]
 
     def parameters(self) -> list:
         """The live parameters, interleaved (w0, b0, w1, b1, ...)."""
@@ -76,7 +119,8 @@ class Model:
         return names
 
     def track(self, tape: Tape) -> "Model":
-        """The same model with every parameter registered on a tape."""
+        """The same model with every parameter registered on a tape; the
+        tracked values are the model's own arrays, not copies."""
         return Model(self.config, [tape.watch(w) for w in self.weights],
                      [tape.watch(b) for b in self.biases])
 
@@ -96,29 +140,26 @@ def init_model(config: ModelConfig, seed: int) -> Model:
     return Model(config, weights, biases)
 
 
-def forward_batch(model: Model, x_rows) -> tuple[Tensor, Tensor, Tensor]:
+def forward_batch(model: Model, x_rows) -> tuple[Array, Array, Array]:
     """Run a (batch, input_dim) matrix of inputs through the network.
 
     Returns (F, S, Z) row-wise: the extractor features, the softmax age
-    distributions and the logits they come from. All three are recorded
-    on the tape when the parameters are tracked; a single input is a
+    distributions and the logits they come from. A single input is a
     one-row matrix.
     """
-    xt = x_rows if isinstance(x_rows, Tensor) else Tensor(x_rows)
-    if xt.data.ndim != 2 or xt.data.shape[1] != model.config.input_dim:
+    h = np.asarray(x_rows, dtype=np.float64, order="C")
+    if h.ndim != 2 or h.shape[1] != model.config.input_dim:
         raise ValueError(
-            f"forward_batch: expected (n, {model.config.input_dim}) inputs, got shape {xt.data.shape}")
-    h = xt
+            f"forward_batch: expected (n, {model.config.input_dim}) inputs, got shape {h.shape}")
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        h = ad.relu(ad.linear(h, w, b))
-    logits = ad.linear(h, model.weights[-1], model.biases[-1])
-    return h, ad.softmax_rows(logits), logits
+        h = np.maximum(h @ w + b, 0.0)
+    logits = h @ model.weights[-1] + model.biases[-1]
+    return h, softmax_parts(logits, "softmax_rows")[0], logits
 
 
 def forward_values(model: Model, x_rows: Array) -> tuple[Array, Array]:
-    """``forward_batch`` of an untracked model, as (features, distributions) arrays."""
-    f, s, _ = forward_batch(model, x_rows)
-    return f.data, s.data
+    """The (features, distributions) of ``forward_batch``."""
+    return forward_batch(model, x_rows)[:2]
 
 
 def predict_ages(s_rows: Array) -> Array:
@@ -161,9 +202,7 @@ def load_model(path) -> Model:
         raise ValueError(f"load_model: malformed checkpoint {path}: {exc!r}") from exc
     if not all(np.isfinite(a).all() for a in arrays):
         raise ValueError(f"load_model: non-finite parameter value in {path}")
-    dims = config.layer_dims
-    expected = [shape for fan_in, fan_out in zip(dims[:-1], dims[1:])
-                for shape in ((fan_in, fan_out), (fan_out,))]
+    expected = config.param_shapes
     got = [a.shape for a in arrays]
     if got != expected:
         raise ValueError(f"load_model: parameter shapes {got} do not match config {expected}")

@@ -40,8 +40,12 @@ class CheckResult:
     detail: str = ""
 
 
+def _softmax(z: np.ndarray) -> np.ndarray:
+    return ad.softmax_parts(z, "selfcheck")[0]
+
+
 def _random_distributions(rng: np.random.Generator, batch: int, num_ages: int) -> np.ndarray:
-    return ad.softmax_rows(rng.normal(0.0, 1.0, (batch, num_ages))).data
+    return _softmax(rng.normal(0.0, 1.0, (batch, num_ages)))
 
 
 def _triplet_logits(rng: np.random.Generator, batch: int, num_ages: int, alpha: float):
@@ -50,7 +54,7 @@ def _triplet_logits(rng: np.random.Generator, batch: int, num_ages: int, alpha: 
     rows = []
     while len(rows) < batch:
         z = rng.normal(0.0, 1.0, (3, num_ages))
-        sa, sp, sn = ad.softmax_rows(z).data
+        sa, sp, sn = _softmax(z)
         gap = ((sa - sp) ** 2).sum() - ((sa - sn) ** 2).sum() + alpha
         if abs(gap) > KINK_MARGIN:
             rows.append(z)
@@ -79,21 +83,20 @@ def _loss_cases(rng: np.random.Generator):
     def case_triplet(batch):
         alpha = 0.2
         return (lambda s_a, s_p, s_n: triplet_mean(s_a, s_p, s_n, alpha),
-                [ad.softmax_rows(z).data for z in _triplet_logits(rng, batch, a, alpha)])
+                [_softmax(z) for z in _triplet_logits(rng, batch, a, alpha)])
 
     def case_kld(batch):
         return kld_mean, list(rng.normal(0.0, 1.0, (2, batch, a)))
 
     def case_total(batch):
-        # All five terms over the blocks (z_a, z_p, z_n, f_a, f_p), the
-        # distributions taken through softmax_rows.
+        # All five terms over the blocks (z_a, s_a, s_p, s_n, f_a, f_p), the
+        # distributions the softmax of the triplet's logits.
         weights = LossWeights(lambda_c=10.0, lambda_t=1.0)
         ages = rng.integers(1, a + 1, batch)
-        blocks = _triplet_logits(rng, batch, a, weights.alpha) + list(
-            rng.normal(0.0, 1.0, (2, batch, d)))
+        logits = _triplet_logits(rng, batch, a, weights.alpha)
+        blocks = [logits[0], *map(_softmax, logits), *rng.normal(0.0, 1.0, (2, batch, d))]
 
-        def fn(z_a, z_p, z_n, f_a, f_p):
-            s_a, s_p, s_n = (ad.softmax_rows(z) for z in (z_a, z_p, z_n))
+        def fn(z_a, s_a, s_p, s_n, f_a, f_p):
             total, _ = total_loss(
                 ce_sum(z_a, ages), mean_sum(s_a, ages), variance_sum(s_a),
                 cosine_mean(f_a, f_p), triplet_mean(s_a, s_p, s_n, weights.alpha), weights)

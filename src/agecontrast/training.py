@@ -2,11 +2,15 @@
 
 One epoch passes every sample as anchor once. For each batch the anchors
 (and, when contrastive weights are active, their positives/negatives)
-run through the network in one tracked stacked forward; each loss term
-is one fused tape node over its row blocks and the weighted total is one
-more. The total backpropagates through the tape and Adam updates the
-parameters in place. Everything is deterministic per (dataset, config):
-epoch e samples with child e of the config seed's ``SeedSequence``.
+run through the network in one stacked forward, and the weighted
+objective is one tape node whose operands are the parameter arrays. Its
+pullback scatters each loss term's row-block gradients (``losses``) into
+the stacked rows and runs the softmax, head and relu layers backwards
+into one gradient vector laid out like ``Model.flat``; Adam then makes
+one update over the parameter vector. A step writes every large array
+into ``StepBuffers`` that the ``train()`` call allocates once.
+Everything is deterministic per (dataset, config): epoch e samples with
+child e of the config seed's ``SeedSequence``.
 """
 
 from __future__ import annotations
@@ -16,12 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Array, Tape
+from .autodiff import Array, Tape, Tensor
 from .data import LabeledDataset, TripletBatch, has_triplet_negatives, iter_epoch_batches
-from .errors import IncompatibleDataError, NonFiniteError, OptimizationError
-from .losses import (LossBreakdown, LossWeights, ce_sum, cosine_mean, kld_mean,
-                     mean_variance, total_loss, triplet_mean)
-from .model import Model, ModelConfig, forward_batch, init_model
+from .errors import ConfigError, IncompatibleDataError, NonFiniteError, OptimizationError
+from .losses import (LossBreakdown, LossWeights, ce_rows, cosine_rows, kld_rows,
+                     mean_variance_rows, total_loss, triplet_rows)
+from .model import Model, ModelConfig, init_model, integral
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -47,7 +51,9 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
+        object.__setattr__(self, "hidden_widths", tuple(
+            integral("hidden_widths", w) for w in self.hidden_widths))
+        object.__setattr__(self, "feature_dim", integral("feature_dim", self.feature_dim))
 
     def model_config(self, ds: LabeledDataset) -> ModelConfig:
         """The network this config trains on ds; rejects widths below 1."""
@@ -56,56 +62,127 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators aligned with Model.parameters()."""
+    """First/second moment vectors aligned with ``Model.flat``, and two
+    scratch vectors of that size, so an update allocates no array."""
 
-    m: list[Array]
-    v: list[Array]
+    m: Array
+    v: Array
     step: int = 0
+    scratch: tuple[Array, Array] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
     @classmethod
     def for_model(cls, model: Model) -> "AdamState":
-        params = model.parameters()
-        return cls([np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params])
+        return cls(np.zeros_like(model.flat), np.zeros_like(model.flat))
 
 
-def adam_step(model: Model, grads: list[Array], state: AdamState,
+def adam_step(model: Model, grad: Array, state: AdamState,
               cfg: TrainConfig) -> tuple[Model, AdamState]:
-    """Standard Adam update with bias correction; parameters update in place."""
-    params = model.parameters()
-    if len(grads) != len(params):
-        raise ValueError(f"adam_step: {len(grads)} gradients for {len(params)} parameters")
-    names = model.param_names()
+    """Standard Adam update with bias correction of ``model.flat`` in
+    place, from a gradient vector laid out like it."""
+    p, grad = model.flat, np.asarray(grad)
+    if grad.shape != p.shape:
+        raise ValueError(f"adam_step: {grad.size} gradients for {p.size} parameters")
     state.step += 1
     t = state.step
+    finite = np.isfinite(grad)
+    if not finite.all():
+        ends = np.cumsum([np.prod(shape) for shape in model.config.param_shapes])
+        name = model.param_names()[int(np.searchsorted(ends, np.argmin(finite), side="right"))]
+        raise OptimizationError(f"non-finite gradient for {name} at step {t}")
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if g.shape != p.shape:
-            raise ValueError(f"adam_step: gradient shape {g.shape} != {p.shape} for {names[i]}")
-        if not np.all(np.isfinite(g)):
-            raise OptimizationError(f"non-finite gradient for {names[i]} at step {t}")
-        m, v = state.m[i], state.v[i]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    m, v = state.m, state.v
+    step, root = state.scratch
+    m *= b1
+    m += np.multiply(grad, 1.0 - b1, out=step)
+    v *= b2
+    np.multiply(grad, grad, out=step)
+    v += np.multiply(step, 1.0 - b2, out=step)
+    # lr * m_hat / (sqrt(v_hat) + eps)
+    np.divide(m, 1.0 - b1 ** t, out=step)
+    step *= cfg.learning_rate
+    np.sqrt(np.divide(v, 1.0 - b2 ** t, out=root), out=root)
+    root += ADAM_EPS
+    step /= root
+    p -= step
     return model, state
 
 
 # ---------------------------------------------------------------------------
-# Batched loss composition
+# The train step as one tape node
 
-def build_batch_loss(params: Model, ds: LabeledDataset,
-                     batch: TripletBatch, weights: LossWeights):
-    """Forward the batch once and compose the weighted loss.
+# OpenBLAS runs a matrix product on one thread when M*N*K <= 2**18 and
+# wakes its thread pool above that. At a train step's sizes the pool
+# costs more than it saves, and the worker processes of a sweep (one per
+# core) then oversubscribe the cores: on 2 vCPUs with OpenBLAS 0.3.31,
+# `sweep --loss-sets --jobs 2` ran twice as long with one stacked product.
+# So the products of a train step run in blocks that each stay under the
+# limit.
+_ONE_THREAD_MNK = 2 ** 18
+
+
+def _block_rows(inner: int, outer: int) -> int:
+    return max(1, _ONE_THREAD_MNK // max(1, inner * outer))
+
+
+def _row_blocked(a: Array, b: Array, out: Array) -> Array:
+    """``a @ b`` into out, computed over blocks of rows of ``a``."""
+    step = _block_rows(*b.shape)
+    for i in range(0, a.shape[0], step):
+        np.matmul(a[i:i + step], b, out=out[i:i + step])
+    return out
+
+
+def _inner_blocked(a: Array, b: Array, out: Array, scratch: Array) -> Array:
+    """``a.T @ b`` into out, summed over blocks of the shared row
+    dimension; scratch is an array of out's shape."""
+    step = _block_rows(a.shape[1], b.shape[1])
+    np.matmul(a[:step].T, b[:step], out=out)
+    for i in range(step, a.shape[0], step):
+        out += np.matmul(a[i:i + step].T, b[i:i + step], out=scratch)
+    return out
+
+
+class StepBuffers:
+    """Every large array of a train step over up to ``rows`` stacked rows.
+
+    A step gathers its input rows into ``x`` and keeps each relu layer's
+    output, the logits (shifted in place by their row max) and the
+    softmax; its pullback writes their gradients, and the parameter
+    gradients into ``grad``, laid out like ``Model.flat``. Freed after
+    every step, these arrays of about 100 KB were handed back to the OS
+    and faulted in again by the next step.
+    """
+
+    def __init__(self, config: ModelConfig, rows: int):
+        dims = config.layer_dims
+        hidden, ages = dims[1:-1], dims[-1]
+        self.x = np.empty((rows, dims[0]))
+        self.acts = [np.empty((rows, d)) for d in hidden]
+        self.act_grads = [np.empty((rows, d)) for d in hidden]
+        self.mask = np.empty((rows, max(hidden)), dtype=bool)
+        self.shifted, self.s, self.s_grad, self.z_grad = (np.empty((rows, ages)) for _ in range(4))
+        self.grad = np.empty(sum(int(np.prod(shape)) for shape in config.param_shapes))
+        self.param_grads = config.param_views(self.grad)
+        self.scratch = np.empty(max(i * o for i, o in zip(dims[:-1], dims[1:])))
+
+
+def build_batch_loss(params: Model, ds: LabeledDataset, batch: TripletBatch,
+                     weights: LossWeights, buffers: StepBuffers | None = None):
+    """The weighted loss of a batch as one tape node over the parameters.
 
     The anchors, then the positives and the negatives the active terms
     use, run through one stacked forward; each term reads its row blocks
     from it. Anchors receive the supervised terms; contrastive terms only
-    cover triplet slots whose candidates existed. Returns (total,
-    LossBreakdown); total is a tracked scalar when params are.
+    cover triplet slots whose candidates existed. The node's operands
+    are the parameters in ``parameters()`` order. Its pullback scatters
+    the terms' block gradients into the stacked rows and runs the
+    forward backwards. Forward and pullback write into ``buffers`` (a
+    fresh set for this batch when None), so backward the node before the
+    buffers serve another batch. Returns (total, LossBreakdown); total
+    is a tracked scalar when params are.
     """
     a = batch.a
     num_a = len(a)
@@ -115,45 +192,90 @@ def build_batch_loss(params: Model, ds: LabeledDataset,
     trip = np.flatnonzero(batch.n[pos] >= 0) if weights.lambda_t > 0 else empty
     num_p = len(pos)
     rows = np.concatenate([a, batch.p[pos], batch.n[pos[trip]]])
-    f, s, z = forward_batch(params, ds.inputs[rows])
+    n = len(rows)
+    buf = StepBuffers(params.config, n) if buffers is None else buffers
+    leaves = [p if isinstance(p, Tensor) else Tensor(p) for p in params.parameters()]
+    ws, bs = [t.data for t in leaves[0::2]], [t.data for t in leaves[1::2]]
 
-    def anchor_block(t):
-        return t if len(rows) == num_a else ad.take_rows(t, np.arange(num_a))
+    if rows.min() < 0 or rows.max() >= len(ds):
+        raise IndexError(f"batch row index out of range 0..{len(ds) - 1}")
+    # Checked above: mode="raise" would gather through a temporary copy.
+    acts = [np.take(ds.inputs, rows, axis=0, out=buf.x[:n], mode="clip")]
+    for w, b, out in zip(ws[:-1], bs[:-1], buf.acts):
+        h = _row_blocked(acts[-1], w, out[:n])
+        h += b
+        acts.append(np.maximum(h, 0.0, out=h))
+    z = _row_blocked(acts[-1], ws[-1], buf.shifted[:n])
+    z += bs[-1]
+    s, shifted, total = ad.softmax_parts(z, "softmax_rows", out=(buf.s[:n], z))
 
     ages = ds.ages[a]
     scale = 1.0 / num_a
-    ce = ce_sum(anchor_block(z), ages)
-    terms, coefs = [ce], [scale]
-    l_m = l_v = l_c = l_t = 0.0
+    anchors, pairs, negatives = slice(0, num_a), slice(num_a, num_a + num_p), slice(num_a + num_p, n)
+    f = acts[-1]
+    # Per active term: its coefficient, its (value, pull) and where each
+    # of its row blocks sits among the stacked logits, softmax or features.
+    terms = {"ce": (scale, *ce_rows(s[anchors], shifted[anchors], total[anchors], ages),
+                    [("z", anchors)])}
     if weights.lambda_m > 0 or weights.lambda_v > 0:
-        mv = mean_variance(anchor_block(s), ages)
-        terms.append(mv)
-        coefs.append((scale * weights.lambda_m, scale * weights.lambda_v))
-        if weights.lambda_m > 0:
-            l_m = float(mv.data[0]) * scale
-        if weights.lambda_v > 0:
-            l_v = float(mv.data[1]) * scale
-
+        terms["mv"] = ((scale * weights.lambda_m, scale * weights.lambda_v),
+                       *mean_variance_rows(s[anchors], ages), [("s", anchors)])
     if weights.lambda_c > 0 and num_p:
-        pair_rows = num_a + np.arange(num_p)
         if weights.pair_loss == "cosine":
-            pair = cosine_mean(ad.take_rows(f, pos), ad.take_rows(f, pair_rows))
+            terms["pair"] = (weights.lambda_c, *cosine_rows(f[pos], f[pairs]),
+                             [("f", pos), ("f", pairs)])
         else:
-            pair = kld_mean(ad.take_rows(z, pos), ad.take_rows(z, pair_rows))
-        terms.append(pair)
-        coefs.append(weights.lambda_c)
-        l_c = pair.item()
-
+            terms["pair"] = (weights.lambda_c, *kld_rows((s[pos], shifted[pos], total[pos]),
+                                                         (s[pairs], shifted[pairs], total[pairs])),
+                             [("z", pos), ("z", pairs)])
     if weights.lambda_t > 0 and len(trip):
-        hinge = triplet_mean(ad.take_rows(s, pos[trip]), ad.take_rows(s, num_a + trip),
-                             ad.take_rows(s, num_a + num_p + np.arange(len(trip))),
-                             weights.alpha)
-        terms.append(hinge)
-        coefs.append(weights.lambda_t)
-        l_t = hinge.item()
+        terms["hinge"] = (weights.lambda_t, *triplet_rows(s[pos[trip]], s[num_a + trip],
+                                                          s[negatives], weights.alpha),
+                          [("s", pos[trip]), ("s", num_a + trip), ("s", negatives)])
+    values = {name: term[1] for name, term in terms.items()}
+    total_value = ad.weighted_sum(list(values.values()), [t[0] for t in terms.values()]).item()
 
-    total = ad.weighted_sum(terms, coefs)
-    return total, LossBreakdown(ce.item() * scale, l_m, l_v, l_c, l_t, total.item())
+    def pullback(g):
+        gz, gs = buf.z_grad[:n], buf.s_grad[:n]
+        gz.fill(0.0)
+        gs.fill(0.0)
+        into, f_grads = {"z": gz, "s": gs}, []
+        # No stacked element gets more than two block gradients (an anchor's
+        # supervised term and its pair or hinge term), and a sum of two
+        # does not depend on their order, so this matches a tape of one
+        # node per term and one gather per block bit for bit.
+        for coef, _, pull, blocks in terms.values():
+            for (dest, rows_of), d in zip(blocks, pull(g * np.asarray(coef))):
+                if dest == "f":
+                    f_grads.append((rows_of, d))  # added after the head's pullback
+                else:
+                    into[dest][rows_of] += d
+        if "mv" in terms or "hinge" in terms:
+            # The softmax pullback s * (gs - rowsum(gs * s)); shifted is free now.
+            gs -= np.multiply(gs, s, out=shifted).sum(axis=1, keepdims=True)
+            gs *= s
+            gz += gs
+
+        grads, g_out = buf.param_grads, gz
+        for layer in range(len(ws) - 1, -1, -1):
+            h_in, gw = acts[layer], grads[2 * layer]
+            _inner_blocked(h_in, g_out, gw, buf.scratch[:gw.size].reshape(gw.shape))
+            np.sum(g_out, axis=0, out=grads[2 * layer + 1])
+            if layer == 0:
+                break
+            g_in = _row_blocked(g_out, ws[layer].T, buf.act_grads[layer - 1][:n])
+            for rows_of, d in f_grads if layer == len(ws) - 1 else ():
+                g_in[rows_of] += d
+            g_out = np.multiply(g_in, np.greater(h_in, 0.0, out=buf.mask[:n, :h_in.shape[1]]),
+                                out=g_in)
+        return grads
+
+    breakdown = LossBreakdown(
+        float(values["ce"]) * scale,
+        float(values["mv"][0]) * scale if weights.lambda_m > 0 else 0.0,
+        float(values["mv"][1]) * scale if weights.lambda_v > 0 else 0.0,
+        float(values.get("pair", 0.0)), float(values.get("hinge", 0.0)), total_value)
+    return ad.record(total_value, pullback, leaves), breakdown
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +288,18 @@ def train(ds: LabeledDataset, cfg: TrainConfig) -> tuple[Model, list[LossBreakdo
         raise IncompatibleDataError(
             "triplet margin loss is active but no anchor has a valid negative "
             "(single identity or single age): dataset is protocol-incompatible")
-    model = init_model(cfg.model_config(ds), cfg.seed)
-    state = AdamState.for_model(model)
+    config = cfg.model_config(ds)
+    # A batch stacks at most its anchors, their positives and their
+    # negatives. The step's arrays come before the model that outlives
+    # the call, so their freed memory lies below it and serves the next
+    # call instead of going back to the OS at the top of the heap.
+    try:
+        buffers = StepBuffers(config, 3 * min(cfg.batch_size, len(ds)))
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"cannot allocate a model with layer dimensions "
+                          f"{config.layer_dims} and its train step: {exc}") from exc
+    state = AdamState(np.zeros_like(buffers.grad), np.zeros_like(buffers.grad))
+    model = init_model(config, cfg.seed)
     history: list[LossBreakdown] = []
     for epoch in range(cfg.epochs):
         # Child `epoch` of SeedSequence(cfg.seed).spawn, without spawning every epoch first.
@@ -175,7 +307,7 @@ def train(ds: LabeledDataset, cfg: TrainConfig) -> tuple[Model, list[LossBreakdo
         sums = np.zeros(5)
         batches = 0
         for batch in iter_epoch_batches(ds, cfg.batch_size, rng):
-            breakdown = _train_step(model, state, ds, batch, cfg)
+            breakdown = _train_step(model, state, ds, batch, cfg, buffers)
             sums += [breakdown.l_s, breakdown.l_m, breakdown.l_v, breakdown.l_c, breakdown.l_t]
             batches += 1
         means = sums / batches
@@ -184,15 +316,14 @@ def train(ds: LabeledDataset, cfg: TrainConfig) -> tuple[Model, list[LossBreakdo
     return model, history
 
 
-def _train_step(model: Model, state: AdamState, ds: LabeledDataset,
-                batch: TripletBatch, cfg: TrainConfig) -> LossBreakdown:
+def _train_step(model: Model, state: AdamState, ds: LabeledDataset, batch: TripletBatch,
+                cfg: TrainConfig, buffers: StepBuffers) -> LossBreakdown:
     tape = Tape()
     tracked = model.track(tape)
     try:
-        total, breakdown = build_batch_loss(tracked, ds, batch, cfg.weights)
+        total, breakdown = build_batch_loss(tracked, ds, batch, cfg.weights, buffers)
     except NonFiniteError as exc:
         raise OptimizationError(f"training diverged at step {state.step + 1}: {exc}") from exc
-    grad_map = tape.backward(total)
-    grads = [grad_map.get(t.node, np.zeros(t.shape)) for t in tracked.parameters()]
-    adam_step(model, grads, state, cfg)
+    tape.backward(total)  # the one node's pullback fills buffers.grad
+    adam_step(model, buffers.grad, state, cfg)
     return breakdown

@@ -151,6 +151,23 @@ class TestTrain:
                      "--out", str(out)]) == 2
         assert "error: metadata sidecar" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("which", ["csv", "sidecar"])
+    def test_directory_in_place_of_a_dataset_file_exits_2(self, tiny_dataset, tmp_path,
+                                                          capsys, which):
+        csv = tmp_path / "d.csv"
+        if which == "csv":
+            csv.mkdir()
+            tiny_dataset.with_name("dataset.meta.json").rename(tmp_path / "d.meta.json")
+        else:
+            tiny_dataset.rename(csv)
+            (tmp_path / "d.meta.json").mkdir()
+        out = tmp_path / "t"
+        out.mkdir()
+        assert main(["train", "--dataset", str(csv), "--epochs", "0", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        name = "dataset file" if which == "csv" else "metadata sidecar"
+        assert len(err) == 1 and err[0].startswith(f"error: cannot read {name}"), err
+
     def test_non_utf8_csv_exits_2(self, tiny_dataset, tmp_path, capsys):
         lines = tiny_dataset.read_bytes().split(b"\n")
         lines[1] = b"\xff\xfe" + lines[1]
@@ -682,8 +699,8 @@ def poison_gradient(out, xs):
     """out with its value kept and the tape gradient of every x in xs
     shifted by 0.01 per coordinate: a corrupted gradient for selfcheck
     to name."""
-    return ad.record(out.data, [(out, lambda g: g)] + [
-        (x, lambda g, shape=x.data.shape: np.full(shape, 0.01 * g)) for x in xs])
+    return ad.record(out.data, lambda g: [g] + [np.full(x.data.shape, 0.01 * g) for x in xs],
+                     [out, *xs])
 
 
 class TestSelfcheck:

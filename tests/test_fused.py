@@ -1,13 +1,17 @@
-"""Properties of the fused tape nodes a train step is made of.
+"""Properties of the fused tape nodes.
 
-Each node (``linear``, unique-index ``take_rows``, cross-entropy, the
-mean/variance pair, cosine, triplet hinge and KL) is checked three ways
-over random shapes: its value against the plain-numpy reference in
-``loss_reference``, its closed-form pullback against central finite
-differences, and that pullback against the gradient of the same formula
-composed from small tape primitives (``tape_ops``) where the composition
-is exact. The inputs reach logits of +-50, collapsed rows and all-zero
-feature rows; hinges are kept away from their kink.
+Each loss node (cross-entropy, the mean/variance pair, cosine, triplet
+hinge and KL), and the oracle's ``linear`` and unique-index
+``take_rows``, is checked three ways over random shapes: its value
+against the plain-numpy reference in ``loss_reference``, its
+closed-form pullback against central finite differences, and that
+pullback against the gradient of the same formula composed from small
+tape primitives (``tape_ops``) where the composition is exact. The
+inputs reach logits of +-50, collapsed rows and all-zero feature rows;
+hinges are kept away from their kink.
+
+The train step's one node (``build_batch_loss``) is checked bitwise
+against the same objective composed node by node from ``tape_ops``.
 """
 
 import hypothesis.extra.numpy as hnp
@@ -18,8 +22,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from agecontrast import autodiff as ad
 from agecontrast.autodiff import Tape, grad_check
-from agecontrast.losses import (NORM_FLOOR, ce_sum, cosine_mean, kld_mean, mean_variance,
-                                triplet_mean)
+from agecontrast.data import LabeledDataset, TripletBatch
+from agecontrast.losses import (NORM_FLOOR, LossWeights, ce_sum, cosine_mean, kld_mean,
+                                mean_variance, triplet_mean)
+from agecontrast.model import ModelConfig, init_model
+from agecontrast.training import StepBuffers, build_batch_loss
 
 import loss_reference as ref
 import tape_ops as ops
@@ -76,8 +83,8 @@ def test_linear(data):
     m = data.draw(st.integers(1, 5))
     x, w, b, c = (data.draw(hnp.arrays(np.float64, shape, elements=floats(-3.0, 3.0)))
                   for shape in ((n, k), (k, m), (m,), (n, m)))
-    npt.assert_array_equal(ad.linear(x, w, b).data, x @ w + b)
-    fn = projected(ad.linear, c)
+    npt.assert_array_equal(ops.linear(x, w, b).data, x @ w + b)
+    fn = projected(ops.linear, c)
     assert grad_check(fn, x, w, b) < GRAD_TOL
     composed = projected(lambda x, w, b: ops.add_rowvec(ops.matmul(x, w), b), c)
     assert_grads_close(tape_grads(fn, x, w, b), tape_grads(composed, x, w, b))
@@ -90,11 +97,12 @@ def test_take_rows_unique_indices(data):
     m = data.draw(hnp.arrays(np.float64, (n, k), elements=floats(-3.0, 3.0)))
     idx = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
     c = data.draw(hnp.arrays(np.float64, (len(idx), k), elements=floats(-3.0, 3.0)))
-    npt.assert_array_equal(ad.take_rows(m, idx).data, m[idx])
-    fn = projected(lambda t: ad.take_rows(t, idx), c)
+    npt.assert_array_equal(ops.take_rows(m, idx).data, m[idx])
+    fn = projected(lambda t: ops.take_rows(t, idx), c)
     assert grad_check(fn, m) < GRAD_TOL
-    oracle = projected(lambda t: ops.take_rows(t, idx), c)
-    npt.assert_array_equal(tape_grads(fn, m)[0], tape_grads(oracle, m)[0])
+    scattered = np.zeros((n, k))
+    scattered[idx] = c
+    npt.assert_array_equal(tape_grads(fn, m)[0], scattered)
 
 
 # ---------------------------------------------------------------------------
@@ -135,12 +143,12 @@ def test_log_domain_terms_match_the_composed_softmax(data):
     onehot = np.eye(k)[ages - 1]
 
     def ce_composed(z):
-        picked = ops.row_sum(ops.mul(ad.softmax_rows(z), onehot))
+        picked = ops.row_sum(ops.mul(ops.softmax_rows(z), onehot))
         return ops.mul(ops.sum_all(ops.log(picked)), -1.0)
 
     def kld_composed(za, zp):
-        log_a, log_p = ops.log(ad.softmax_rows(za)), ops.log(ad.softmax_rows(zp))
-        per_row = ops.row_sum(ops.mul(ad.softmax_rows(zp), ops.sub(log_p, log_a)))
+        log_a, log_p = ops.log(ops.softmax_rows(za)), ops.log(ops.softmax_rows(zp))
+        per_row = ops.row_sum(ops.mul(ops.softmax_rows(zp), ops.sub(log_p, log_a)))
         return ops.mul(ops.sum_all(per_row), 1.0 / (k * n))
 
     assert_grads_close(tape_grads(lambda z: ce_sum(z, ages), za), tape_grads(ce_composed, za))
@@ -154,7 +162,7 @@ def test_log_domain_terms_match_the_composed_softmax(data):
 @given(st.data())
 def test_mean_variance(data):
     n, k = data.draw(shapes())
-    s = ad.softmax_rows(data.draw(logits(n, k))).data
+    s = ops.softmax_rows(data.draw(logits(n, k))).data
     ages = data.draw(hnp.arrays(np.int64, n, elements=st.integers(1, k)))
     got = mean_variance(s, ages).data
     assert got[0] == pytest.approx(sum(ref.mean(s[i], ages[i]) for i in range(n)),
@@ -181,7 +189,7 @@ def test_mean_variance(data):
 @given(st.data(), floats(0.0, 1.0))
 def test_triplet_mean(data, alpha):
     n, k = data.draw(shapes())
-    sa, sp, sn = (ad.softmax_rows(data.draw(logits(n, k))).data for _ in range(3))
+    sa, sp, sn = (ops.softmax_rows(data.draw(logits(n, k))).data for _ in range(3))
     gap = ((sa - sp) ** 2).sum(axis=1) - ((sa - sn) ** 2).sum(axis=1) + alpha
     assume(np.all(np.abs(gap) > 1e-3))
     got = triplet_mean(sa, sp, sn, alpha).item()
@@ -194,7 +202,7 @@ def test_triplet_mean(data, alpha):
         dp, dn = ops.sub(a, p), ops.sub(a, q)
         hinge = ops.add(ops.sub(ops.row_sum(ops.mul(dp, dp)), ops.row_sum(ops.mul(dn, dn))),
                         alpha)
-        return ops.mul(ops.sum_all(ad.relu(hinge)), 1.0 / n)
+        return ops.mul(ops.sum_all(ops.relu(hinge)), 1.0 / n)
 
     assert_grads_close(tape_grads(fn, sa, sp, sn), tape_grads(composed, sa, sp, sn))
 
@@ -248,3 +256,67 @@ def test_cosine_mean_with_a_zero_feature_row(data):
     if zero:
         npt.assert_array_equal(grads[1][0], 0.0)
     assert_grads_close(grads, tape_grads(cosine_composed, fa, fp))
+
+
+# ---------------------------------------------------------------------------
+# The train step: one node against the composed tape
+
+WEIGHT_SETS = {
+    "cosine+triplet": LossWeights(lambda_c=10.0, lambda_t=1.0),
+    "kld+triplet": LossWeights(lambda_c=2.0, lambda_t=0.7, pair_loss="kld"),
+    "triplet-only": LossWeights(lambda_m=0.0, lambda_v=0.0, lambda_t=1.0, alpha=0.5),
+    "mv-only": LossWeights(),
+    "mean-only+kld": LossWeights(lambda_v=0.0, lambda_c=1.0, pair_loss="kld"),
+}
+
+
+@st.composite
+def step_cases(draw):
+    """(model, dataset, batch, weights): random widths, null positive
+    and negative slots (or none with a positive), down to one slot, and
+    optionally one input row that is dead in every relu layer."""
+    config = ModelConfig(draw(st.integers(1, 6)), tuple(draw(st.lists(st.integers(1, 6),
+                                                                       max_size=2))),
+                         draw(st.integers(1, 6)), draw(st.integers(2, 6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    model = init_model(config, int(rng.integers(2 ** 31)))
+    for b in model.biases:
+        b += rng.normal(0.0, 0.5, b.shape)
+    rows = draw(st.integers(2, 12))
+    ds = LabeledDataset(rng.normal(0.0, 2.0, (rows, config.input_dim)),
+                        rng.integers(1, config.num_ages + 1, rows),
+                        [f"p{i % 3}" for i in range(rows)], config.num_ages)
+    slots = draw(st.integers(1, rows))
+    a = rng.permutation(rows)[:slots]
+    p = np.where(rng.random(slots) < draw(st.sampled_from([0.0, 0.3, 1.0])),
+                 rng.integers(0, rows, slots), -1)
+    n = np.where(rng.random(slots) < 0.7, rng.integers(0, rows, slots), -1)
+    if draw(st.booleans()):
+        ds.inputs[a[0]] = 0.0
+        for b in model.biases[:-1]:
+            b[:] = -np.abs(b) - 0.1
+    return model, ds, TripletBatch(a, p, n), WEIGHT_SETS[draw(st.sampled_from(sorted(WEIGHT_SETS)))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(step_cases())
+def test_fused_step_matches_the_composed_tape_bitwise(case):
+    model, ds, batch, weights = case
+    # Buffers with spare rows, every float holding nan: what a step reads
+    # before writing (a previous step's values) would reach the result.
+    buffers = StepBuffers(model.config, 3 * len(batch) + 2)
+    for value in vars(buffers).values():
+        for arr in value if isinstance(value, list) else [value]:
+            if arr.dtype.kind == "f":
+                arr.fill(np.nan)
+    fused_tape, composed_tape = Tape(), Tape()
+    fused_params = model.track(fused_tape)
+    total, breakdown = build_batch_loss(fused_params, ds, batch, weights, buffers)
+    assert len(fused_tape) == len(model.parameters()) + 1
+    composed_params = model.track(composed_tape)
+    composed = ops.composed_batch_loss(composed_params, ds, batch, weights)
+    assert total.item() == composed.item() == breakdown.total
+    fused_grads = fused_tape.backward(total)
+    composed_grads = composed_tape.backward(composed)
+    for f, c in zip(fused_params.parameters(), composed_params.parameters()):
+        npt.assert_array_equal(fused_grads[f.node], composed_grads[c.node])
