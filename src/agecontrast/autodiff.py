@@ -1,154 +1,26 @@
-"""Dense float64 tensors with a reverse-mode gradient tape.
+"""The package's differentiation contract and its finite-difference oracle.
 
-Values are numpy arrays. A differentiable operation records one node on
-the active tape through ``record``: its operands' handles and one
-pullback that maps the gradient of its value to the gradients of all
-its operands, so any scalar built from tracked inputs can be
-differentiated with ``Tape.backward``. The package records few and
-large nodes: a train step is one node over the model's parameter
-arrays, whose pullback runs the whole network backwards
-(``training.build_batch_loss``); each loss term in ``losses`` is one
-node for checking it alone; ``weighted_sum`` combines terms.
-``softmax_parts`` is the one row softmax they share. The independent
-check for all analytic gradients is ``grad_check``, a central
-finite-difference oracle.
-
-A tape is single-writer: build the graph and call backward on one thread
-of control. Untracked tensors are immutable value carriers and can be
-shared freely between readers.
+A differentiable function returns ``(value, pull)``: its value and a
+closed-form pullback that maps the gradient of the value to the
+gradients of all its inputs at once. Each loss term in ``losses``
+follows it, and so does a whole train step
+(``training.build_batch_loss``), whose pullback runs the network
+backwards into one gradient vector. ``softmax_parts`` is the one row
+softmax they share. The independent check for all analytic gradients is
+``grad_check``, a central finite-difference oracle over functions of
+that contract.
 """
 
 from __future__ import annotations
-
-from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import NonFiniteError
 
 Array = np.ndarray
-Pullback = Callable[[Array], Sequence[Array]]
 
 
-def _as_array(values) -> Array:
-    # order="C" keeps row-major layout without promoting 0-d scalars the
-    # way ascontiguousarray would.
-    return np.asarray(values, dtype=np.float64, order="C")
-
-
-class Tensor:
-    """A dense float64 array, optionally tracked as one node on one tape."""
-
-    __slots__ = ("data", "tape", "node")
-
-    def __init__(self, data, tape: "Tape | None" = None, node: int | None = None):
-        self.data = _as_array(data)
-        self.tape = tape
-        self.node = node
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    @property
-    def tracked(self) -> bool:
-        return self.node is not None
-
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ValueError(f"item: tensor has {self.data.size} elements, expected 1")
-        return self.data.item()
-
-    def __repr__(self) -> str:
-        tag = f", node={self.node}" if self.tracked else ""
-        return f"Tensor(shape={self.data.shape}{tag})"
-
-
-class Tape:
-    """Append-only operation record; append order is topological order."""
-
-    def __init__(self):
-        # Per node: the operands' handles (None for an untracked operand)
-        # and the joint pullback, None for a leaf.
-        self._parents: list[tuple[int | None, ...]] = []
-        self._pullbacks: list[Pullback | None] = []
-
-    def __len__(self) -> int:
-        return len(self._parents)
-
-    def watch(self, values) -> Tensor:
-        """Register a leaf whose gradient should be available after backward."""
-        arr = _as_array(values)
-        node = self._append((), None)
-        return Tensor(arr, self, node)
-
-    def _append(self, parents: tuple[int | None, ...], pullback: Pullback | None) -> int:
-        self._parents.append(parents)
-        self._pullbacks.append(pullback)
-        return len(self._parents) - 1
-
-    def backward(self, loss: Tensor) -> dict[int, Array]:
-        """Propagate d(loss)/d(node) to every node reachable from ``loss``.
-
-        Returns a map from node handle to gradient array; gradients
-        accumulate additively across fan-out. Handles absent from the map
-        did not influence the loss (their gradient is zero). A gradient may
-        be a read-only view: copy it before writing to it.
-        """
-        if loss.node is None or loss.tape is not self:
-            raise ValueError("backward: loss was not recorded on this tape")
-        if loss.data.size != 1:
-            raise ValueError(f"backward: loss must be scalar, got shape {loss.data.shape}")
-        grads: list[Array | None] = [None] * len(self._parents)
-        grads[loss.node] = np.ones_like(loss.data)
-        for node in range(loss.node, -1, -1):
-            gout = grads[node]
-            if gout is None or self._pullbacks[node] is None:
-                continue
-            for parent, g in zip(self._parents[node], self._pullbacks[node](gout)):
-                if parent is None:
-                    continue
-                # Never in place: a contribution may be a view of another gradient.
-                grads[parent] = g if grads[parent] is None else grads[parent] + g
-        return {node: g for node, g in enumerate(grads) if g is not None}
-
-
-def _lift(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def _single_tape(tensors: Sequence[Tensor]) -> Tape | None:
-    tape = None
-    for t in tensors:
-        if t.node is None:
-            continue
-        if tape is None:
-            tape = t.tape
-        elif tape is not t.tape:
-            raise ValueError("operands were recorded on different tapes")
-    return tape
-
-
-def record(out, pullback: Pullback, operands: Sequence[Tensor]) -> Tensor:
-    """One tape node with value ``out`` over ``operands``.
-
-    ``pullback`` maps the gradient of ``out`` to one gradient per
-    operand, each an array of its operand's shape; the tape drops those
-    of untracked operands. With no operand tracked the result is
-    untracked and the pullback never runs.
-    """
-    out = _as_array(out)
-    tape = _single_tape(operands)
-    if tape is None:
-        return Tensor(out)
-    return Tensor(out, tape, tape._append(tuple(t.node for t in operands), pullback))
-
-
-def softmax_parts(z: Array, op: str, out: tuple[Array, Array] | None = None
+def softmax_parts(z: Array, out: tuple[Array, Array] | None = None
                   ) -> tuple[Array, Array, Array]:
     """(s, shifted, total) of a finite logit matrix: the row softmax, the
     logits less their row max (none is exponentiated above 0) and the row
@@ -158,7 +30,7 @@ def softmax_parts(z: Array, op: str, out: tuple[Array, Array] | None = None
     write into; shifted may be z itself.
     """
     if not np.all(np.isfinite(z)):
-        raise NonFiniteError(f"{op}: non-finite logit")
+        raise NonFiniteError("non-finite logit")
     s_out, shifted_out = (None, None) if out is None else out
     shifted = np.subtract(z, z.max(axis=1, keepdims=True), out=shifted_out)
     s = np.exp(shifted, out=s_out)
@@ -167,54 +39,36 @@ def softmax_parts(z: Array, op: str, out: tuple[Array, Array] | None = None
     return s, shifted, total
 
 
-def weighted_sum(terms, coefs) -> Tensor:
-    """``sum_i sum(coefs[i] * terms[i])`` as one scalar node.
-
-    A term is a tensor or a float constant; its coefficient is a float
-    or an array broadcasting against it. The value accumulates term by
-    term in the order given.
-    """
-    terms = [_lift(t) for t in terms]
-    if len(terms) != len(coefs):
-        raise ValueError(f"weighted_sum: {len(terms)} terms for {len(coefs)} coefficients")
-    coefs = [np.asarray(c, dtype=np.float64) for c in coefs]
-    total = 0.0
-    for t, c in zip(terms, coefs):
-        total += float(np.sum(c * t.data))
-    return record(total, lambda g: [np.broadcast_to(g * c, t.data.shape)
-                                    for t, c in zip(terms, coefs)], terms)
-
-
 def grad_check(fn, *points, eps: float = 1e-5) -> float:
     """Compare analytic gradients against central finite differences.
 
-    ``fn`` receives one Tensor per point (tracked for the analytic pass,
-    untracked for the difference evaluations) and must return a scalar
-    Tensor. Every coordinate of every point is perturbed in turn, with
-    the other points held at their values. Returns the max over all
-    coordinates of ``|analytic - central| / max(1, |central|)``.
+    ``fn`` receives one array per point and returns ``(value, pull)``,
+    a scalar and a pullback whose ``pull(1.0)`` gives one gradient per
+    point. The pullback runs once, right after the first evaluation, and
+    its gradients are copied, so it may return views of buffers that
+    later evaluations overwrite. Every coordinate of every point is then
+    perturbed in turn, with the other points held at their values.
+    Returns the max over all coordinates of
+    ``|analytic - central| / max(1, |central|)``.
     """
-    ps = [_as_array(p) for p in points]
+    ps = [np.asarray(p, dtype=np.float64, order="C") for p in points]
     if not ps:
         raise ValueError("grad_check: needs at least one point")
     if eps <= 0:
         raise ValueError("grad_check: eps must be positive")
 
-    tape = Tape()
-    xs = [tape.watch(p.copy()) for p in ps]
-    out = fn(*xs)
-    if not isinstance(out, Tensor) or out.data.size != 1:
-        raise ValueError("grad_check: function must return a scalar tensor")
-    grads = tape.backward(out) if out.tracked else {}
+    _, pull = fn(*(p.copy() for p in ps))
+    grads = [np.array(g, dtype=np.float64).ravel() for g in pull(1.0)]
+    if [g.size for g in grads] != [p.size for p in ps]:
+        raise ValueError("grad_check: pull must return one gradient per point")
 
     flats = [p.ravel().copy() for p in ps]
 
     def evaluate() -> float:
-        return fn(*(Tensor(f.reshape(p.shape)) for f, p in zip(flats, ps))).item()
+        return float(fn(*(f.reshape(p.shape) for f, p in zip(flats, ps)))[0])
 
     worst = 0.0
-    for k, (p, x, flat) in enumerate(zip(ps, xs, flats)):
-        analytic = grads.get(x.node, np.zeros_like(p)).ravel()
+    for k, (analytic, flat) in enumerate(zip(grads, flats)):
         for j in range(flat.size):
             orig = flat[j]
             flat[j] = orig + eps

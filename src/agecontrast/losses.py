@@ -1,20 +1,19 @@
 """Training losses over batches of logits, distributions and features.
 
-Every loss takes one row per sample (or per pair or triplet). Its math
-is one plain function of the row blocks (``ce_rows`` ... ``triplet_rows``)
-that returns the value and a closed-form pullback; the named loss
-(``ce_sum`` ... ``triplet_mean``) records that pair as one tape node, and
-the fused train step calls the same functions on its stacked rows. The
-log-domain terms (``ce_sum``, ``kld_mean``) take logits and work in
-log-probabilities by log-sum-exp, so they are exact, with no
-probability floor, for any finite logits.
-The probability-domain terms (``mean_variance``, ``triplet_mean``) take
-softmax distributions, and ``cosine_mean`` takes features. The
-supervised terms (``ce_sum``, ``mean_variance`` and its two halves
-``mean_sum`` and ``variance_sum``) sum over rows; the pair and triplet
-terms (``cosine_mean``, ``kld_mean``, ``triplet_mean``) average over
-them. All are non-negative at valid inputs and zero exactly at their
-documented minimizer. ``total_loss`` combines them as
+Every loss takes one row per sample (or per pair or triplet). Each is
+one plain function of its row blocks that returns the value and a
+closed-form pullback (``autodiff``'s ``(value, pull)`` contract); the
+train step (``training.build_batch_loss``) calls them on its stacked
+forward's rows. The log-domain terms (``ce_rows``, ``kld_rows``) take
+the ``softmax_parts`` of logits and work in log-probabilities by
+log-sum-exp, so they are exact, with no probability floor, for any
+finite logits, and pull back to the logits. The probability-domain
+terms (``mean_variance_rows``, ``triplet_rows``) take softmax
+distributions, and ``cosine_rows`` takes features. The supervised terms
+(cross-entropy and the mean/variance pair) sum over rows; the pair and
+triplet terms (cosine, KL, triplet hinge) average over them. All are
+non-negative at valid inputs and zero exactly at their documented
+minimizer. ``total_loss`` combines their values as
 
     total = l_s + lambda_m*l_m + lambda_v*l_v + lambda_c*l_c + lambda_t*l_t
 
@@ -30,9 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import autodiff as ad
-from .autodiff import Tensor
 
 # Feature norms below this are raised to it inside the cosine loss, so an
 # all-zero feature row gives a cosine of 0 and passes no gradient through
@@ -84,16 +80,6 @@ class LossBreakdown:
         return [self.l_s, self.l_m, self.l_v, self.l_c, self.l_t, self.total]
 
 
-def _rows(*blocks) -> list[Tensor]:
-    """The operands as tensors, checked to be matrices of one shape."""
-    ts = [x if isinstance(x, Tensor) else Tensor(x) for x in blocks]
-    shape = ts[0].data.shape
-    if len(shape) != 2 or any(t.data.shape != shape for t in ts):
-        raise ValueError(f"expected row blocks of one (rows, width) shape, "
-                         f"got {[t.data.shape for t in ts]}")
-    return ts
-
-
 def _checked_ages(ages, rows: int, num_ages: int) -> np.ndarray:
     ages = np.asarray(ages, dtype=np.int64)
     if ages.shape != (rows,):
@@ -106,13 +92,16 @@ def _checked_ages(ages, rows: int, num_ages: int) -> np.ndarray:
 
 # Each term is a plain function of its row blocks that returns (value,
 # pull); pull maps the gradient of the value to the gradients of the
-# blocks. The tape nodes below record them one at a time, and the fused
-# train step (``training.build_batch_loss``) calls the same functions on
-# its stacked forward's rows.
+# blocks.
 
 def ce_rows(s, shifted, total, ages):
     """Summed cross-entropy -log s_y of rows given by their
-    ``softmax_parts``, as (value, pull); pull gives the logits' gradient."""
+    ``softmax_parts``, as (value, pull); pull gives the logits' gradient.
+
+    Each row's term is lse(z) - z_y, exact for any finite logits: a row
+    whose probability of the true label underflows still has its full
+    loss and the gradient s - onehot(y).
+    """
     ages = _checked_ages(ages, *s.shape)
     rows, cols = np.arange(len(ages)), ages - 1
 
@@ -125,19 +114,14 @@ def ce_rows(s, shifted, total, ages):
     return -log_s_y.sum(), pull
 
 
-def ce_sum(logits, ages) -> Tensor:
-    """Summed cross-entropy -log s_y over the rows of a logit matrix.
-
-    Each row's term is lse(z) - z_y, exact for any finite logits: a row
-    whose probability of the true label underflows still has its full
-    loss and the gradient s - onehot(y).
-    """
-    (z,) = _rows(logits)
-    return ad.record(*ce_rows(*ad.softmax_parts(z.data, "ce_sum"), ages), [z])
-
-
 def mean_variance_rows(s, ages):
-    """The (2,) value of ``mean_variance`` over distribution rows, and its pull."""
+    """The pair (sum_i 0.5*(mean_i - y_i)^2, sum_i var_i) over the rows of
+    a distribution matrix, as a (2,) value and its pull.
+
+    mean_i = sum_j j*s_ij over labels j = 1..A; the variance is computed
+    in the moment form E[j^2] - E[j]^2, which equals sum_j s_ij (j -
+    mean_i)^2 on the simplex that softmax rows satisfy by construction.
+    """
     labels = np.arange(1, s.shape[1] + 1, dtype=np.float64)
     ages = _checked_ages(ages, *s.shape).astype(np.float64)
     mu = s @ labels
@@ -152,33 +136,10 @@ def mean_variance_rows(s, ages):
     return value, pull
 
 
-def mean_variance(s_rows, ages) -> Tensor:
-    """The pair (sum_i 0.5*(mean_i - y_i)^2, sum_i var_i) over the rows of
-    a distribution matrix, as one node with a (2,) value.
-
-    mean_i = sum_j j*s_ij over labels j = 1..A; the variance is computed
-    in the moment form E[j^2] - E[j]^2, which equals sum_j s_ij (j -
-    mean_i)^2 on the simplex that softmax rows satisfy by construction.
-    """
-    (s,) = _rows(s_rows)
-    return ad.record(*mean_variance_rows(s.data, ages), [s])
-
-
-def mean_sum(s_rows, ages) -> Tensor:
-    """Summed penalty 0.5*(mean - y)^2 on each row's distribution mean."""
-    return ad.weighted_sum([mean_variance(s_rows, ages)], [(1.0, 0.0)])
-
-
-def variance_sum(s_rows) -> Tensor:
-    """Summed variance of each row's distribution, sum_j s_j (j - mean)^2."""
-    s_rows = s_rows if isinstance(s_rows, Tensor) else Tensor(s_rows)
-    # The variance does not depend on the labels; any valid label serves.
-    ones = np.ones(s_rows.data.shape[:1], dtype=np.int64)
-    return ad.weighted_sum([mean_variance(s_rows, ones)], [(0.0, 1.0)])
-
-
 def cosine_rows(fa, fp):
-    """``cosine_mean`` of two feature row blocks, as (value, pull)."""
+    """Mean cosine embedding loss 1 - cos(f_a, f_p) over two feature row
+    blocks, as (value, pull): zero iff the features are positive scalar
+    multiples, 2 when antiparallel."""
     # Squared norms are floored at NORM_FLOOR**2 before the sqrt, so a dead
     # (all-zero) feature row neither divides by zero nor feeds nan into the
     # gradient; the floored norm passes no gradient, and every row with
@@ -198,16 +159,12 @@ def cosine_rows(fa, fp):
     return (1.0 - cos).sum() * scale, pull
 
 
-def cosine_mean(f_anchor, f_pos) -> Tensor:
-    """Mean cosine embedding loss 1 - cos(f_a, f_p) over row pairs: zero
-    iff the features are positive scalar multiples, 2 when antiparallel."""
-    fa, fp = _rows(f_anchor, f_pos)
-    return ad.record(*cosine_rows(fa.data, fp.data), [fa, fp])
-
-
 def kld_rows(parts_a, parts_p):
-    """``kld_mean`` of two row blocks given by their ``softmax_parts``, as
-    (value, pull); pull gives the two logit blocks' gradients."""
+    """Mean KL divergence KL(s_p || s_a) of each positive's age
+    distribution from its anchor's, scaled by 1/A, of two row blocks given
+    by their ``softmax_parts``, as (value, pull); pull gives the two logit
+    blocks' gradients. The log-probabilities come from log-sum-exp, so
+    the divergence is exact and finite for any finite logits."""
     s_a, shifted_a, total_a = parts_a
     s_p, shifted_p, total_p = parts_p
     d = (shifted_p - np.log(total_p)) - (shifted_a - np.log(total_a))  # log s_p - log s_a
@@ -223,20 +180,12 @@ def kld_rows(parts_a, parts_p):
     return (per_row * (1.0 / cols)).sum() * (1.0 / rows), pull
 
 
-def kld_mean(z_anchor, z_pos) -> Tensor:
-    """Mean KL divergence KL(s_p || s_a) of each positive's age
-    distribution from its anchor's, scaled by 1/A, from the two logit
-    matrices. The log-probabilities come from log-sum-exp, so the
-    divergence is exact and finite for any finite logits."""
-    za, zp = _rows(z_anchor, z_pos)
-    return ad.record(*kld_rows(ad.softmax_parts(za.data, "kld_mean"),
-                                     ad.softmax_parts(zp.data, "kld_mean")), [za, zp])
-
-
 def triplet_rows(s_a, s_p, s_n, alpha: float):
-    """``triplet_mean`` of three distribution row blocks, as (value, pull)."""
+    """Mean hinge on squared distances between age distributions,
+    max(||s_a - s_p||^2 - ||s_a - s_n||^2 + alpha, 0) per row triplet of
+    three distribution row blocks, as (value, pull)."""
     if not np.isfinite(alpha) or alpha < 0:
-        raise ValueError(f"triplet_mean: alpha must be finite and >= 0, got {alpha}")
+        raise ValueError(f"triplet_rows: alpha must be finite and >= 0, got {alpha}")
     dp = s_a - s_p
     dn = s_a - s_n
     gap = (dp * dp).sum(axis=1) - (dn * dn).sum(axis=1) + float(alpha)
@@ -250,26 +199,22 @@ def triplet_rows(s_a, s_p, s_n, alpha: float):
     return np.maximum(gap, 0.0).sum() * scale, pull
 
 
-def triplet_mean(s_a, s_p, s_n, alpha: float) -> Tensor:
-    """Mean hinge on squared distances between age distributions:
-    max(||s_a - s_p||^2 - ||s_a - s_n||^2 + alpha, 0) per row triplet.
-    """
-    ta, tp, tn = _rows(s_a, s_p, s_n)
-    return ad.record(*triplet_rows(ta.data, tp.data, tn.data, alpha), [ta, tp, tn])
-
-
-def _scalar(x) -> float:
-    return x.item() if isinstance(x, Tensor) else float(x)
+def weighted_total(values, coefs) -> float:
+    """sum_i sum(coefs[i] * values[i]), accumulated term by term in the
+    order given; a coefficient is a float or an array broadcasting
+    against its value."""
+    total = 0.0
+    for value, coef in zip(values, coefs):
+        total += float(np.sum(np.asarray(coef, dtype=np.float64) * value))
+    return total
 
 
 def total_loss(l_s, l_m=0.0, l_v=0.0, l_c=0.0, l_t=0.0,
-               weights: LossWeights = LossWeights()):
-    """Weighted combination of the loss terms.
+               weights: LossWeights = LossWeights()) -> tuple[float, LossBreakdown]:
+    """Weighted combination of the loss values, as (total, LossBreakdown).
 
     Terms whose weight is zero contribute nothing (and need not have
-    been computed: pass 0.0). Accepts scalar tensors or plain floats;
-    returns (total, LossBreakdown) where total is one tape node when any
-    input is a tensor, and a float otherwise.
+    been computed: pass 0.0).
     """
     terms, coefs = [l_s], [1.0]
     for lam, term in ((weights.lambda_m, l_m), (weights.lambda_v, l_v),
@@ -277,11 +222,6 @@ def total_loss(l_s, l_m=0.0, l_v=0.0, l_c=0.0, l_t=0.0,
         if lam != 0.0:
             terms.append(term)
             coefs.append(lam)
-    total = ad.weighted_sum(terms, coefs)
-    if not any(isinstance(t, Tensor) for t in terms):
-        total = total.item()
-    breakdown = LossBreakdown(
-        l_s=_scalar(l_s), l_m=_scalar(l_m), l_v=_scalar(l_v),
-        l_c=_scalar(l_c), l_t=_scalar(l_t), total=_scalar(total),
-    )
-    return total, breakdown
+    total = weighted_total(terms, coefs)
+    return total, LossBreakdown(float(l_s), float(l_m), float(l_v), float(l_c), float(l_t),
+                                total)

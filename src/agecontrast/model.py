@@ -8,8 +8,8 @@ logits into an age distribution s. The age estimate is the mean of s.
 A model's weights and biases are views into one float64 vector
 (``Model.flat``), so an optimizer step is one update over one array.
 ``forward_batch`` is the plain forward that evaluation runs; a train
-step runs its own stacked forward and its reverse inside one tape node
-(``training.build_batch_loss``).
+step runs its own stacked forward and returns its reverse as a
+closed-form pullback (``training.build_batch_loss``).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Array, Tape, softmax_parts
+from .autodiff import Array, softmax_parts
 from .errors import ConfigError
 
 CHECKPOINT_FORMAT = "agecontrast-checkpoint-v1"
@@ -79,27 +79,25 @@ class Model:
     """Weight matrices (fan_in, fan_out) and bias vectors, one pair per layer.
 
     The last pair is the age head; every earlier pair belongs to the
-    extractor and is followed by relu. The parameters are numpy arrays,
-    or Tensors in the model that ``track`` returns. Arrays are copied
-    into one new vector ``flat`` and replaced by views of it, in
-    ``parameters()`` order; a model of Tensors has no ``flat``.
+    extractor and is followed by relu. The given arrays are copied into
+    one new vector ``flat`` and replaced by views of it, in
+    ``parameters()`` order.
     """
 
     config: ModelConfig
     weights: list
     biases: list
-    flat: Array | None = field(default=None, init=False, repr=False, compare=False)
+    flat: Array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         params = self.parameters()
-        if all(isinstance(p, np.ndarray) for p in params):
-            shapes = [p.shape for p in params]
-            if shapes != self.config.param_shapes:
-                raise ValueError(f"Model: parameter shapes {shapes} do not match "
-                                 f"config {self.config.param_shapes}")
-            self.flat = np.concatenate([p.ravel() for p in params]).astype(np.float64, copy=False)
-            views = self.config.param_views(self.flat)
-            self.weights, self.biases = views[0::2], views[1::2]
+        shapes = [p.shape for p in params]
+        if shapes != self.config.param_shapes:
+            raise ValueError(f"Model: parameter shapes {shapes} do not match "
+                             f"config {self.config.param_shapes}")
+        self.flat = np.concatenate([p.ravel() for p in params]).astype(np.float64, copy=False)
+        views = self.config.param_views(self.flat)
+        self.weights, self.biases = views[0::2], views[1::2]
 
     def parameters(self) -> list:
         """The live parameters, interleaved (w0, b0, w1, b1, ...)."""
@@ -117,12 +115,6 @@ class Model:
             names.append(f"{stem}.weight")
             names.append(f"{stem}.bias")
         return names
-
-    def track(self, tape: Tape) -> "Model":
-        """The same model with every parameter registered on a tape; the
-        tracked values are the model's own arrays, not copies."""
-        return Model(self.config, [tape.watch(w) for w in self.weights],
-                     [tape.watch(b) for b in self.biases])
 
 
 def init_model(config: ModelConfig, seed: int) -> Model:
@@ -154,7 +146,7 @@ def forward_batch(model: Model, x_rows) -> tuple[Array, Array, Array]:
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
         h = np.maximum(h @ w + b, 0.0)
     logits = h @ model.weights[-1] + model.biases[-1]
-    return h, softmax_parts(logits, "softmax_rows")[0], logits
+    return h, softmax_parts(logits)[0], logits
 
 
 def forward_values(model: Model, x_rows: Array) -> tuple[Array, Array]:

@@ -1,11 +1,12 @@
 """Built-in verification suites.
 
 Three suites back the ``selfcheck`` command: the gradient suite compares
-every batched loss (and the whole composed batch loss through a tiny
-model) against the central finite-difference oracle; the sampler suite
-checks triplet constraints and candidate sets against a brute-force
-filter; the split suite asserts the fold invariants of all three
-protocols.
+the closed-form pullback of every batched loss term, and of the whole
+batch loss of a train step through a tiny model (once with the KL pair
+term, once with cosine), against the central finite-difference oracle;
+the sampler suite checks triplet constraints and candidate sets against
+a brute-force filter; the split suite asserts the fold invariants of
+all three protocols.
 
 Check points are seeded, and sampled away from non-smooth kinks (relu
 preactivations, hinge boundaries) so the difference quotient is valid.
@@ -17,12 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import grad_check
+from .autodiff import grad_check, softmax_parts
 from .data import (LabeledDataset, TripletBatch, negative_set, positive_set,
                    sample_triplet_batch)
-from .losses import (LossWeights, ce_sum, cosine_mean, kld_mean, mean_sum, total_loss,
-                     triplet_mean, variance_sum)
+from .losses import (LossWeights, ce_rows, cosine_rows, kld_rows, mean_variance_rows,
+                     triplet_rows)
 from .model import Model, ModelConfig, forward_values, init_model
 from .synth import SynthConfig, generate_dataset
 from .training import build_batch_loss
@@ -41,7 +41,7 @@ class CheckResult:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    return ad.softmax_parts(z, "selfcheck")[0]
+    return softmax_parts(z)[0]
 
 
 def _random_distributions(rng: np.random.Generator, batch: int, num_ages: int) -> np.ndarray:
@@ -62,47 +62,40 @@ def _triplet_logits(rng: np.random.Generator, batch: int, num_ages: int, alpha: 
 
 
 def _loss_cases(rng: np.random.Generator):
-    """Named scalar functions of (batch, width) row blocks, one per loss
-    term; each case takes the batch size and returns (fn, blocks)."""
+    """Named (value, pull) functions of (batch, width) row blocks, one
+    per loss term; each case takes the batch size and returns (fn, blocks)."""
     a, d = 7, 8  # age labels and feature width
+
+    def half(coef, ages):
+        # One half of the mean/variance pair, as a scalar.
+        def fn(s):
+            value, pull = mean_variance_rows(s, ages)
+            return float(np.dot(coef, value)), lambda g: pull(g * np.asarray(coef))
+        return fn
 
     def case_ce(batch):
         ages = rng.integers(1, a + 1, batch)
-        return lambda z: ce_sum(z, ages), [rng.normal(0.0, 1.0, (batch, a))]
+        return lambda z: ce_rows(*softmax_parts(z), ages), [rng.normal(0.0, 1.0, (batch, a))]
 
     def case_mean(batch):
         ages = rng.integers(1, a + 1, batch)
-        return lambda s: mean_sum(s, ages), [_random_distributions(rng, batch, a)]
+        return half((1.0, 0.0), ages), [_random_distributions(rng, batch, a)]
 
     def case_variance(batch):
-        return variance_sum, [_random_distributions(rng, batch, a)]
+        # The variance does not depend on the labels; any valid label serves.
+        return half((0.0, 1.0), np.ones(batch)), [_random_distributions(rng, batch, a)]
 
     def case_cosine(batch):
-        return cosine_mean, list(rng.normal(0.0, 1.0, (2, batch, d)))
+        return cosine_rows, list(rng.normal(0.0, 1.0, (2, batch, d)))
 
     def case_triplet(batch):
         alpha = 0.2
-        return (lambda s_a, s_p, s_n: triplet_mean(s_a, s_p, s_n, alpha),
+        return (lambda s_a, s_p, s_n: triplet_rows(s_a, s_p, s_n, alpha),
                 [_softmax(z) for z in _triplet_logits(rng, batch, a, alpha)])
 
     def case_kld(batch):
-        return kld_mean, list(rng.normal(0.0, 1.0, (2, batch, a)))
-
-    def case_total(batch):
-        # All five terms over the blocks (z_a, s_a, s_p, s_n, f_a, f_p), the
-        # distributions the softmax of the triplet's logits.
-        weights = LossWeights(lambda_c=10.0, lambda_t=1.0)
-        ages = rng.integers(1, a + 1, batch)
-        logits = _triplet_logits(rng, batch, a, weights.alpha)
-        blocks = [logits[0], *map(_softmax, logits), *rng.normal(0.0, 1.0, (2, batch, d))]
-
-        def fn(z_a, s_a, s_p, s_n, f_a, f_p):
-            total, _ = total_loss(
-                ce_sum(z_a, ages), mean_sum(s_a, ages), variance_sum(s_a),
-                cosine_mean(f_a, f_p), triplet_mean(s_a, s_p, s_n, weights.alpha), weights)
-            return total
-
-        return fn, blocks
+        return (lambda za, zp: kld_rows(softmax_parts(za), softmax_parts(zp)),
+                list(rng.normal(0.0, 1.0, (2, batch, a))))
 
     return {
         "softmax_ce": case_ce,
@@ -111,7 +104,6 @@ def _loss_cases(rng: np.random.Generator):
         "cosine_loss": case_cosine,
         "triplet_margin_loss": case_triplet,
         "kld_loss": case_kld,
-        "total_loss": case_total,
     }
 
 
@@ -143,18 +135,16 @@ def _away_from_kinks(model, ds, triplets, weights) -> bool:
             return False
         h = np.maximum(pre, 0.0)
     _, s = forward_values(model, ds.inputs)
-    for t in triplets:
-        gap = (((s[t.a] - s[t.p]) ** 2).sum() - ((s[t.a] - s[t.n]) ** 2).sum()
-               + weights.alpha)
-        if abs(gap) < KINK_MARGIN:
-            return False
-    return True
+    sa, sp, sn = s[triplets.a], s[triplets.p], s[triplets.n]
+    gap = ((sa - sp) ** 2).sum(axis=1) - ((sa - sn) ** 2).sum(axis=1) + weights.alpha
+    return bool(np.min(np.abs(gap)) >= KINK_MARGIN)
 
 
 def gradient_suite(points: int = 100) -> list[CheckResult]:
-    """grad_check every loss at seeded random points, alternating batches
-    of 1 and 3 rows, then the composed batch loss through a tiny model
-    with respect to every parameter array."""
+    """grad_check every loss term at seeded random points, alternating
+    batches of 1 and 3 rows, then the batch loss of a train step through
+    a tiny model with respect to every parameter array: all five terms
+    with the KL pair term, and with the cosine one."""
     results = []
     rng = np.random.default_rng(20240)
     for name, make_case in _loss_cases(rng).items():
@@ -166,21 +156,23 @@ def gradient_suite(points: int = 100) -> list[CheckResult]:
             f"gradients.{name}", worst < GRAD_TOL, f"max relative error {worst:.3g}"))
 
     config = ModelConfig(input_dim=8, hidden_widths=(16,), feature_dim=8, num_ages=5)
-    weights = LossWeights(lambda_c=10.0, lambda_t=1.0)
-    e2e_points = max(1, points // 10)
-    worst = 0.0
-    for _ in range(e2e_points):
-        model, ds, triplets = _end_to_end_points(rng, config, weights)
+    step_points = max(1, points // 10)
+    for name, weights in (
+            ("total_loss", LossWeights(lambda_c=10.0, lambda_t=1.0, pair_loss="kld")),
+            ("end_to_end", LossWeights(lambda_c=10.0, lambda_t=1.0))):
+        worst = 0.0
+        for _ in range(step_points):
+            model, ds, triplets = _end_to_end_points(rng, config, weights)
 
-        def fn(*params):
-            total, _ = build_batch_loss(
-                Model(config, list(params[0::2]), list(params[1::2])), ds, triplets, weights)
-            return total
+            def fn(*params):
+                breakdown, pull = build_batch_loss(
+                    Model(config, list(params[0::2]), list(params[1::2])), ds, triplets, weights)
+                return breakdown.total, pull
 
-        worst = max(worst, grad_check(fn, *model.parameters(), eps=GRAD_EPS))
-    results.append(CheckResult(
-        "gradients.end_to_end", worst < GRAD_TOL,
-        f"max relative error {worst:.3g} over {e2e_points} parameter points"))
+            worst = max(worst, grad_check(fn, *model.parameters(), eps=GRAD_EPS))
+        results.append(CheckResult(
+            f"gradients.{name}", worst < GRAD_TOL,
+            f"max relative error {worst:.3g} over {step_points} parameter points"))
     return results
 
 

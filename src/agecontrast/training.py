@@ -3,12 +3,13 @@
 One epoch passes every sample as anchor once. For each batch the anchors
 (and, when contrastive weights are active, their positives/negatives)
 run through the network in one stacked forward, and the weighted
-objective is one tape node whose operands are the parameter arrays. Its
-pullback scatters each loss term's row-block gradients (``losses``) into
-the stacked rows and runs the softmax, head and relu layers backwards
-into one gradient vector laid out like ``Model.flat``; Adam then makes
-one update over the parameter vector. A step writes every large array
-into ``StepBuffers`` that the ``train()`` call allocates once.
+objective comes with its closed-form pullback (``build_batch_loss``).
+The step calls that pullback, which scatters each loss term's row-block
+gradients (``losses``) into the stacked rows and runs the softmax, head
+and relu layers backwards into one gradient vector laid out like
+``Model.flat``; Adam then makes one update over the parameter vector.
+A step writes every large array into ``StepBuffers`` that the
+``train()`` call allocates once.
 Everything is deterministic per (dataset, config): epoch e samples with
 child e of the config seed's ``SeedSequence``.
 """
@@ -19,12 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Array, Tape, Tensor
+from .autodiff import Array, softmax_parts
 from .data import LabeledDataset, TripletBatch, has_triplet_negatives, iter_epoch_batches
 from .errors import ConfigError, IncompatibleDataError, NonFiniteError, OptimizationError
 from .losses import (LossBreakdown, LossWeights, ce_rows, cosine_rows, kld_rows,
-                     mean_variance_rows, total_loss, triplet_rows)
+                     mean_variance_rows, total_loss, triplet_rows, weighted_total)
 from .model import Model, ModelConfig, init_model, integral
 
 ADAM_BETA1 = 0.9
@@ -78,8 +78,7 @@ class AdamState:
         return cls(np.zeros_like(model.flat), np.zeros_like(model.flat))
 
 
-def adam_step(model: Model, grad: Array, state: AdamState,
-              cfg: TrainConfig) -> tuple[Model, AdamState]:
+def adam_step(model: Model, grad: Array, state: AdamState, cfg: TrainConfig) -> None:
     """Standard Adam update with bias correction of ``model.flat`` in
     place, from a gradient vector laid out like it."""
     p, grad = model.flat, np.asarray(grad)
@@ -107,11 +106,10 @@ def adam_step(model: Model, grad: Array, state: AdamState,
     root += ADAM_EPS
     step /= root
     p -= step
-    return model, state
 
 
 # ---------------------------------------------------------------------------
-# The train step as one tape node
+# The train step's objective and its pullback
 
 # OpenBLAS runs a matrix product on one thread when M*N*K <= 2**18 and
 # wakes its thread pool above that. At a train step's sizes the pool
@@ -169,20 +167,20 @@ class StepBuffers:
         self.scratch = np.empty(max(i * o for i, o in zip(dims[:-1], dims[1:])))
 
 
-def build_batch_loss(params: Model, ds: LabeledDataset, batch: TripletBatch,
+def build_batch_loss(model: Model, ds: LabeledDataset, batch: TripletBatch,
                      weights: LossWeights, buffers: StepBuffers | None = None):
-    """The weighted loss of a batch as one tape node over the parameters.
+    """The weighted loss of a batch and its pullback to the parameters.
 
     The anchors, then the positives and the negatives the active terms
     use, run through one stacked forward; each term reads its row blocks
     from it. Anchors receive the supervised terms; contrastive terms only
-    cover triplet slots whose candidates existed. The node's operands
-    are the parameters in ``parameters()`` order. Its pullback scatters
-    the terms' block gradients into the stacked rows and runs the
-    forward backwards. Forward and pullback write into ``buffers`` (a
-    fresh set for this batch when None), so backward the node before the
-    buffers serve another batch. Returns (total, LossBreakdown); total
-    is a tracked scalar when params are.
+    cover triplet slots whose candidates existed. Returns
+    (LossBreakdown, pull): ``pull(g)`` scatters the terms' block
+    gradients, scaled by g, into the stacked rows, runs the forward
+    backwards and returns the gradients of the parameters in
+    ``parameters()`` order, views of ``buffers.grad``. Forward and
+    pullback write into ``buffers`` (a fresh set for this batch when
+    None), so call pull before the buffers serve another batch.
     """
     a = batch.a
     num_a = len(a)
@@ -193,9 +191,8 @@ def build_batch_loss(params: Model, ds: LabeledDataset, batch: TripletBatch,
     num_p = len(pos)
     rows = np.concatenate([a, batch.p[pos], batch.n[pos[trip]]])
     n = len(rows)
-    buf = StepBuffers(params.config, n) if buffers is None else buffers
-    leaves = [p if isinstance(p, Tensor) else Tensor(p) for p in params.parameters()]
-    ws, bs = [t.data for t in leaves[0::2]], [t.data for t in leaves[1::2]]
+    buf = StepBuffers(model.config, n) if buffers is None else buffers
+    ws, bs = model.weights, model.biases
 
     if rows.min() < 0 or rows.max() >= len(ds):
         raise IndexError(f"batch row index out of range 0..{len(ds) - 1}")
@@ -207,7 +204,7 @@ def build_batch_loss(params: Model, ds: LabeledDataset, batch: TripletBatch,
         acts.append(np.maximum(h, 0.0, out=h))
     z = _row_blocked(acts[-1], ws[-1], buf.shifted[:n])
     z += bs[-1]
-    s, shifted, total = ad.softmax_parts(z, "softmax_rows", out=(buf.s[:n], z))
+    s, shifted, total = softmax_parts(z, out=(buf.s[:n], z))
 
     ages = ds.ages[a]
     scale = 1.0 / num_a
@@ -233,19 +230,19 @@ def build_batch_loss(params: Model, ds: LabeledDataset, batch: TripletBatch,
                                                           s[negatives], weights.alpha),
                           [("s", pos[trip]), ("s", num_a + trip), ("s", negatives)])
     values = {name: term[1] for name, term in terms.items()}
-    total_value = ad.weighted_sum(list(values.values()), [t[0] for t in terms.values()]).item()
 
-    def pullback(g):
+    def pull(g):
         gz, gs = buf.z_grad[:n], buf.s_grad[:n]
         gz.fill(0.0)
         gs.fill(0.0)
         into, f_grads = {"z": gz, "s": gs}, []
         # No stacked element gets more than two block gradients (an anchor's
         # supervised term and its pair or hinge term), and a sum of two
-        # does not depend on their order, so this matches a tape of one
-        # node per term and one gather per block bit for bit.
-        for coef, _, pull, blocks in terms.values():
-            for (dest, rows_of), d in zip(blocks, pull(g * np.asarray(coef))):
+        # does not depend on their order, so this matches the composed
+        # tape of tests/tape_ops.py (one node per term, one gather per
+        # block) bit for bit.
+        for coef, _, term_pull, blocks in terms.values():
+            for (dest, rows_of), d in zip(blocks, term_pull(g * np.asarray(coef))):
                 if dest == "f":
                     f_grads.append((rows_of, d))  # added after the head's pullback
                 else:
@@ -274,8 +271,9 @@ def build_batch_loss(params: Model, ds: LabeledDataset, batch: TripletBatch,
         float(values["ce"]) * scale,
         float(values["mv"][0]) * scale if weights.lambda_m > 0 else 0.0,
         float(values["mv"][1]) * scale if weights.lambda_v > 0 else 0.0,
-        float(values.get("pair", 0.0)), float(values.get("hinge", 0.0)), total_value)
-    return ad.record(total_value, pullback, leaves), breakdown
+        float(values.get("pair", 0.0)), float(values.get("hinge", 0.0)),
+        weighted_total(values.values(), [t[0] for t in terms.values()]))
+    return breakdown, pull
 
 
 # ---------------------------------------------------------------------------
@@ -318,12 +316,10 @@ def train(ds: LabeledDataset, cfg: TrainConfig) -> tuple[Model, list[LossBreakdo
 
 def _train_step(model: Model, state: AdamState, ds: LabeledDataset, batch: TripletBatch,
                 cfg: TrainConfig, buffers: StepBuffers) -> LossBreakdown:
-    tape = Tape()
-    tracked = model.track(tape)
     try:
-        total, breakdown = build_batch_loss(tracked, ds, batch, cfg.weights, buffers)
+        breakdown, pull = build_batch_loss(model, ds, batch, cfg.weights, buffers)
     except NonFiniteError as exc:
         raise OptimizationError(f"training diverged at step {state.step + 1}: {exc}") from exc
-    tape.backward(total)  # the one node's pullback fills buffers.grad
+    pull(1.0)  # fills buffers.grad
     adam_step(model, buffers.grad, state, cfg)
     return breakdown

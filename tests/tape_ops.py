@@ -1,34 +1,188 @@
-"""Tape primitives, and the train step composed from them, as a test oracle.
+"""A reverse-mode gradient tape and the train step composed on it: the
+test oracle for the package's closed-form ``(value, pull)`` pullbacks.
 
-The package records a train step as one tape node and each loss term as
-one node. These primitives are defined here through the same public
-``autodiff.record`` hook, so the loss formulas can be composed step by
-step and the fused nodes' closed-form pullbacks compared against the
-composition's. ``linear``, ``relu``, ``softmax_rows`` and ``take_rows``
-are the nodes the package's train step was made of, and
-``composed_batch_loss`` is that step: a stacked forward, one gather per
-loss operand, one node per loss term and a weighted sum, 24 nodes with
-the default model and every term on. It is the oracle for
-``training.build_batch_loss``.
+A ``Tape`` records one node per operation, with its operands' handles
+and one pullback, and ``Tape.backward`` propagates a scalar's gradient
+to every node. ``ce_sum`` ... ``triplet_mean`` record each loss term's
+closed form as one node; the primitives (``add`` ... ``take_rows``)
+compose the same formulas step by step. ``composed_batch_loss`` is the
+train step as the package once ran it: a stacked forward of ``linear``
+and ``relu`` nodes, ``softmax_rows``, one ``take_rows`` gather per loss
+operand, one node per term and a weighted sum, 24 nodes with the
+default model and every term on; it is the oracle for
+``training.build_batch_loss``. ``pullback`` turns a function of tape
+tensors into the contract of ``autodiff.grad_check``.
+
+A tape is single-writer. Untracked tensors are immutable value carriers.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from agecontrast import autodiff as ad
-from agecontrast.autodiff import Tensor
-from agecontrast.losses import ce_sum, cosine_mean, kld_mean, mean_variance, triplet_mean
-from agecontrast.model import Model
+from agecontrast.autodiff import softmax_parts
+from agecontrast.losses import (ce_rows, cosine_rows, kld_rows, mean_variance_rows,
+                                triplet_rows, weighted_total)
+from agecontrast.model import Model, ModelConfig
 from agecontrast.training import _inner_blocked, _row_blocked
+
+def _as_array(values):
+    # order="C" keeps row-major layout without promoting 0-d scalars the
+    # way ascontiguousarray would.
+    return np.asarray(values, dtype=np.float64, order="C")
+
+
+class Tensor:
+    """A dense float64 array, optionally tracked as one node on one tape."""
+
+    __slots__ = ("data", "tape", "node")
+
+    def __init__(self, data, tape: "Tape | None" = None, node: int | None = None):
+        self.data = _as_array(data)
+        self.tape = tape
+        self.node = node
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.data.shape
+
+    @property
+    def tracked(self) -> bool:
+        return self.node is not None
+
+    def item(self) -> float:
+        if self.data.size != 1:
+            raise ValueError(f"item: tensor has {self.data.size} elements, expected 1")
+        return self.data.item()
+
+
+class Tape:
+    """Append-only operation record; append order is topological order."""
+
+    def __init__(self):
+        # Per node: the operands' handles (None for an untracked operand)
+        # and the joint pullback, None for a leaf.
+        self._parents = []
+        self._pullbacks = []
+
+    def __len__(self) -> int:
+        return len(self._parents)
+
+    def watch(self, values) -> Tensor:
+        """Register a leaf whose gradient should be available after backward."""
+        return Tensor(values, self, self._append((), None))
+
+    def _append(self, parents, pullback) -> int:
+        self._parents.append(parents)
+        self._pullbacks.append(pullback)
+        return len(self._parents) - 1
+
+    def backward(self, loss: Tensor) -> dict:
+        """Propagate d(loss)/d(node) to every node reachable from ``loss``.
+
+        Returns a map from node handle to gradient array; gradients
+        accumulate additively across fan-out. Handles absent from the map
+        did not influence the loss (their gradient is zero). A gradient may
+        be a read-only view: copy it before writing to it.
+        """
+        if loss.node is None or loss.tape is not self:
+            raise ValueError("backward: loss was not recorded on this tape")
+        if loss.data.size != 1:
+            raise ValueError(f"backward: loss must be scalar, got shape {loss.data.shape}")
+        grads = [None] * len(self._parents)
+        grads[loss.node] = np.ones_like(loss.data)
+        for node in range(loss.node, -1, -1):
+            gout = grads[node]
+            if gout is None or self._pullbacks[node] is None:
+                continue
+            for parent, g in zip(self._parents[node], self._pullbacks[node](gout)):
+                if parent is None:
+                    continue
+                # Never in place: a contribution may be a view of another gradient.
+                grads[parent] = g if grads[parent] is None else grads[parent] + g
+        return {node: g for node, g in enumerate(grads) if g is not None}
 
 
 def _lift(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def record(out, pairs):
-    """``autodiff.record`` with one pullback per operand."""
-    return ad.record(out, lambda g: [pull(g) for _, pull in pairs], [t for t, _ in pairs])
+def node(out, pullback, operands) -> Tensor:
+    """One tape node with value ``out`` over ``operands``.
 
+    ``pullback`` maps the gradient of ``out`` to one gradient per
+    operand, each an array of its operand's shape; the tape drops those
+    of untracked operands. With no operand tracked the result is
+    untracked and the pullback never runs.
+    """
+    out = _as_array(out)
+    tapes = {id(t.tape): t.tape for t in operands if t.tracked}
+    if len(tapes) > 1:
+        raise ValueError("operands were recorded on different tapes")
+    if not tapes:
+        return Tensor(out)
+    tape = tapes.popitem()[1]
+    return Tensor(out, tape, tape._append(tuple(t.node for t in operands), pullback))
+
+
+def record(out, pairs):
+    """``node`` with one pullback per operand."""
+    return node(out, lambda g: [pull(g) for _, pull in pairs], [t for t, _ in pairs])
+
+
+def weighted_sum(terms, coefs) -> Tensor:
+    """``sum_i sum(coefs[i] * terms[i])`` as one scalar node.
+
+    A term is a tensor or a float constant; its coefficient is a float
+    or an array broadcasting against it. The value accumulates term by
+    term in the order given (``losses.weighted_total``).
+    """
+    terms = [_lift(t) for t in terms]
+    if len(terms) != len(coefs):
+        raise ValueError(f"weighted_sum: {len(terms)} terms for {len(coefs)} coefficients")
+    coefs = [np.asarray(c, dtype=np.float64) for c in coefs]
+    total = weighted_total([t.data for t in terms], coefs)
+    return node(total, lambda g: [np.broadcast_to(g * c, t.data.shape)
+                                  for t, c in zip(terms, coefs)], terms)
+
+
+def pullback(fn):
+    """A function of tensors returning a scalar tensor, as a function of
+    arrays returning ``(value, pull)``: the points are watched on a new
+    tape, and pull(g) is g times the tape gradient of each."""
+    def wrapped(*points):
+        tape = Tape()
+        xs = [tape.watch(p) for p in points]
+        out = fn(*xs)
+
+        def pull(g):
+            grads = tape.backward(out) if out.tracked else {}
+            return [g * grads.get(x.node, np.zeros(x.shape)) for x in xs]
+
+        return out.item(), pull
+
+    return wrapped
+
+
+@dataclass
+class Tracked:
+    """A model's parameters as tape leaves, laid out like ``Model``'s."""
+
+    config: ModelConfig
+    weights: list
+    biases: list
+    parameters = Model.parameters
+
+
+def track(model: Model, tape: Tape) -> Tracked:
+    """Every parameter of model registered on the tape; the tracked
+    values are the model's own arrays, not copies."""
+    return Tracked(model.config, [tape.watch(w) for w in model.weights],
+                   [tape.watch(b) for b in model.biases])
+
+
+# ---------------------------------------------------------------------------
+# Primitives
 
 def _check_binary(op, a, b):
     # Identical shapes, or a size-1 operand broadcast against the other.
@@ -155,7 +309,7 @@ def softmax_rows(logits):
     zd = z.data
     if zd.ndim != 2:
         raise ValueError(f"softmax_rows: expected a matrix, got shape {zd.shape}")
-    s = ad.softmax_parts(zd, "softmax_rows")[0]
+    s = softmax_parts(zd)[0]
     return record(s, [(z, lambda g: s * (g - (g * s).sum(axis=1, keepdims=True)))])
 
 
@@ -181,6 +335,66 @@ def take_rows(m, indices):
     return record(md[idx], [(m, pull)])
 
 
+# ---------------------------------------------------------------------------
+# Loss terms, one node each over the package's closed forms
+
+def _rows(*blocks) -> list[Tensor]:
+    """The operands as tensors, checked to be matrices of one shape."""
+    ts = [_lift(x) for x in blocks]
+    shape = ts[0].data.shape
+    if len(shape) != 2 or any(t.data.shape != shape for t in ts):
+        raise ValueError(f"expected row blocks of one (rows, width) shape, "
+                         f"got {[t.data.shape for t in ts]}")
+    return ts
+
+
+def ce_sum(logits, ages) -> Tensor:
+    """Summed cross-entropy -log s_y over the rows of a logit matrix."""
+    (z,) = _rows(logits)
+    return node(*ce_rows(*softmax_parts(z.data), ages), [z])
+
+
+def mean_variance(s_rows, ages) -> Tensor:
+    """The pair (sum_i 0.5*(mean_i - y_i)^2, sum_i var_i) over the rows of
+    a distribution matrix, as one node with a (2,) value."""
+    (s,) = _rows(s_rows)
+    return node(*mean_variance_rows(s.data, ages), [s])
+
+
+def mean_sum(s_rows, ages) -> Tensor:
+    """Summed penalty 0.5*(mean - y)^2 on each row's distribution mean."""
+    return weighted_sum([mean_variance(s_rows, ages)], [(1.0, 0.0)])
+
+
+def variance_sum(s_rows) -> Tensor:
+    """Summed variance of each row's distribution, sum_j s_j (j - mean)^2."""
+    s_rows = _lift(s_rows)
+    # The variance does not depend on the labels; any valid label serves.
+    ones = np.ones(s_rows.data.shape[:1], dtype=np.int64)
+    return weighted_sum([mean_variance(s_rows, ones)], [(0.0, 1.0)])
+
+
+def cosine_mean(f_anchor, f_pos) -> Tensor:
+    """Mean cosine embedding loss 1 - cos(f_a, f_p) over row pairs."""
+    fa, fp = _rows(f_anchor, f_pos)
+    return node(*cosine_rows(fa.data, fp.data), [fa, fp])
+
+
+def kld_mean(z_anchor, z_pos) -> Tensor:
+    """Mean KL divergence KL(s_p || s_a), scaled by 1/A, from two logit matrices."""
+    za, zp = _rows(z_anchor, z_pos)
+    return node(*kld_rows(softmax_parts(za.data), softmax_parts(zp.data)), [za, zp])
+
+
+def triplet_mean(s_a, s_p, s_n, alpha: float) -> Tensor:
+    """Mean hinge max(||s_a - s_p||^2 - ||s_a - s_n||^2 + alpha, 0) per row triplet."""
+    ta, tp, tn = _rows(s_a, s_p, s_n)
+    return node(*triplet_rows(ta.data, tp.data, tn.data, alpha), [ta, tp, tn])
+
+
+# ---------------------------------------------------------------------------
+# The train step, composed
+
 def forward_batch(model, x_rows):
     """(F, S, Z) of a model whose parameters may be tracked, one node per layer."""
     h = _lift(x_rows)
@@ -190,7 +404,7 @@ def forward_batch(model, x_rows):
     return h, softmax_rows(logits), logits
 
 
-def composed_batch_loss(params: Model, ds, batch, weights):
+def composed_batch_loss(params: Tracked, ds, batch, weights):
     """The batch loss of ``training.build_batch_loss`` composed node by node."""
     a = batch.a
     num_a = len(a)
@@ -221,4 +435,4 @@ def composed_batch_loss(params: Model, ds, batch, weights):
                                   take_rows(s, num_a + num_p + np.arange(len(trip))),
                                   weights.alpha))
         coefs.append(weights.lambda_t)
-    return ad.weighted_sum(terms, coefs)
+    return weighted_sum(terms, coefs)

@@ -1,19 +1,19 @@
-"""Tensor engine: primitive values, backward rules, and the FD oracle.
+"""The finite-difference oracle, and the test-side tape it checks.
 
-The primitive cases run on the test-side primitives in ``tape_ops``,
-defined through the same ``record`` hook as the package's own nodes;
-they check the tape's accumulation and the oracle the fused nodes are
-compared against.
+``grad_check`` takes ``(value, pull)`` functions, the package's one
+differentiation contract. The tape cases run on ``tape_ops``: its
+primitive values, backward rules and accumulation, which the package's
+closed-form pullbacks are compared against.
 """
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from agecontrast import autodiff as ad
-from agecontrast.autodiff import Tape, Tensor, grad_check
+from agecontrast.autodiff import grad_check
 
 import tape_ops as ops
+from tape_ops import Tape, Tensor
 
 
 def test_relu_values():
@@ -58,7 +58,7 @@ def test_mixed_tapes_rejected():
     t1, t2 = Tape(), Tape()
     x1, x2 = t1.watch([1.0]), t2.watch([1.0])
     with pytest.raises(ValueError, match="different tapes"):
-        ad.weighted_sum([x1, x2], [1.0, 1.0])
+        ops.weighted_sum([x1, x2], [1.0, 1.0])
 
 
 class TestSoftmax:
@@ -120,7 +120,7 @@ class TestBackward:
         x = tape.watch(np.ones((2, 3)))
         v = tape.watch(np.zeros(3))
         y = ops.add_rowvec(x, v)
-        grads = tape.backward(ad.weighted_sum([y, x], [2.0, 5.0]))
+        grads = tape.backward(ops.weighted_sum([y, x], [2.0, 5.0]))
         npt.assert_array_equal(grads[y.node], np.full((2, 3), 2.0))
         npt.assert_array_equal(grads[x.node], np.full((2, 3), 7.0))
         npt.assert_array_equal(grads[v.node], [4.0, 4.0, 4.0])
@@ -138,42 +138,53 @@ class TestBackward:
             tape.backward(Tensor(1.0))
 
 
+def squares(x):
+    return (x * x).sum(), lambda g: [2.0 * g * x]
+
+
 class TestGradCheck:
     def test_sum_of_squares(self):
-        assert grad_check(lambda x: ops.sum_all(ops.mul(x, x)), [1.0, 2.0, 3.0]) < 1e-7
+        assert grad_check(squares, [1.0, 2.0, 3.0]) < 1e-7
 
     def test_constant_function(self):
-        assert grad_check(lambda x: Tensor(4.0), [1.0, 2.0]) == 0.0
+        assert grad_check(lambda x: (4.0, lambda g: [np.zeros_like(x)]), [1.0, 2.0]) == 0.0
 
     def test_non_finite_rejected(self):
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
-            grad_check(lambda x: ops.log(x), [1e-6])  # crosses zero at x - eps
+            # crosses zero at x - eps
+            grad_check(lambda x: (np.log(x).sum(), lambda g: [g / x]), [1e-6])
 
     def test_eps_must_be_positive(self):
         with pytest.raises(ValueError, match="eps"):
-            grad_check(lambda x: ops.sum_all(ops.mul(x, x)), [1.0], eps=0.0)
+            grad_check(squares, [1.0], eps=0.0)
 
     def test_needs_a_point(self):
         # with no point nothing would be checked, and 0.0 would read as a pass
         with pytest.raises(ValueError, match="at least one point"):
-            grad_check(lambda: Tensor(1.0))
+            grad_check(lambda: (1.0, lambda g: []))
 
     def test_wrong_gradient_of_second_point_fails(self):
-        # sum(x*y) plus a zero-valued term that shifts only y's tape gradient
+        # sum(x*y), with y's gradient shifted by 0.01 per coordinate
         def product(x, y):
-            wrong = ops.mul(ops.sub(ops.sum_all(y), float(y.data.sum())), 0.01)
-            return ops.add(ops.sum_all(ops.mul(x, y)), wrong)
+            return (x * y).sum(), lambda g: [g * y, g * x]
+
+        def wrong(x, y):
+            return (x * y).sum(), lambda g: [g * y, g * x + 0.01 * g]
 
         x, y = [1.0, 2.0, 3.0], [0.5, -1.0, 2.0]
-        assert grad_check(lambda a, b: ops.sum_all(ops.mul(a, b)), x, y) < 1e-7
-        assert grad_check(product, x, y) > 5e-3
+        assert grad_check(product, x, y) < 1e-7
+        assert grad_check(wrong, x, y) > 5e-3
+
+    def test_nan_analytic_gradient_gives_inf(self):
+        # a nan gradient must fail the check, not vanish in max()
+        assert grad_check(lambda x: ((x * x).sum(), lambda g: [x * np.nan]), [1.0, 2.0]) == np.inf
 
     def test_perturbs_every_coordinate_of_every_point_in_order(self):
         seen = []
 
         def record(x, y):
-            seen.append(np.concatenate([x.data.ravel(), y.data.ravel()]))
-            return ops.add(ops.sum_all(x), ops.sum_all(y))
+            seen.append(np.concatenate([x.ravel(), y.ravel()]))
+            return x.sum() + y.sum(), lambda g: [np.full(x.shape, g), np.full(y.shape, g)]
 
         grad_check(record, [[1.0, 2.0]], [3.0], eps=0.5)
         expected = [[1.0, 2.0, 3.0]]
@@ -183,6 +194,41 @@ class TestGradCheck:
                 point[j] += step
                 expected.append(point)
         npt.assert_array_equal(seen, expected)
+
+    def test_pull_must_give_one_gradient_per_point(self):
+        with pytest.raises(ValueError, match="one gradient per point"):
+            grad_check(lambda x, y: (x.sum(), lambda g: [np.ones(x.shape)]), [1.0], [2.0])
+
+
+class TestGradCheckOfSharedBuffers:
+    """Like a train step, the function writes its forward into a buffer
+    that every call shares, and its pull reads that buffer and returns a
+    view of it. grad_check must pull before the next evaluation
+    overwrites the buffer, and copy what it pulled. With eps 0.5 the
+    central differences of a quadratic are exact, so a gradient read at
+    a perturbed point fails by far."""
+
+    @staticmethod
+    def squares(scale):
+        buf = np.empty(3)
+
+        def fn(x):
+            np.copyto(buf, x)
+
+            def pull(g):
+                return [np.multiply(buf, scale * g, out=buf)[:]]
+
+            return (buf * buf).sum(), pull
+
+        return fn
+
+    def test_correct_gradient_passes(self):
+        assert grad_check(self.squares(2.0), [0.5, -1.0, 2.0], eps=0.5) < 1e-12
+
+    def test_wrong_gradient_fails(self):
+        # 2.2 x against 2 x: a relative error of 0.1 at every coordinate
+        assert grad_check(self.squares(2.2), [0.5, -1.0, 2.0], eps=0.5) == pytest.approx(
+            0.1, rel=1e-9)
 
 
 def _signed_away_from(rng, n, margin=5e-2, scale=1.0):
@@ -230,7 +276,7 @@ def _primitive_cases(rng):
         "take_rows": (lambda x: reduce(ops.take_rows(x, [0, 2, 3]), c34.T[:3]),
                       normal((4, 3))),
         "linear": (lambda x, w, b: reduce(ops.linear(x, w, b), c32), normal((3, 4), (4, 2), 2)),
-        "weighted_sum": (lambda a, b: ad.weighted_sum([a, b, 2.0], [c4, 0.5, 3.0]),
+        "weighted_sum": (lambda a, b: ops.weighted_sum([a, b, 2.0], [c4, 0.5, 3.0]),
                          normal(4, (2, 3))),
     }
 
@@ -244,7 +290,7 @@ def test_primitive_gradients_match_finite_differences(name):
     worst = 0.0
     for _ in range(100):
         fn, points = _primitive_cases(rng)[name]
-        worst = max(worst, grad_check(fn, *points))
+        worst = max(worst, grad_check(ops.pullback(fn), *points))
     assert worst < 1e-4, f"{name}: max relative error {worst}"
 
 
@@ -259,7 +305,7 @@ def test_take_rows_assigns_each_row_gradient():
     m = tape.watch(np.arange(8, dtype=float).reshape(4, 2))
     out = ops.take_rows(m, [0, 2, 3])
     npt.assert_array_equal(out.data, m.data[[0, 2, 3]])
-    grads = tape.backward(ad.weighted_sum([out], [[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]]))
+    grads = tape.backward(ops.weighted_sum([out], [[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]]))
     npt.assert_array_equal(grads[m.node], [[1.0, 2.0], [0.0, 0.0], [3.0, 4.0], [5.0, 6.0]])
 
 
@@ -285,17 +331,17 @@ def test_tracked_linear_blocks_agree_with_one_product():
         xt, wt, bt = tape.watch(x), tape.watch(w), tape.watch(b)
         out = ops.linear(xt, wt, bt)
         npt.assert_allclose(out.data, x @ w + b, rtol=1e-12, atol=1e-12)
-        grads = tape.backward(ad.weighted_sum([out], [c]))
+        grads = tape.backward(ops.weighted_sum([out], [c]))
         npt.assert_allclose(grads[xt.node], c @ w.T, rtol=1e-12, atol=1e-11)
         npt.assert_allclose(grads[wt.node], x.T @ c, rtol=1e-12, atol=1e-11)
         npt.assert_allclose(grads[bt.node], c.sum(axis=0), rtol=1e-12, atol=1e-12)
 
 
 def test_weighted_sum_value_and_validation():
-    assert ad.weighted_sum([1.5, 2.0], [1.0, 0.25]).item() == 2.0
-    assert ad.weighted_sum([np.array([1.0, 2.0])], [(3.0, 0.5)]).item() == 4.0
+    assert ops.weighted_sum([1.5, 2.0], [1.0, 0.25]).item() == 2.0
+    assert ops.weighted_sum([np.array([1.0, 2.0])], [(3.0, 0.5)]).item() == 4.0
     with pytest.raises(ValueError, match="weighted_sum"):
-        ad.weighted_sum([1.0, 2.0], [1.0])
+        ops.weighted_sum([1.0, 2.0], [1.0])
 
 
 def test_tape_replay_determinism():

@@ -46,6 +46,11 @@ def _bindings() -> dict:
     return out
 
 
+# Targets whose code the package no longer has: a train step calls its
+# closed-form pullback directly, so there is no tape to time.
+REMOVED = ["agecontrast.autodiff.Tape.backward"]
+
+
 def test_install_finds_every_target_and_undo_restores_them():
     tracing = _load_tracing()
     import agecontrast.cli  # noqa: F401  (loads every module install patches)
@@ -53,10 +58,12 @@ def test_install_finds_every_target_and_undo_restores_them():
     before = _bindings()
     missing, undo = tracing.install(tracing.Tracer())
     try:
-        assert missing == []
+        assert missing == REMOVED
         during = _bindings()
         patched = {key for key, value in before.items() if during[key] is not value}
         for module_name, attr, _ in tracing.TARGETS:
+            if f"{module_name}.{attr}" in REMOVED:
+                continue
             assert (module_name, attr) in patched, f"{module_name}.{attr} was not wrapped"
     finally:
         undo()

@@ -1,17 +1,19 @@
-"""Properties of the fused tape nodes.
+"""Properties of the closed-form pullbacks.
 
-Each loss node (cross-entropy, the mean/variance pair, cosine, triplet
-hinge and KL), and the oracle's ``linear`` and unique-index
-``take_rows``, is checked three ways over random shapes: its value
-against the plain-numpy reference in ``loss_reference``, its
-closed-form pullback against central finite differences, and that
-pullback against the gradient of the same formula composed from small
-tape primitives (``tape_ops``) where the composition is exact. The
-inputs reach logits of +-50, collapsed rows and all-zero feature rows;
-hinges are kept away from their kink.
+Each loss term (cross-entropy, the mean/variance pair, cosine, triplet
+hinge and KL), recorded as one tape node over the package's closed
+form, and the oracle's ``linear`` and unique-index ``take_rows``, is
+checked three ways over random shapes: its value against the
+plain-numpy reference in ``loss_reference``, its closed-form pullback
+against central finite differences, and that pullback against the
+gradient of the same formula composed from small tape primitives
+(``tape_ops``) where the composition is exact. The inputs reach logits
+of +-50, collapsed rows and all-zero feature rows; hinges are kept away
+from their kink.
 
-The train step's one node (``build_batch_loss``) is checked bitwise
-against the same objective composed node by node from ``tape_ops``.
+The train step's value and pullback (``build_batch_loss``) are checked
+bitwise against the same objective composed node by node from
+``tape_ops``.
 """
 
 import hypothesis.extra.numpy as hnp
@@ -20,16 +22,15 @@ import numpy.testing as npt
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from agecontrast import autodiff as ad
-from agecontrast.autodiff import Tape, grad_check
+from agecontrast.autodiff import grad_check
 from agecontrast.data import LabeledDataset, TripletBatch
-from agecontrast.losses import (NORM_FLOOR, LossWeights, ce_sum, cosine_mean, kld_mean,
-                                mean_variance, triplet_mean)
+from agecontrast.losses import NORM_FLOOR, LossWeights
 from agecontrast.model import ModelConfig, init_model
 from agecontrast.training import StepBuffers, build_batch_loss
 
 import loss_reference as ref
 import tape_ops as ops
+from tape_ops import Tape, ce_sum, cosine_mean, kld_mean, mean_variance, triplet_mean
 
 PROPERTY = settings(max_examples=30, deadline=None)
 GRAD_TOL = 1e-4
@@ -37,10 +38,7 @@ GRAD_TOL = 1e-4
 
 def tape_grads(fn, *points):
     """Tape gradients of a scalar function at the given arrays."""
-    tape = Tape()
-    xs = [tape.watch(p) for p in points]
-    grads = tape.backward(fn(*xs))
-    return [grads.get(x.node, np.zeros(x.shape)) for x in xs]
+    return ops.pullback(fn)(*points)[1](1.0)
 
 
 def assert_grads_close(got, want):
@@ -51,7 +49,7 @@ def assert_grads_close(got, want):
 def projected(node_fn, coef):
     """A scalar through a fixed random projection, so the pullback sees a
     non-uniform gradient."""
-    return lambda *xs: ad.weighted_sum([node_fn(*xs)], [coef])
+    return lambda *xs: ops.weighted_sum([node_fn(*xs)], [coef])
 
 
 @st.composite
@@ -85,7 +83,7 @@ def test_linear(data):
                   for shape in ((n, k), (k, m), (m,), (n, m)))
     npt.assert_array_equal(ops.linear(x, w, b).data, x @ w + b)
     fn = projected(ops.linear, c)
-    assert grad_check(fn, x, w, b) < GRAD_TOL
+    assert grad_check(ops.pullback(fn), x, w, b) < GRAD_TOL
     composed = projected(lambda x, w, b: ops.add_rowvec(ops.matmul(x, w), b), c)
     assert_grads_close(tape_grads(fn, x, w, b), tape_grads(composed, x, w, b))
 
@@ -99,7 +97,7 @@ def test_take_rows_unique_indices(data):
     c = data.draw(hnp.arrays(np.float64, (len(idx), k), elements=floats(-3.0, 3.0)))
     npt.assert_array_equal(ops.take_rows(m, idx).data, m[idx])
     fn = projected(lambda t: ops.take_rows(t, idx), c)
-    assert grad_check(fn, m) < GRAD_TOL
+    assert grad_check(ops.pullback(fn), m) < GRAD_TOL
     scattered = np.zeros((n, k))
     scattered[idx] = c
     npt.assert_array_equal(tape_grads(fn, m)[0], scattered)
@@ -116,7 +114,7 @@ def test_ce_sum(data):
     ages = data.draw(hnp.arrays(np.int64, n, elements=st.integers(1, k)))
     got = ce_sum(z, ages).item()
     assert got == pytest.approx(sum(ref.ce(z[i], ages[i]) for i in range(n)), rel=1e-12)
-    assert grad_check(lambda t: ce_sum(t, ages), z) < GRAD_TOL
+    assert grad_check(ops.pullback(lambda t: ce_sum(t, ages)), z) < GRAD_TOL
 
 
 @PROPERTY
@@ -128,7 +126,7 @@ def test_kld_mean(data):
     assert np.isfinite(got)
     want = np.mean([ref.kld(za[i], zp[i]) for i in range(n)])
     assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
-    assert grad_check(kld_mean, za, zp) < GRAD_TOL
+    assert grad_check(ops.pullback(kld_mean), za, zp) < GRAD_TOL
 
 
 @PROPERTY
@@ -172,7 +170,7 @@ def test_mean_variance(data):
                                    rel=1e-10, abs=1e-10)
     c = data.draw(hnp.arrays(np.float64, 2, elements=floats(-2.0, 2.0)))
     fn = projected(lambda t: mean_variance(t, ages), c)
-    assert grad_check(fn, s) < GRAD_TOL
+    assert grad_check(ops.pullback(fn), s) < GRAD_TOL
     labels = np.arange(1.0, k + 1.0)[:, None]
 
     def composed(t):
@@ -196,7 +194,7 @@ def test_triplet_mean(data, alpha):
     want = np.mean([ref.triplet(sa[i], sp[i], sn[i], alpha) for i in range(n)])
     assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
     fn = lambda a, p, q: triplet_mean(a, p, q, alpha)  # noqa: E731
-    assert grad_check(fn, sa, sp, sn) < GRAD_TOL
+    assert grad_check(ops.pullback(fn), sa, sp, sn) < GRAD_TOL
 
     def composed(a, p, q):
         dp, dn = ops.sub(a, p), ops.sub(a, q)
@@ -229,7 +227,7 @@ def test_cosine_mean(data):
     got = cosine_mean(fa, fp).item()
     want = np.mean([ref.cosine(fa[i], fp[i]) for i in range(n)])
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
-    assert grad_check(cosine_mean, fa, fp) < GRAD_TOL
+    assert grad_check(ops.pullback(cosine_mean), fa, fp) < GRAD_TOL
     assert_grads_close(tape_grads(cosine_mean, fa, fp), tape_grads(cosine_composed, fa, fp))
 
 
@@ -250,7 +248,7 @@ def test_cosine_mean_with_a_zero_feature_row(data):
     got = cosine_mean(fa, fp).item()
     assert got == pytest.approx(np.mean([ref.cosine(fa[i], fp[i]) for i in range(n)]),
                                 rel=1e-12, abs=1e-12)
-    assert grad_check(lambda t: cosine_mean(fa, t), fp) < GRAD_TOL
+    assert grad_check(ops.pullback(lambda t: cosine_mean(fa, t)), fp) < GRAD_TOL
     grads = tape_grads(cosine_mean, fa, fp)
     assert all(np.all(np.isfinite(g)) for g in grads)
     if zero:
@@ -309,14 +307,15 @@ def test_fused_step_matches_the_composed_tape_bitwise(case):
         for arr in value if isinstance(value, list) else [value]:
             if arr.dtype.kind == "f":
                 arr.fill(np.nan)
-    fused_tape, composed_tape = Tape(), Tape()
-    fused_params = model.track(fused_tape)
-    total, breakdown = build_batch_loss(fused_params, ds, batch, weights, buffers)
-    assert len(fused_tape) == len(model.parameters()) + 1
-    composed_params = model.track(composed_tape)
+    breakdown, pull = build_batch_loss(model, ds, batch, weights, buffers)
+    fused_grads = pull(1.0)
+    # The gradients are the buffer that Adam reads.
+    assert all(np.shares_memory(g, buffers.grad) for g in fused_grads)
+    tape = Tape()
+    composed_params = ops.track(model, tape)
     composed = ops.composed_batch_loss(composed_params, ds, batch, weights)
-    assert total.item() == composed.item() == breakdown.total
-    fused_grads = fused_tape.backward(total)
-    composed_grads = composed_tape.backward(composed)
-    for f, c in zip(fused_params.parameters(), composed_params.parameters()):
-        npt.assert_array_equal(fused_grads[f.node], composed_grads[c.node])
+    assert composed.item() == breakdown.total
+    composed_grads = tape.backward(composed)
+    assert len(fused_grads) == len(model.parameters())
+    for f, c in zip(fused_grads, composed_params.parameters()):
+        npt.assert_array_equal(f, composed_grads[c.node])

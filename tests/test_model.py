@@ -6,7 +6,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from agecontrast.autodiff import Tape, grad_check
+from agecontrast.autodiff import grad_check
 from agecontrast.model import (Model, ModelConfig, forward_batch, forward_values, init_model,
                                load_model, predict_ages, save_model)
 
@@ -184,17 +184,18 @@ def test_unpacked_forward_is_differentiable_end_to_end():
     x_rows = np.random.default_rng(6).normal(0, 1, (2, 8))
 
     def loss_of(*params):
-        _, s, _ = ops.forward_batch(Model(TINY, list(params[0::2]), list(params[1::2])), x_rows)
+        _, s, _ = ops.forward_batch(ops.Tracked(TINY, params[0::2], params[1::2]), x_rows)
         return ops.sum_all(ops.mul(s, s))
 
-    assert grad_check(loss_of, *m.parameters()) < 1e-4
+    assert grad_check(ops.pullback(loss_of), *m.parameters()) < 1e-4
 
 
 def test_tracked_forward_populates_tape():
     m = init_model(TINY, 23)
-    tape = Tape()
-    tracked = m.track(tape)
-    assert isinstance(tracked, Model) and tracked.config == m.config
+    tape = ops.Tape()
+    tracked = ops.track(m, tape)
+    assert tracked.config == m.config
+    assert all(t.data is p for t, p in zip(tracked.parameters(), m.parameters()))
     f, s, z = ops.forward_batch(tracked, np.ones((1, 8)))
     npt.assert_array_equal(s.data, forward_batch(m, np.ones((1, 8)))[1])
     assert f.tracked and s.tracked and z.tracked

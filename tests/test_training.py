@@ -233,7 +233,7 @@ class TestBatchLossAgainstPerSample:
         weights = LossWeights(lambda_c=3.0, lambda_t=0.7, pair_loss=pair_loss)
         model = init_model(ModelConfig(train_ds.input_dim, (12,), 8, train_ds.num_ages), 1)
         triplets = TripletBatch([0, 1, 2, 3], [4, -1, 6, 7], [8, 9, -1, 10])
-        _, bd = build_batch_loss(model, train_ds, triplets, weights)
+        bd, _ = build_batch_loss(model, train_ds, triplets, weights)
         expected = self._per_sample_means(model, train_ds, triplets, weights)
         for got, want, name in zip((bd.l_s, bd.l_m, bd.l_v, bd.l_c, bd.l_t),
                                    expected, ("l_s", "l_m", "l_v", "l_c", "l_t")):
@@ -252,7 +252,7 @@ class TestBatchLossAgainstPerSample:
         weights = LossWeights(lambda_c=3.0, lambda_t=0.7)
         model = init_model(ModelConfig(train_ds.input_dim, (12,), 8, train_ds.num_ages), 1)
         triplets = TripletBatch([0, 1], [-1, -1], [8, 9])
-        _, bd = build_batch_loss(model, train_ds, triplets, weights)
+        bd, _ = build_batch_loss(model, train_ds, triplets, weights)
         assert bd.l_c == 0.0 and bd.l_t == 0.0 and bd.l_s > 0.0
 
 
