@@ -5,12 +5,17 @@ k-fold (se, identities never cross the train/test boundary) and
 leave-one-person-out (lopo). The identity-variance diagnostic reports
 the within-identity variance of features f and of the softmax output s
 (scaled by 100), averaged per coordinate and then per identity; higher
-values mean the representation depends less on who the person is.
+values mean the representation depends less on who the person is. A
+sweep runs all its (cell, fold) jobs on one spawned process pool whose
+workers get the dataset once, at start, and one OpenBLAS thread each.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -28,6 +33,8 @@ PROTOCOLS = ("rs", "se", "lopo")
 # Softmax outputs are scaled by this factor before the variance is taken,
 # so their diagnostic lands on a comparable magnitude to the features'.
 S_VARIANCE_SCALE = 100.0
+
+_VARIANCE_CHUNK_ROWS = 4096  # about the most rows identity_variance gathers at once
 
 ESTIMATOR_NOTES = {
     "variance": "population (ddof=0), averaged per coordinate then per identity",
@@ -72,11 +79,8 @@ def split_subject_exclusive(ds: LabeledDataset, k: int, seed: int) -> list[Fold]
         raise IncompatibleDataError(
             f"subject-exclusive split needs >= {k} identities, dataset has {len(identities)}")
     order = np.random.default_rng(seed).permutation(len(identities))
-    chunks = []
-    for ident_ids in np.array_split(order, k):
-        test = np.sort(np.concatenate(
-            [ds.indices_of_identity(identities[i]) for i in ident_ids]))
-        chunks.append(test)
+    chunks = [np.concatenate([ds.indices_of_identity(identities[i]) for i in ident_ids])
+              for ident_ids in np.array_split(order, k)]
     return _folds_from_chunks(chunks, len(ds))
 
 
@@ -132,16 +136,22 @@ def identity_variance(model: Model, ds: LabeledDataset) -> tuple[float, float]:
 
 def _identity_variance_of(f_rows: Array, s_rows: Array,
                           ds: LabeledDataset) -> tuple[float, float]:
-    vf, vs = [], []
-    for ident in ds.unique_identities():
-        idx = ds.indices_of_identity(ident)
-        if idx.size < 2:
-            continue
-        vf.append(float(np.mean(np.var(f_rows[idx], axis=0))))
-        vs.append(float(np.mean(np.var(s_rows[idx] * S_VARIANCE_SCALE, axis=0))))
-    if not vf:
+    # Identities with one sample count are gathered as (identities, count,
+    # width); np.var over axis 1 gives each the bits of np.var of its rows.
+    groups = [ds.indices_of_identity(ident) for ident in ds.unique_identities()]
+    sizes = np.array([g.size for g in groups])
+    kept = sizes >= 2
+    if not kept.any():
         raise IncompatibleDataError("identity_variance needs an identity with >= 2 samples")
-    return float(np.mean(vf)), float(np.mean(vs))
+    vf, vs = np.zeros((2, len(groups)))
+    for count in np.unique(sizes[kept]):
+        members = np.flatnonzero(sizes == count)
+        step = max(1, _VARIANCE_CHUNK_ROWS // count)
+        for ids in np.split(members, range(step, members.size, step)):
+            take = np.stack([groups[i] for i in ids])
+            vf[ids] = np.mean(np.var(f_rows[take], axis=1), axis=1)
+            vs[ids] = np.mean(np.var(s_rows[take] * S_VARIANCE_SCALE, axis=1), axis=1)
+    return float(np.mean(vf[kept])), float(np.mean(vs[kept]))
 
 
 @dataclass
@@ -196,45 +206,33 @@ def evaluate_checkpoint(model: Model, ds: LabeledDataset, protocol: str,
     )
 
 
-def _derive_fold_seed(seed: int, fold_index: int) -> int:
-    return int(np.random.SeedSequence([int(seed), int(fold_index)]).generate_state(1)[0])
+def _fold_config(cfg: TrainConfig, fold_index: int) -> TrainConfig:
+    state = np.random.SeedSequence([int(cfg.seed), int(fold_index)]).generate_state(1)
+    return replace(cfg, seed=int(state[0]))
 
 
-def _fold_job(args) -> tuple[float, float, float, list[LossBreakdown]]:
-    ds, cfg, fold = args
+def _fold_job(ds: LabeledDataset, cfg: TrainConfig, fold: Fold) -> tuple[float, float, float, list]:
     model, history = train(ds.subset(fold.train), cfg)
-    mae = evaluate_mae(model, ds, fold.test)
-    mu_vf, mu_vs = identity_variance(model, ds)
-    return mae, mu_vf, mu_vs, history
+    return evaluate_mae(model, ds, fold.test), *identity_variance(model, ds), history
+
+
+def _report(cfg: TrainConfig, protocol: str, split_seed: int, folds: list[Fold],
+            results) -> EvalReport:
+    maes, vfs, vss, histories = (list(column) for column in zip(*results))
+    return EvalReport(
+        protocol=protocol, k=len(folds), seed=split_seed, fold_maes=maes,
+        fold_sizes=[len(fold.test) for fold in folds], mean_mae=float(np.mean(maes)),
+        mu_vf=float(np.mean(vfs)), mu_vs=float(np.mean(vss)), histories=histories,
+        config=asdict(cfg))
 
 
 def run_protocol(ds: LabeledDataset, cfg: TrainConfig, protocol: str,
-                 k: int = 5, split_seed: int = 0, jobs: int = 1) -> EvalReport:
-    """Train on every fold's train split, score its test split.
-
-    Fold jobs get derived seeds and are independent, so they may run in
-    parallel (jobs > 1) without changing any number. The identity
-    variance is measured on the full dataset with each fold's model and
-    averaged.
-    """
+                 k: int = 5, split_seed: int = 0) -> EvalReport:
+    """Train on every fold's train split and score its test split; each fold
+    model's identity variance, over the whole dataset, is averaged."""
     folds = split_protocol(ds, protocol, k, split_seed)
-    payloads = [(ds, replace(cfg, seed=_derive_fold_seed(cfg.seed, i)), fold)
-                for i, fold in enumerate(folds)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_fold_job, payloads))
-    else:
-        results = [_fold_job(p) for p in payloads]
-    fold_maes = [r[0] for r in results]
-    return EvalReport(
-        protocol=protocol, k=len(folds), seed=split_seed,
-        fold_maes=fold_maes, fold_sizes=[len(fold.test) for fold in folds],
-        mean_mae=float(np.mean(fold_maes)),
-        mu_vf=float(np.mean([r[1] for r in results])),
-        mu_vs=float(np.mean([r[2] for r in results])),
-        histories=[r[3] for r in results],
-        config=asdict(cfg),
-    )
+    results = [_fold_job(ds, _fold_config(cfg, i), fold) for i, fold in enumerate(folds)]
+    return _report(cfg, protocol, split_seed, folds, results)
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +291,54 @@ def sweep(ds: LabeledDataset, base_cfg: TrainConfig, cells: list[SweepCell],
     if not cells:
         raise ValueError("sweep: empty grid")
     configs = [cell.config(base_cfg) for cell in cells]  # all checked before any training
-    rows = []
-    for cell, cfg in zip(cells, configs):
-        report = run_protocol(ds, cfg, protocol, k, split_seed, jobs)
-        rows.append(SweepRow(
-            label=cell.label, lambda_c=cell.lambda_c, lambda_t=cell.lambda_t,
-            pair_loss=cell.pair_loss, fold_maes=report.fold_maes,
-            mean_mae=report.mean_mae, mu_vf=report.mu_vf, mu_vs=report.mu_vs))
-    return rows
+    folds = split_protocol(ds, protocol, k, split_seed)
+    tasks = [(_fold_config(cfg, i), fold) for cfg in configs for i, fold in enumerate(folds)]
+    # Longest first: cells with a triplet term, then with a pair term, then MV.
+    order = sorted(range(len(tasks)), reverse=True, key=lambda i: (
+        tasks[i][0].weights.lambda_t > 0, tasks[i][0].weights.lambda_c > 0))
+    results = dict(zip(order, _run_jobs(ds, [tasks[i] for i in order], jobs)))
+    n = len(folds)
+    reports = [_report(cfg, protocol, split_seed, folds, [results[c * n + j] for j in range(n)])
+               for c, cfg in enumerate(configs)]
+    return [SweepRow(cell.label, cell.lambda_c, cell.lambda_t, cell.pair_loss,
+                     r.fold_maes, r.mean_mae, r.mu_vf, r.mu_vs)
+            for cell, r in zip(cells, reports)]
+
+
+_worker_dataset: LabeledDataset | None = None  # set once in each pool worker
+
+
+def _init_worker(ds: LabeledDataset, errstate: dict) -> None:
+    global _worker_dataset
+    _worker_dataset = ds
+    np.seterr(**errstate)  # a spawned worker starts with numpy's defaults
+
+
+def _worker_fold_job(cfg: TrainConfig, fold: Fold):
+    return _fold_job(_worker_dataset, cfg, fold)
+
+
+@contextmanager
+def _one_blas_thread():
+    saved = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        yield
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+        if saved is not None:
+            os.environ["OPENBLAS_NUM_THREADS"] = saved
+
+
+def _run_jobs(ds: LabeledDataset, tasks, jobs: int) -> list:
+    """Results in task order; the first failure raises and cancels the rest."""
+    if jobs == 1:
+        return [_fold_job(ds, cfg, fold) for cfg, fold in tasks]
+    pool = ProcessPoolExecutor(min(jobs, len(tasks)), multiprocessing.get_context("spawn"),
+                               initializer=_init_worker, initargs=(ds, np.geterr()))
+    try:
+        with _one_blas_thread():  # read by the numpy of each worker that submit() spawns
+            futures = [pool.submit(_worker_fold_job, cfg, fold) for cfg, fold in tasks]
+        return [f.result() for f in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)

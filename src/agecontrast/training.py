@@ -112,12 +112,11 @@ def adam_step(model: Model, grad: Array, state: AdamState, cfg: TrainConfig) -> 
 # The train step's objective and its pullback
 
 # OpenBLAS runs a matrix product on one thread when M*N*K <= 2**18 and
-# wakes its thread pool above that. At a train step's sizes the pool
-# costs more than it saves, and the worker processes of a sweep (one per
-# core) then oversubscribe the cores: on 2 vCPUs with OpenBLAS 0.3.31,
-# `sweep --loss-sets --jobs 2` ran twice as long with one stacked product.
-# So the products of a train step run in blocks that each stay under the
-# limit.
+# wakes its thread pool above that, which at a train step's sizes costs
+# more than it saves. So the products of a train step run in blocks that
+# each stay under the limit. Sweep workers start with one OpenBLAS thread
+# (`evaluation._run_jobs`), so the blocks matter to `train` and to
+# `sweep --jobs 1`; whether they still pay there is not yet measured.
 _ONE_THREAD_MNK = 2 ** 18
 
 

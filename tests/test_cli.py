@@ -405,12 +405,14 @@ class TestEvalBoundary:
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_sweep_divergence_exits_2(self, tiny_dataset, tmp_path, capsys, jobs):
+    def test_sweep_divergence_exits_2(self, tiny_dataset, tmp_path, capfd, jobs):
+        # capfd also sees what pool workers write to stderr
         out = tmp_path / "s"
         out.mkdir()
         assert main(["sweep", "--dataset", str(tiny_dataset), "--loss-sets", "--lr", "1e300",
                      "--epochs", "2", "--jobs", jobs, "--out", str(out)]) == 2
-        assert "error: training diverged at step 2" in capsys.readouterr().err
+        assert capfd.readouterr().err.splitlines() == [
+            "error: training diverged at step 2: non-finite logit"]
         assert list(out.iterdir()) == []
 
     def test_sweep_overflowing_fold_model_exits_2(self, tiny_dataset, tmp_path, capsys):
@@ -463,6 +465,18 @@ class TestSweep:
         rows = [json.loads(line) for line in
                 (out / "sweep_rows.jsonl").read_text().splitlines()]
         assert [r["lambda_c"] for r in rows] == [0.0, 1.0, 10.0]
+
+    def test_jobs_do_not_change_sweep_artifacts(self, tiny_dataset, tmp_path):
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            out.mkdir()
+            assert main(["sweep", "--dataset", str(tiny_dataset), "--loss-sets",
+                         "--epochs", "2", "--batch-size", "15", "--protocol", "se",
+                         "--k", "2", "--seed", "1", "--jobs", jobs, "--out", str(out)]) == 0
+            outputs.append([(out / name).read_bytes()
+                            for name in ("sweep.csv", "sweep_rows.jsonl")])
+        assert outputs[0] == outputs[1]
 
     def test_missing_grid_exits_2(self, tiny_dataset, tmp_path):
         out = tmp_path / "s"

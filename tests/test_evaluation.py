@@ -1,10 +1,16 @@
 """Fold protocols, MAE, identity variance, protocol runs, sweeps."""
 
+import os
+import pickle
+from concurrent.futures import Future
+from unittest import mock
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from agecontrast import evaluation
 from agecontrast.errors import IncompatibleDataError
 from agecontrast.evaluation import (Fold, evaluate_checkpoint, evaluate_mae,
                                     identity_variance, lambda_grid_cells,
@@ -12,7 +18,7 @@ from agecontrast.evaluation import (Fold, evaluate_checkpoint, evaluate_mae,
                                     split_lopo, split_protocol, split_random,
                                     split_subject_exclusive, sweep)
 from agecontrast.losses import LossWeights
-from agecontrast.model import ModelConfig, init_model
+from agecontrast.model import ModelConfig, forward_values, init_model
 from agecontrast.training import TrainConfig
 
 from conftest import make_dataset
@@ -239,6 +245,44 @@ class TestIdentityVariance:
         with pytest.raises(IncompatibleDataError, match=">= 2"):
             identity_variance(model, ds)
 
+    def test_matches_the_per_identity_loop_bitwise(self, small_synth):
+        _, ds, _ = small_synth
+        model = init_model(ModelConfig(ds.input_dim, (8,), 6, ds.num_ages), 2)
+        f_rows, s_rows = forward_values(model, ds.inputs)
+        assert identity_variance(model, ds) == identity_variance_loop(f_rows, s_rows, ds)
+
+    @settings(max_examples=150, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 9), min_size=1, max_size=14),
+           width=st.integers(1, 5), chunk_rows=st.integers(1, 20), seed=st.integers(0, 2**16))
+    def test_grouped_gather_matches_the_loop_bitwise(self, sizes, width, chunk_rows, seed):
+        # singletons, mixed sizes, and chunks that split a size group
+        rng = np.random.default_rng(seed)
+        identities = [f"p{i}" for i, size in enumerate(sizes) for _ in range(size)]
+        order = rng.permutation(len(identities))
+        ds = make_dataset([1] * len(identities), [identities[i] for i in order],
+                          num_ages=2, seed=seed)
+        f_rows = rng.normal(0.0, rng.choice([1e-3, 1.0, 1e3]), (len(ds), width))
+        s_rows = rng.dirichlet(np.ones(width + 1), len(ds))
+        with mock.patch.object(evaluation, "_VARIANCE_CHUNK_ROWS", chunk_rows):
+            if max(sizes) < 2:
+                with pytest.raises(IncompatibleDataError, match=">= 2"):
+                    evaluation._identity_variance_of(f_rows, s_rows, ds)
+                return
+            got = evaluation._identity_variance_of(f_rows, s_rows, ds)
+        assert got == identity_variance_loop(f_rows, s_rows, ds)
+
+
+def identity_variance_loop(f_rows, s_rows, ds):
+    """The per-identity loop that the grouped gather must equal bit for bit."""
+    vf, vs = [], []
+    for ident in ds.unique_identities():
+        idx = ds.indices_of_identity(ident)
+        if idx.size < 2:
+            continue
+        vf.append(float(np.mean(np.var(f_rows[idx], axis=0))))
+        vs.append(float(np.mean(np.var(s_rows[idx] * evaluation.S_VARIANCE_SCALE, axis=0))))
+    return float(np.mean(vf)), float(np.mean(vs))
+
 
 FAST = dict(epochs=2, batch_size=16, hidden_widths=(8,), feature_dim=6)
 
@@ -275,14 +319,6 @@ class TestProtocolRuns:
         assert r1.fold_maes == r2.fold_maes
         assert r1.mu_vf == r2.mu_vf and r1.mu_vs == r2.mu_vs
         assert len(r1.histories) == 3 and all(len(h) == 2 for h in r1.histories)
-
-    def test_jobs_do_not_change_results(self, small_synth):
-        _, ds, _ = small_synth
-        cfg = TrainConfig(seed=4, **FAST)
-        seq = run_protocol(ds, cfg, "rs", k=3, split_seed=1, jobs=1)
-        par = run_protocol(ds, cfg, "rs", k=3, split_seed=1, jobs=2)
-        assert seq.fold_maes == par.fold_maes
-        assert seq.mu_vf == par.mu_vf
 
     def test_report_round_trips_to_dict(self, small_synth):
         _, ds, _ = small_synth
@@ -327,3 +363,142 @@ class TestSweep:
         _, ds, _ = small_synth
         with pytest.raises(ValueError, match="empty"):
             sweep(ds, TrainConfig(**FAST), [], protocol="se", k=2)
+
+
+BLAS_THREADS = "OPENBLAS_NUM_THREADS"
+
+
+class FakePool:
+    """Stands in for ProcessPoolExecutor and starts no process: it runs its
+    initializer at construction and each job at submit, in this process."""
+
+    def __init__(self, max_workers, mp_context, initializer, initargs):
+        self.max_workers = max_workers
+        self.start_method = mp_context.get_start_method()
+        self.initargs = initargs
+        self.submitted, self.env_at_submit, self.shutdowns = [], [], []
+        initializer(*initargs)
+
+    def submit(self, fn, *args):
+        self.submitted.append(args)
+        self.env_at_submit.append(os.environ.get(BLAS_THREADS))
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        self.shutdowns.append(cancel_futures)
+
+
+class Unfinished(Future):
+    def result(self, timeout=None):
+        raise AssertionError("waited on a job after an earlier job failed")
+
+
+class FailFirstPool(FakePool):
+    """The first job submitted fails; the others never finish."""
+
+    def submit(self, fn, *args):
+        self.submitted.append(args)
+        if len(self.submitted) > 1:
+            return Unfinished()
+        future = Future()
+        future.set_exception(RuntimeError(f"job 0 failed, lambda_t={args[0].weights.lambda_t}"))
+        return future
+
+
+def report_worker_state(cfg, fold):
+    """A fold job whose MAE is the worker's OPENBLAS_NUM_THREADS and whose
+    mu_vf is the size of the dataset the worker was started with."""
+    return float(os.environ[BLAS_THREADS]), float(len(evaluation._worker_dataset)), 0.0, []
+
+
+def fake_pools(monkeypatch, pool_type=FakePool) -> list:
+    """Makes sweeps use pool_type in place of a process pool; returns the
+    list of pools they make."""
+    made = []
+
+    def make(*args, **kwargs):
+        made.append(pool_type(*args, **kwargs))
+        return made[-1]
+    monkeypatch.setattr(evaluation, "_worker_dataset", None)
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", make)
+    return made
+
+
+def set_blas_threads(monkeypatch, value):
+    if value is None:
+        monkeypatch.delenv(BLAS_THREADS, raising=False)
+    else:
+        monkeypatch.setenv(BLAS_THREADS, value)
+
+
+class TestSweepPool:
+    def test_pool_size_is_capped_by_the_job_count(self, small_synth, monkeypatch):
+        _, ds, _ = small_synth
+        pools = fake_pools(monkeypatch)
+        cfg = TrainConfig(seed=2, **FAST)
+        rows = sweep(ds, cfg, lambda_grid_cells([0.0], [0.0]), protocol="se", k=2, jobs=64)
+        [pool] = pools
+        assert pool.max_workers == 2 and pool.start_method == "spawn"
+        assert rows == sweep(ds, cfg, lambda_grid_cells([0.0], [0.0]), protocol="se", k=2)
+
+    def test_jobs_carry_cfg_and_fold_and_workers_get_the_dataset_at_start(self, small_synth, monkeypatch):
+        _, ds, _ = small_synth
+        pools = fake_pools(monkeypatch)
+        sweep(ds, TrainConfig(seed=2, **FAST), loss_set_cells(), protocol="se", k=2, jobs=2)
+        [pool] = pools
+        assert pool.initargs[0] is ds and pool.initargs[1:] == (np.geterr(),)
+        assert len(pool.submitted) == 12 and pool.shutdowns == [True]
+        for args in pool.submitted:
+            assert [type(a) for a in args] == [TrainConfig, Fold]
+            assert len(pickle.dumps(args)) * 10 < len(pickle.dumps(ds))
+
+    def test_longest_jobs_go_first_and_rows_keep_cell_order(self, small_synth, monkeypatch):
+        _, ds, _ = small_synth
+        pools = fake_pools(monkeypatch)
+        cfg = TrainConfig(seed=2, **FAST)
+        pooled = sweep(ds, cfg, loss_set_cells(), protocol="se", k=2, jobs=2)
+        weights = [(c.weights.lambda_t > 0, c.weights.lambda_c > 0)
+                   for c, _ in pools[0].submitted]
+        assert weights == sorted(weights, reverse=True)
+        assert weights[:4] == [(True, True)] * 4 and weights[-2:] == [(False, False)] * 2
+        for cell, row in zip(loss_set_cells(), pooled):
+            report = run_protocol(ds, cell.config(cfg), "se", k=2)
+            assert (row.fold_maes, row.mu_vf, row.mu_vs) == (
+                report.fold_maes, report.mu_vf, report.mu_vs)
+
+    @pytest.mark.parametrize("before", [None, "3"])
+    def test_first_failure_raises_and_cancels_the_rest(self, small_synth, monkeypatch, before):
+        _, ds, _ = small_synth
+        set_blas_threads(monkeypatch, before)
+        pools = fake_pools(monkeypatch, FailFirstPool)
+        with pytest.raises(RuntimeError, match="job 0 failed, lambda_t=1.0"):
+            sweep(ds, TrainConfig(**FAST), loss_set_cells(), protocol="se", k=2, jobs=2)
+        assert pools[0].shutdowns == [True]
+        assert os.environ.get(BLAS_THREADS) == before
+
+    @pytest.mark.parametrize("before", [None, "3"])
+    def test_blas_threads_are_one_only_while_workers_start(self, small_synth, monkeypatch,
+                                                           before):
+        _, ds, _ = small_synth
+        set_blas_threads(monkeypatch, before)
+        pools = fake_pools(monkeypatch)
+        sweep(ds, TrainConfig(**FAST), lambda_grid_cells([0.0], [0.0]), protocol="se",
+              k=2, jobs=2)
+        assert pools[0].env_at_submit == ["1", "1"]
+        assert os.environ.get(BLAS_THREADS) == before
+
+    @pytest.mark.parametrize("before", [None, "3"])
+    def test_spawned_workers_see_one_blas_thread_and_the_dataset(self, small_synth,
+                                                                 monkeypatch, before):
+        _, ds, _ = small_synth
+        set_blas_threads(monkeypatch, before)
+        monkeypatch.setattr(evaluation, "_worker_fold_job", report_worker_state)
+        [row] = sweep(ds, TrainConfig(**FAST), lambda_grid_cells([0.0], [0.0]),
+                      protocol="se", k=2, jobs=2)
+        assert row.fold_maes == [1.0, 1.0] and row.mu_vf == len(ds)
+        assert os.environ.get(BLAS_THREADS) == before
