@@ -167,7 +167,7 @@ def save_model(model: Model, path) -> None:
         "format": CHECKPOINT_FORMAT,
         "config": asdict(model.config),
         "parameters": [
-            {"name": name, "shape": list(arr.shape), "data": [float(v) for v in arr.ravel()]}
+            {"name": name, "shape": list(arr.shape), "data": arr.ravel().tolist()}
             for name, arr in zip(model.param_names(), model.parameters())
         ],
     }

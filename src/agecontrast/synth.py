@@ -11,6 +11,7 @@ factors are genuinely disentangled.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -109,32 +110,55 @@ def age_curve(age: int, cfg: SynthConfig) -> Array:
 
 
 def generate_dataset(cfg: SynthConfig, seed: int) -> tuple[LabeledDataset, GroundTruth]:
-    """Deterministic per (cfg, seed); identities use spawned child seeds
-    so generation could fan out per identity without changing results."""
+    """Deterministic per (cfg, seed). Identity i draws from child i of
+    ``SeedSequence(seed).spawn``: its code, then for each of its samples
+    a bin, an age in the bin and a noise row.
+
+    A bin is drawn the way ``Generator.choice(len(bins), p=probs)`` draws
+    it: one ``rng.random()`` looked up on the right in the normalized
+    cdf, here without choice's per-call argument checks. Each drawn age's
+    curve is computed once. A row is its code and curve plus
+    ``noise_std`` times its noise, so the draws and the arithmetic are
+    those of the per-sample choice-and-``age_curve`` loop kept in
+    ``tests/test_synth.py``, and every dataset byte is unchanged. Sizes
+    numpy cannot allocate are a ConfigError, raised before any draw.
+    """
     bins = feasible_bins(cfg)
-    probs = np.array([w for _, _, w in bins])
-    child_seeds = np.random.SeedSequence(seed).spawn(cfg.num_identities)
-    num_samples = cfg.num_identities * cfg.samples_per_identity
-    inputs = np.zeros((num_samples, cfg.input_dim))
-    ages = np.empty(num_samples, dtype=np.int64)
-    codes: dict[str, Array] = {}
-    identities: list[str] = []
+    cdf = np.array([w for _, _, w in bins]).cumsum()
+    cdf /= cdf[-1]
+    cdf = cdf.tolist()
+    bin_lo = [lo for lo, _, _ in bins]
+    bin_end = [hi + 1 for _, hi, _ in bins]
+    per = cfg.samples_per_identity
+    num_samples = cfg.num_identities * per
+    try:
+        inputs = np.empty((num_samples, cfg.input_dim))
+        codes = np.empty((cfg.num_identities, cfg.identity_dims))
+        ages = np.empty(num_samples, dtype=np.int64)
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"cannot allocate {num_samples} samples of input_dim "
+                          f"{cfg.input_dim}: {exc}") from exc
     for i in range(cfg.num_identities):
-        ident = f"id{i:05d}"
-        rng = np.random.default_rng(child_seeds[i])
-        code = rng.normal(0.0, 1.0, cfg.identity_dims)
-        codes[ident] = code
-        for _ in range(cfg.samples_per_identity):
-            b = int(rng.choice(len(bins), p=probs))
-            lo, hi, _ = bins[b]
-            age = int(rng.integers(lo, hi + 1))
-            x = inputs[len(identities)]
-            x[:cfg.identity_dims] = code
-            x[cfg.identity_dims:cfg.identity_dims + cfg.age_dims] = age_curve(age, cfg)
-            x += cfg.noise_std * rng.standard_normal(cfg.input_dim)
-            ages[len(identities)] = age
-            identities.append(ident)
-    truth = GroundTruth(codes, identities, ages)
+        # Child i of SeedSequence(seed).spawn, without spawning every identity first.
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+        codes[i] = rng.normal(0.0, 1.0, cfg.identity_dims)
+        for row in range(i * per, (i + 1) * per):
+            b = bisect_right(cdf, rng.random())
+            ages[row] = rng.integers(bin_lo[b], bin_end[b])
+            rng.standard_normal(out=inputs[row])
+    drawn, age_index = np.unique(ages, return_inverse=True)
+    curves = np.array([age_curve(age, cfg) for age in drawn.tolist()])
+    # A value is its code, curve or 0.0 plus noise_std times its noise.
+    # Adding in the other order gives the same bits, since x + y == y + x;
+    # adding 0.0 turns a -0.0 product into 0.0, as adding the zero did.
+    d, a = cfg.identity_dims, cfg.age_dims
+    inputs *= cfg.noise_std
+    inputs.reshape(cfg.num_identities, per, -1)[:, :, :d] += codes[:, None]
+    inputs[:, d:d + a] += curves[age_index]
+    inputs[:, d + a:] += 0.0
+    names = [f"id{i:05d}" for i in range(cfg.num_identities)]
+    identities = [ident for ident in names for _ in range(per)]
+    truth = GroundTruth(dict(zip(names, codes)), identities, ages)
     return LabeledDataset(inputs, ages, identities, cfg.num_ages), truth
 
 
@@ -146,9 +170,9 @@ def prior_baseline_mae(ds: LabeledDataset) -> float:
 
 def save_ground_truth(truth: GroundTruth, path) -> None:
     payload = {
-        "identity_codes": {k: [float(v) for v in arr] for k, arr in truth.identity_codes.items()},
+        "identity_codes": {k: arr.tolist() for k, arr in truth.identity_codes.items()},
         "sample_identities": truth.sample_identities,
-        "sample_ages": [int(a) for a in truth.sample_ages],
+        "sample_ages": truth.sample_ages.tolist(),
     }
     Path(path).write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
 

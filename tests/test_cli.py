@@ -507,6 +507,12 @@ class TestRejectedBeforeWork:
         (["gen", "--seed", "-1"], None, "seed must be >= 0, got -1"),
         (["gen"], "seed = -1", "seed must be >= 0, got -1"),
         (["gen"], "age_bin_weights = 1, 1, 1, inf", "age_bin_weights must be 4 finite"),
+        (["gen"], f"input_dim = {2 ** 60}",
+         f"cannot allocate 1000 samples of input_dim {2 ** 60}"),
+        (["gen"], f"samples_per_identity = {2 ** 60}",
+         f"cannot allocate {200 * 2 ** 60} samples of input_dim 64"),
+        (["gen"], f"num_identities = {2 ** 60}",
+         f"cannot allocate {5 * 2 ** 60} samples of input_dim 64"),
         (["train", "--seed", "-1"], None, "seed must be >= 0, got -1"),
         (["train"], "seed = -1", "seed must be >= 0, got -1"),
         (["train"], "hidden_widths = 0", "ModelConfig: all dimensions must be >= 1"),
@@ -526,7 +532,8 @@ class TestRejectedBeforeWork:
          "lambda_t must be finite and >= 0, got -1.0"),
         (["sweep", "--grid-lambda-c", "0", "--grid-lambda-t=nan"], None,
          "lambda_t must be finite and >= 0, got nan"),
-    ], ids=["gen-flag-seed", "gen-file-seed", "gen-inf-bin-weight", "train-flag-seed",
+    ], ids=["gen-flag-seed", "gen-file-seed", "gen-inf-bin-weight", "gen-input-dim-2**60",
+            "gen-samples-per-identity-2**60", "gen-num-identities-2**60", "train-flag-seed",
             "train-file-seed", "hidden-width-0", "feature-dim-neg", "hidden-width-2**60",
             "feature-dim-2**60", "sweep-hidden-width-2**60", "sweep-jobs-2-hidden-width-2**60",
             "eval-flag-seed", "sweep-flag-seed", "grid-lambda-c-neg", "grid-lambda-c-nan",

@@ -1,11 +1,15 @@
 """Dataset indexes, candidate sets vs brute force, triplet sampling, CSV."""
 
+import errno
+import multiprocessing
+
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from agecontrast import data
 from agecontrast.data import (LabeledDataset, Triplet, TripletBatch, _candidate_rows,
                               has_triplet_negatives, iter_epoch_batches, load_dataset,
                               negative_set, positive_set, sample_triplet_batch, save_dataset)
@@ -364,3 +368,81 @@ class TestCsvRoundTrip:
         assert loaded.inputs.tobytes() == ds.inputs.tobytes()
         assert loaded.ages.tobytes() == ds.ages.tobytes()
         assert loaded.identities == ds.identities and loaded.num_ages == ds.num_ages
+
+
+def reference_csv(ds) -> str:
+    """The CSV text written one row at a time, each float by repr."""
+    lines = ["identity,age," + ",".join(f"v{i}" for i in range(ds.input_dim))]
+    for i in range(len(ds)):
+        values = ",".join(repr(float(v)) for v in ds.inputs[i])
+        lines.append(f"{ds.identities[i]},{int(ds.ages[i])},{values}")
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvPool:
+    """save_dataset on 1-3 forked workers; 60 rows of 5 values, 4 rows a chunk."""
+
+    @pytest.fixture
+    def ds(self):
+        ages = np.random.default_rng(5).integers(1, 10, 60)
+        return make_dataset(ages, [f"p{i % 7}" for i in range(60)], 9, input_dim=5, seed=5)
+
+    @pytest.fixture
+    def workers(self, monkeypatch):
+        """Patches the CPUs to n and the chunk to 4 rows; records the worker counts."""
+        counts = []
+        count = data._csv_workers
+
+        def recorded(values):
+            counts.append(count(values))
+            return counts[-1]
+
+        def patch(cpus, min_values):
+            monkeypatch.setattr(data.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            monkeypatch.setattr(data, "_MIN_VALUES_PER_WORKER", min_values)
+            monkeypatch.setattr(data, "_CSV_CHUNK_VALUES", 20)
+            monkeypatch.setattr(data, "_csv_workers", recorded)
+            return counts
+        return patch
+
+    @pytest.mark.parametrize("cpus, min_values, expected", [
+        (1, 1, 1), (2, 1, 2), (3, 1, 3), (3, 100, 3), (3, 101, 2), (3, 150, 2),
+        (3, 151, 1), (3, 300, 1), (3, 301, 1)])
+    def test_bytes_do_not_depend_on_the_worker_count(self, ds, workers, tmp_path,
+                                                    cpus, min_values, expected):
+        counts = workers(cpus, min_values)
+        save_dataset(ds, tmp_path / "ds.csv")
+        assert counts == [expected]
+        assert (tmp_path / "ds.csv").read_text(encoding="utf-8") == reference_csv(ds)
+        assert multiprocessing.active_children() == []
+
+    def test_workers_are_joined_after_a_failed_write(self, ds, workers, tmp_path, monkeypatch):
+        counts = workers(3, 1)
+
+        def write_one_chunk_then_fail(path, header, chunks):
+            rows = reference_csv(ds).splitlines(keepends=True)
+            assert next(iter(chunks)) == "".join(rows[1:5])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(data, "_write_text", write_one_chunk_then_fail)
+        with pytest.raises(OSError, match="No space left"):
+            save_dataset(ds, tmp_path / "ds.csv")
+        assert counts == [3] and multiprocessing.active_children() == []
+
+    def test_workers_are_joined_when_the_file_cannot_open(self, ds, workers, tmp_path):
+        workers(3, 1)
+        with pytest.raises(IsADirectoryError):
+            save_dataset(ds, tmp_path)
+        assert multiprocessing.active_children() == []
+
+    def test_formats_in_process_without_fork_or_as_a_daemon(self, monkeypatch):
+        big = 10 ** 12
+        assert data._csv_workers(big) >= 1 and data._csv_workers(0) == 1
+        monkeypatch.setattr(data.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        assert data._csv_workers(big) == 4
+        monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+        assert data._csv_workers(big) == 1
+        monkeypatch.undo()
+        monkeypatch.setattr(data.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        monkeypatch.setattr(data.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert data._csv_workers(big) == 1

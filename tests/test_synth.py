@@ -1,13 +1,78 @@
-"""Synthetic generator: determinism, factor disentanglement, bin prior."""
+"""Synthetic generator: determinism, factor disentanglement, bin prior,
+and bitwise agreement with the per-sample reference loop."""
+
+import json
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agecontrast.errors import ConfigError
-from agecontrast.synth import (SynthConfig, feasible_bins, generate_dataset,
+from agecontrast.synth import (SynthConfig, age_curve, feasible_bins, generate_dataset,
                                load_ground_truth, prior_baseline_mae,
                                save_ground_truth)
+
+def generate_dataset_loop(cfg, seed):
+    """The reference generator: per sample, ``Generator.choice`` over the
+    bins, an age in the bin, ``age_curve`` and the noise row. Returns
+    inputs, ages, identities and the identity codes."""
+    bins = feasible_bins(cfg)
+    probs = np.array([w for _, _, w in bins])
+    child_seeds = np.random.SeedSequence(seed).spawn(cfg.num_identities)
+    num_samples = cfg.num_identities * cfg.samples_per_identity
+    inputs = np.zeros((num_samples, cfg.input_dim))
+    ages = np.empty(num_samples, dtype=np.int64)
+    codes, identities = {}, []
+    for i in range(cfg.num_identities):
+        ident = f"id{i:05d}"
+        rng = np.random.default_rng(child_seeds[i])
+        code = rng.normal(0.0, 1.0, cfg.identity_dims)
+        codes[ident] = code
+        for _ in range(cfg.samples_per_identity):
+            b = int(rng.choice(len(bins), p=probs))
+            lo, hi, _ = bins[b]
+            age = int(rng.integers(lo, hi + 1))
+            x = inputs[len(identities)]
+            x[:cfg.identity_dims] = code
+            x[cfg.identity_dims:cfg.identity_dims + cfg.age_dims] = age_curve(age, cfg)
+            x += cfg.noise_std * rng.standard_normal(cfg.input_dim)
+            ages[len(identities)] = age
+            identities.append(ident)
+    return inputs, ages, identities, codes
+
+
+@st.composite
+def synth_configs(draw):
+    """Small configs over every bin layout: num_ages 2-100 drops bins, and
+    a weight may be zero."""
+    identity_dims, age_dims = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    weights = draw(st.none() | st.tuples(*[st.sampled_from([0.0, 0.5, 1.0, 7469.0])] * 4))
+    return SynthConfig(num_identities=draw(st.integers(2, 5)),
+                       samples_per_identity=draw(st.integers(1, 6)),
+                       num_ages=draw(st.integers(2, 100)),
+                       input_dim=identity_dims + age_dims + draw(st.integers(0, 3)),
+                       identity_dims=identity_dims, age_dims=age_dims,
+                       noise_std=draw(st.sampled_from([0.0, 0.1, 2.5])),
+                       age_bin_weights=None if weights is None or sum(weights) == 0 else weights)
+
+
+@settings(max_examples=150, deadline=None)
+@given(synth_configs(), st.integers(0, 2 ** 32))
+def test_matches_the_per_sample_loop_bitwise(cfg, seed):
+    try:
+        inputs, ages, identities, codes = generate_dataset_loop(cfg, seed)
+    except ConfigError:  # every bin in range has zero weight
+        with pytest.raises(ConfigError, match="no feasible age bin"):
+            generate_dataset(cfg, seed)
+        return
+    ds, truth = generate_dataset(cfg, seed)
+    assert ds.inputs.tobytes() == inputs.tobytes()
+    assert ds.ages.tobytes() == ages.tobytes() == truth.sample_ages.tobytes()
+    assert ds.identities == identities == truth.sample_identities
+    assert list(truth.identity_codes) == list(codes)
+    assert all(truth.identity_codes[k].tobytes() == v.tobytes() for k, v in codes.items())
+
 
 NOISELESS = SynthConfig(num_identities=20, samples_per_identity=6, num_ages=30,
                         input_dim=20, identity_dims=8, age_dims=4, noise_std=0.0)
@@ -152,6 +217,11 @@ def test_ground_truth_sidecar_round_trip(tmp_path):
     npt.assert_array_equal(loaded.sample_ages, truth.sample_ages)
     for k, v in truth.identity_codes.items():
         npt.assert_array_equal(loaded.identity_codes[k], v)
+    # The JSON lists hold exactly the per-element Python numbers.
+    assert path.read_text() == json.dumps({
+        "identity_codes": {k: [float(v) for v in a] for k, a in truth.identity_codes.items()},
+        "sample_identities": truth.sample_identities,
+        "sample_ages": [int(a) for a in truth.sample_ages]}, indent=1) + "\n"
 
 
 def test_default_config_shape():
