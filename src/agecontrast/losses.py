@@ -118,20 +118,23 @@ def mean_variance_rows(s, ages):
     """The pair (sum_i 0.5*(mean_i - y_i)^2, sum_i var_i) over the rows of
     a distribution matrix, as a (2,) value and its pull.
 
-    mean_i = sum_j j*s_ij over labels j = 1..A; the variance is computed
-    in the moment form E[j^2] - E[j]^2, which equals sum_j s_ij (j -
-    mean_i)^2 on the simplex that softmax rows satisfy by construction.
+    mean_i = sum_j j*s_ij over labels j = 1..A, and var_i is computed in
+    the centered form sum_j s_ij (j - mean_i)^2: a sum of non-negative
+    terms, where the moment form E[j^2] - E[j]^2 cancels to negative
+    values on sharply peaked rows. The pull is exact off the simplex too:
+    d var_i / d s_ij = (j - mean_i)^2 - 2 j mean_i (1 - sum_k s_ik).
     """
     labels = np.arange(1, s.shape[1] + 1, dtype=np.float64)
     ages = _checked_ages(ages, *s.shape).astype(np.float64)
     mu = s @ labels
     diff = mu - ages
-    second = s @ (labels * labels)
-    value = np.array([0.5 * (diff * diff).sum(), (second - mu * mu).sum()])
+    dev = labels - mu[:, None]
+    dev *= dev
+    value = np.array([0.5 * (diff * diff).sum(), (s * dev).sum()])
 
     def pull(g):
-        return [g[0] * diff[:, None] * labels
-                + g[1] * (labels * labels - 2.0 * mu[:, None] * labels)]
+        off_simplex = (2.0 * mu * (1.0 - s.sum(axis=1)))[:, None]
+        return [g[0] * diff[:, None] * labels + g[1] * (dev - off_simplex * labels)]
 
     return value, pull
 

@@ -7,9 +7,9 @@ logits into an age distribution s. The age estimate is the mean of s.
 
 A model's weights and biases are views into one float64 vector
 (``Model.flat``), so an optimizer step is one update over one array.
-``forward_batch`` is the plain forward that evaluation runs; a train
-step runs its own stacked forward and returns its reverse as a
-closed-form pullback (``training.build_batch_loss``).
+``forward_batch`` is the one forward: evaluation calls it, and so does a
+train step, into its own buffers, before it runs the layers backwards
+as a closed-form pullback (``training.build_batch_loss``).
 """
 
 from __future__ import annotations
@@ -132,26 +132,35 @@ def init_model(config: ModelConfig, seed: int) -> Model:
     return Model(config, weights, biases)
 
 
-def forward_batch(model: Model, x_rows) -> tuple[Array, Array, Array]:
+def forward_batch(model: Model, x_rows, out: tuple[Array, ...] | None = None
+                  ) -> tuple[list[Array], Array, Array, Array]:
     """Run a (batch, input_dim) matrix of inputs through the network.
 
-    Returns (F, S, Z) row-wise: the extractor features, the softmax age
-    distributions and the logits they come from. A single input is a
-    one-row matrix.
+    Returns (acts, s, shifted, total) row-wise: the input and each relu
+    layer's output (the last one is the features), then the
+    ``softmax_parts`` of the logits, shifted in place. A single input is
+    a one-row matrix. ``out`` is an optional tuple of arrays to write
+    into: one per relu layer, then the logits and the softmax.
     """
-    h = np.asarray(x_rows, dtype=np.float64, order="C")
-    if h.ndim != 2 or h.shape[1] != model.config.input_dim:
+    x = np.asarray(x_rows, dtype=np.float64, order="C")
+    if x.ndim != 2 or x.shape[1] != model.config.input_dim:
         raise ValueError(
-            f"forward_batch: expected (n, {model.config.input_dim}) inputs, got shape {h.shape}")
-    for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        h = np.maximum(h @ w + b, 0.0)
-    logits = h @ model.weights[-1] + model.biases[-1]
-    return h, softmax_parts(logits)[0], logits
+            f"forward_batch: expected (n, {model.config.input_dim}) inputs, got shape {x.shape}")
+    out = (None,) * (len(model.weights) + 1) if out is None else out
+    acts = [x]
+    for w, b, h in zip(model.weights[:-1], model.biases[:-1], out):
+        h = np.matmul(acts[-1], w, out=h)
+        h += b
+        acts.append(np.maximum(h, 0.0, out=h))
+    z = np.matmul(acts[-1], model.weights[-1], out=out[-2])
+    z += model.biases[-1]
+    return acts, *softmax_parts(z, out=(out[-1], z))
 
 
 def forward_values(model: Model, x_rows: Array) -> tuple[Array, Array]:
     """The (features, distributions) of ``forward_batch``."""
-    return forward_batch(model, x_rows)[:2]
+    acts, s, _, _ = forward_batch(model, x_rows)
+    return acts[-1], s
 
 
 def predict_ages(s_rows: Array) -> Array:

@@ -2,8 +2,9 @@
 
 One epoch passes every sample as anchor once. For each batch the anchors
 (and, when contrastive weights are active, their positives/negatives)
-run through the network in one stacked forward, and the weighted
-objective comes with its closed-form pullback (``build_batch_loss``).
+run through the network in one stacked call of ``model.forward_batch``,
+and the weighted objective comes with its closed-form pullback
+(``build_batch_loss``).
 The step calls that pullback, which scatters each loss term's row-block
 gradients (``losses``) into the stacked rows and runs the softmax, head
 and relu layers backwards into one gradient vector laid out like
@@ -20,12 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Array, softmax_parts
+from .autodiff import Array
 from .data import LabeledDataset, TripletBatch, has_triplet_negatives, iter_epoch_batches
 from .errors import ConfigError, IncompatibleDataError, NonFiniteError, OptimizationError
 from .losses import (LossBreakdown, LossWeights, ce_rows, cosine_rows, kld_rows,
                      mean_variance_rows, total_loss, triplet_rows, weighted_total)
-from .model import Model, ModelConfig, init_model, integral
+from .model import Model, ModelConfig, forward_batch, init_model, integral
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -111,37 +112,6 @@ def adam_step(model: Model, grad: Array, state: AdamState, cfg: TrainConfig) -> 
 # ---------------------------------------------------------------------------
 # The train step's objective and its pullback
 
-# OpenBLAS runs a matrix product on one thread when M*N*K <= 2**18 and
-# wakes its thread pool above that, which at a train step's sizes costs
-# more than it saves. So the products of a train step run in blocks that
-# each stay under the limit. Sweep workers start with one OpenBLAS thread
-# (`evaluation._run_jobs`), so the blocks matter to `train` and to
-# `sweep --jobs 1`; whether they still pay there is not yet measured.
-_ONE_THREAD_MNK = 2 ** 18
-
-
-def _block_rows(inner: int, outer: int) -> int:
-    return max(1, _ONE_THREAD_MNK // max(1, inner * outer))
-
-
-def _row_blocked(a: Array, b: Array, out: Array) -> Array:
-    """``a @ b`` into out, computed over blocks of rows of ``a``."""
-    step = _block_rows(*b.shape)
-    for i in range(0, a.shape[0], step):
-        np.matmul(a[i:i + step], b, out=out[i:i + step])
-    return out
-
-
-def _inner_blocked(a: Array, b: Array, out: Array, scratch: Array) -> Array:
-    """``a.T @ b`` into out, summed over blocks of the shared row
-    dimension; scratch is an array of out's shape."""
-    step = _block_rows(a.shape[1], b.shape[1])
-    np.matmul(a[:step].T, b[:step], out=out)
-    for i in range(step, a.shape[0], step):
-        out += np.matmul(a[i:i + step].T, b[i:i + step], out=scratch)
-    return out
-
-
 class StepBuffers:
     """Every large array of a train step over up to ``rows`` stacked rows.
 
@@ -163,7 +133,6 @@ class StepBuffers:
         self.shifted, self.s, self.s_grad, self.z_grad = (np.empty((rows, ages)) for _ in range(4))
         self.grad = np.empty(sum(int(np.prod(shape)) for shape in config.param_shapes))
         self.param_grads = config.param_views(self.grad)
-        self.scratch = np.empty(max(i * o for i, o in zip(dims[:-1], dims[1:])))
 
 
 def build_batch_loss(model: Model, ds: LabeledDataset, batch: TripletBatch,
@@ -171,9 +140,9 @@ def build_batch_loss(model: Model, ds: LabeledDataset, batch: TripletBatch,
     """The weighted loss of a batch and its pullback to the parameters.
 
     The anchors, then the positives and the negatives the active terms
-    use, run through one stacked forward; each term reads its row blocks
-    from it. Anchors receive the supervised terms; contrastive terms only
-    cover triplet slots whose candidates existed. Returns
+    use, run through one stacked ``forward_batch``; each term reads its
+    row blocks from it. Anchors receive the supervised terms; contrastive
+    terms only cover triplet slots whose candidates existed. Returns
     (LossBreakdown, pull): ``pull(g)`` scatters the terms' block
     gradients, scaled by g, into the stacked rows, runs the forward
     backwards and returns the gradients of the parameters in
@@ -191,19 +160,14 @@ def build_batch_loss(model: Model, ds: LabeledDataset, batch: TripletBatch,
     rows = np.concatenate([a, batch.p[pos], batch.n[pos[trip]]])
     n = len(rows)
     buf = StepBuffers(model.config, n) if buffers is None else buffers
-    ws, bs = model.weights, model.biases
+    ws = model.weights
 
     if rows.min() < 0 or rows.max() >= len(ds):
         raise IndexError(f"batch row index out of range 0..{len(ds) - 1}")
     # Checked above: mode="raise" would gather through a temporary copy.
-    acts = [np.take(ds.inputs, rows, axis=0, out=buf.x[:n], mode="clip")]
-    for w, b, out in zip(ws[:-1], bs[:-1], buf.acts):
-        h = _row_blocked(acts[-1], w, out[:n])
-        h += b
-        acts.append(np.maximum(h, 0.0, out=h))
-    z = _row_blocked(acts[-1], ws[-1], buf.shifted[:n])
-    z += bs[-1]
-    s, shifted, total = softmax_parts(z, out=(buf.s[:n], z))
+    x = np.take(ds.inputs, rows, axis=0, out=buf.x[:n], mode="clip")
+    acts, s, shifted, total = forward_batch(
+        model, x, tuple(out[:n] for out in (*buf.acts, buf.shifted, buf.s)))
 
     ages = ds.ages[a]
     scale = 1.0 / num_a
@@ -255,11 +219,11 @@ def build_batch_loss(model: Model, ds: LabeledDataset, batch: TripletBatch,
         grads, g_out = buf.param_grads, gz
         for layer in range(len(ws) - 1, -1, -1):
             h_in, gw = acts[layer], grads[2 * layer]
-            _inner_blocked(h_in, g_out, gw, buf.scratch[:gw.size].reshape(gw.shape))
+            np.matmul(h_in.T, g_out, out=gw)
             np.sum(g_out, axis=0, out=grads[2 * layer + 1])
             if layer == 0:
                 break
-            g_in = _row_blocked(g_out, ws[layer].T, buf.act_grads[layer - 1][:n])
+            g_in = np.matmul(g_out, ws[layer].T, out=buf.act_grads[layer - 1][:n])
             for rows_of, d in f_grads if layer == len(ws) - 1 else ():
                 g_in[rows_of] += d
             g_out = np.multiply(g_in, np.greater(h_in, 0.0, out=buf.mask[:n, :h_in.shape[1]]),

@@ -24,7 +24,6 @@ from agecontrast.autodiff import softmax_parts
 from agecontrast.losses import (ce_rows, cosine_rows, kld_rows, mean_variance_rows,
                                 triplet_rows, weighted_total)
 from agecontrast.model import Model, ModelConfig
-from agecontrast.training import _inner_blocked, _row_blocked
 
 def _as_array(values):
     # order="C" keeps row-major layout without promoting 0-d scalars the
@@ -278,22 +277,14 @@ def add_rowvec(m, v):
 
 def linear(x, w, b):
     """``x @ w + b``: a (n, k) matrix times a (k, m) matrix plus a bias
-    added to every row, as one node.
-
-    Untracked, it is exactly ``x @ w + b``. Tracked, the products run in
-    the train step's one-thread blocks.
-    """
+    added to every row, as one node."""
     x, w, b = _lift(x), _lift(w), _lift(b)
     xd, wd, bd = x.data, w.data, b.data
     if (xd.ndim != 2 or wd.ndim != 2 or bd.ndim != 1
             or xd.shape[1] != wd.shape[0] or wd.shape[1] != bd.shape[0]):
         raise ValueError(f"linear: incompatible shapes {xd.shape}, {wd.shape} and {bd.shape}")
-    if not any(t.tracked for t in (x, w, b)):
-        return Tensor(xd @ wd + bd)
-    return record(_row_blocked(xd, wd, np.empty((xd.shape[0], wd.shape[1]))) + bd,
-                  [(x, lambda g: _row_blocked(g, wd.T, np.empty(xd.shape))),
-                   (w, lambda g: _inner_blocked(xd, g, np.empty(wd.shape), np.empty(wd.shape))),
-                   (b, lambda g: g.sum(axis=0))])
+    return record(xd @ wd + bd, [(x, lambda g: g @ wd.T), (w, lambda g: xd.T @ g),
+                                 (b, lambda g: g.sum(axis=0))])
 
 
 def relu(a):

@@ -71,6 +71,26 @@ def test_install_finds_every_target_and_undo_restores_them():
     assert all(after[key] is value for key, value in before.items())
 
 
+def test_traced_train_records_its_forward(small_synth):
+    # A train step's forward is the one ``model.forward_batch``, so the
+    # benchmark's forward metrics see training, not only evaluation.
+    from agecontrast.losses import LossWeights
+    from agecontrast.training import TrainConfig, train
+
+    _, ds, _ = small_synth
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    _, undo = tracing.install(tracer)
+    try:
+        train(ds, TrainConfig(epochs=1, batch_size=32,
+                              weights=LossWeights(lambda_c=1.0, lambda_t=1.0)))
+    finally:
+        undo()
+    assert "model.forward_batch" in {s[2] for s in tracer.spans}
+    metrics, _ = tracing.layer_metrics(tracer.spans, 1)
+    assert metrics["model.forward_rows"] >= len(ds)
+
+
 def test_sampler_span_counts_match_the_batch_arrays():
     # Z's age-4 row has no positive; Z's age-3 row has no negative, since
     # every row of another identity shares its age.

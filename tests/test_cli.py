@@ -467,16 +467,26 @@ class TestSweep:
         assert [r["lambda_c"] for r in rows] == [0.0, 1.0, 10.0]
 
     def test_jobs_do_not_change_sweep_artifacts(self, tiny_dataset, tmp_path):
-        outputs = []
-        for jobs in ("1", "2"):
-            out = tmp_path / f"jobs{jobs}"
-            out.mkdir()
-            assert main(["sweep", "--dataset", str(tiny_dataset), "--loss-sets",
-                         "--epochs", "2", "--batch-size", "15", "--protocol", "se",
-                         "--k", "2", "--seed", "1", "--jobs", jobs, "--out", str(out)]) == 0
-            outputs.append([(out / name).read_bytes()
-                            for name in ("sweep.csv", "sweep_rows.jsonl")])
-        assert outputs[0] == outputs[1]
+        # The second input has the default widths and 300 rows, so a stacked
+        # batch of 64 anchors, their positives and negatives makes products
+        # above M*N*K = 2**18, where OpenBLAS may use more than one thread.
+        cfg = tmp_path / "gen300.cfg"
+        cfg.write_text("num_identities = 60\n")
+        gen = tmp_path / "gen300"
+        gen.mkdir()
+        assert main(["gen", "--config", str(cfg), "--seed", "3", "--out", str(gen)]) == 0
+        for dataset, batch in ((tiny_dataset, "15"), (gen / "dataset.csv", "64")):
+            outputs = []
+            for jobs in ("1", "2"):
+                out = tmp_path / f"{dataset.parent.name}-jobs{jobs}"
+                out.mkdir()
+                assert main(["sweep", "--dataset", str(dataset), "--loss-sets",
+                             "--epochs", "2", "--batch-size", batch, "--protocol", "se",
+                             "--k", "2", "--seed", "1", "--jobs", jobs,
+                             "--out", str(out)]) == 0
+                outputs.append([(out / name).read_bytes()
+                                for name in ("sweep.csv", "sweep_rows.jsonl")])
+            assert outputs[0] == outputs[1], dataset
 
     def test_missing_grid_exits_2(self, tiny_dataset, tmp_path):
         out = tmp_path / "s"

@@ -165,7 +165,6 @@ def test_mean_variance(data):
     got = mean_variance(s, ages).data
     assert got[0] == pytest.approx(sum(ref.mean(s[i], ages[i]) for i in range(n)),
                                    rel=1e-12, abs=1e-12)
-    # the moment form cancels terms of size up to A^2
     assert got[1] == pytest.approx(sum(ref.variance(s[i]) for i in range(n)),
                                    rel=1e-10, abs=1e-10)
     c = data.draw(hnp.arrays(np.float64, 2, elements=floats(-2.0, 2.0)))
@@ -177,8 +176,12 @@ def test_mean_variance(data):
         mu = ops.matmul(t, labels)
         diff = ops.sub(mu, ages[:, None].astype(float))
         second = ops.matmul(t, labels * labels)
+        mass = ops.matmul(t, np.ones_like(labels))
+        # sum_j s_j (j - mu)^2 = second - 2 mu^2 + mu^2 sum_j s_j, off the simplex too
+        mu2 = ops.mul(mu, mu)
+        var = ops.add(ops.sub(second, ops.mul(mu2, 2.0)), ops.mul(mu2, mass))
         return ops.add(ops.mul(ops.sum_all(ops.mul(diff, diff)), 0.5 * c[0]),
-                       ops.mul(ops.sum_all(ops.sub(second, ops.mul(mu, mu))), c[1]))
+                       ops.mul(ops.sum_all(var), c[1]))
 
     assert_grads_close(tape_grads(fn, s), tape_grads(composed, s))
 

@@ -49,17 +49,23 @@ def test_init_weight_variance_tracks_fan_in():
 def test_forward_shapes_and_distribution():
     m = init_model(TINY, 2)
     x_rows = np.random.default_rng(0).normal(0, 1, (10, 8))
-    f, s, z = forward_batch(m, x_rows)
-    assert f.shape == (10, 8) and s.shape == (10, 5) and z.shape == (10, 5)
+    acts, s, shifted, total = forward_batch(m, x_rows)
+    assert [a.shape for a in acts] == [(10, 8), (10, 16), (10, 8)]
+    npt.assert_array_equal(acts[0], x_rows)
+    assert s.shape == shifted.shape == (10, 5) and total.shape == (10, 1)
     npt.assert_allclose(s.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    z = acts[-1] @ m.weights[-1] + m.biases[-1]
     npt.assert_array_equal(s, ops.softmax_rows(z).data)
+    npt.assert_array_equal(shifted, z - z.max(axis=1, keepdims=True))
+    npt.assert_array_equal(total, np.exp(shifted).sum(axis=1, keepdims=True))
 
 
 def test_forward_zero_head_is_uniform():
     m = init_model(TINY, 2)
     m.weights[-1][:] = 0.0
-    _, s, _ = forward_batch(m, np.ones((1, 8)))
+    _, s, shifted, _ = forward_batch(m, np.ones((1, 8)))
     npt.assert_allclose(s, np.full((1, 5), 0.2), rtol=1e-15)
+    npt.assert_array_equal(shifted, np.zeros((1, 5)))
 
 
 def test_forward_rejects_bad_input():
@@ -76,24 +82,33 @@ def test_forward_matches_straight_line_reimplementation():
     # Independent second implementation of the same matrices, one row at a time.
     m = init_model(TINY, 11)
     x_rows = np.random.default_rng(1).normal(0, 1, (5, 8))
-    f, s, _ = forward_batch(m, x_rows)
+    acts, s, shifted, _ = forward_batch(m, x_rows)
     for i, x in enumerate(x_rows):
-        f_ref, s_ref, _ = ref.forward(m, x)
-        npt.assert_allclose(f[i], f_ref, rtol=1e-13)
+        f_ref, s_ref, z_ref = ref.forward(m, x)
+        npt.assert_allclose(acts[-1][i], f_ref, rtol=1e-13)
         npt.assert_allclose(s[i], s_ref, rtol=1e-13)
+        npt.assert_allclose(shifted[i], z_ref - z_ref.max(), rtol=1e-13, atol=1e-13)
 
 
 def test_forward_batch_and_values_agree_with_forward():
     m = init_model(TINY, 4)
     x_rows = np.random.default_rng(2).normal(0, 1, (6, 8))
-    fb, sb, _ = forward_batch(m, x_rows)
+    acts, sb, shifted, total = forward_batch(m, x_rows)
+    fb = acts[-1]
     fv, sv = forward_values(m, x_rows)
     npt.assert_allclose(fb, fv, rtol=1e-13)
     npt.assert_allclose(sb, sv, rtol=1e-13)
     for i in range(6):
-        fi, si, _ = forward_batch(m, x_rows[i:i + 1])
-        npt.assert_allclose(fb[i], fi[0], rtol=1e-12)
+        acts_i, si, _, _ = forward_batch(m, x_rows[i:i + 1])
+        npt.assert_allclose(fb[i], acts_i[-1][0], rtol=1e-12)
         npt.assert_allclose(sb[i], si[0], rtol=1e-12)
+    # Into given arrays (relu outputs, logits, softmax), with the same bits.
+    out = tuple(np.full((6, d), np.nan) for d in (16, 8, 5, 5))
+    acts_o, s_o, shifted_o, total_o = forward_batch(m, x_rows, out)
+    assert acts_o[1] is out[0] and acts_o[2] is out[1]
+    assert shifted_o is out[2] and s_o is out[3]
+    for got, want in zip((*acts_o, s_o, shifted_o, total_o), (*acts, sb, shifted, total)):
+        npt.assert_array_equal(got, want)
 
 
 def _predict(s):

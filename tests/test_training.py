@@ -256,6 +256,25 @@ class TestBatchLossAgainstPerSample:
         assert bd.l_c == 0.0 and bd.l_t == 0.0 and bd.l_s > 0.0
 
 
+# The 2-epoch history (l_s, l_m, l_v, l_c, l_t, total) of the README's
+# `train` config on the default synthetic set, recorded when the step's
+# products ran in blocks under OpenBLAS's one-thread size and the variance
+# term used the moment form. Either change moves only the last bits.
+README_TRAIN_HISTORY = [
+    (4.666646957055767, 94.0435184242055, 215.96023732387306, 0.4093322432716686,
+     0.19710830916001004, 38.563793249967226),
+    (5.184759647572558, 77.10899471965374, 102.59033268248595, 0.3216388063910568,
+     0.19481178001570157, 29.14727506955387),
+]
+
+
+def test_readme_train_history_drifts_only_in_the_last_bits():
+    ds, _ = generate_dataset(SynthConfig(), 0)
+    cfg = TrainConfig(epochs=2, seed=0, weights=LossWeights(lambda_c=10.0, lambda_t=1.0))
+    _, history = train(ds, cfg)
+    npt.assert_allclose([b.as_row() for b in history], README_TRAIN_HISTORY, rtol=1e-12, atol=0)
+
+
 # The benchmark's state: an N=1k training set, a second default set made
 # after it, one warm-up call, then a timed 3-epoch call with the cosine
 # and triplet terms on. It runs in a fresh interpreter, which reads its
