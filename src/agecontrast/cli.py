@@ -269,15 +269,16 @@ def cmd_sweep(args) -> int:
         _checked(cell.config, base_cfg)
 
     started = time.perf_counter()
-    rows = sweep(ds, base_cfg, cells, protocol=args.protocol, k=args.k,
-                 split_seed=base_cfg.seed, jobs=args.jobs)
+    reports = sweep(ds, base_cfg, cells, protocol=args.protocol, k=args.k,
+                    split_seed=base_cfg.seed, jobs=args.jobs)
 
     rows_path = out / "sweep_rows.jsonl"
-    rows_path.write_text(
-        "".join(json.dumps(asdict(r)) + "\n" for r in rows), encoding="utf-8")
+    rows_path.write_text("".join(json.dumps({
+        **asdict(c), "fold_maes": r.fold_maes, "mean_mae": r.mean_mae, "mu_vf": r.mu_vf,
+        "mu_vs": r.mu_vs}) + "\n" for c, r in zip(cells, reports)), encoding="utf-8")
     csv_lines = ["label,lambda_c,lambda_t,pair_loss,mean_mae,mu_vf,mu_vs"]
-    for r in rows:
-        csv_lines.append(f"{r.label},{r.lambda_c!r},{r.lambda_t!r},{r.pair_loss},"
+    for c, r in zip(cells, reports):
+        csv_lines.append(f"{c.label},{c.lambda_c!r},{c.lambda_t!r},{c.pair_loss},"
                          f"{r.mean_mae!r},{r.mu_vf!r},{r.mu_vs!r}")
     csv_path = out / "sweep.csv"
     csv_path.write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
@@ -288,7 +289,7 @@ def cmd_sweep(args) -> int:
         {"seed": base_cfg.seed}, [Path(args.dataset)], [rows_path, csv_path],
         time.perf_counter() - started)
     write_manifest(out, manifest)
-    print(f"swept {len(rows)} cells; table at {csv_path}")
+    print(f"swept {len(cells)} cells; table at {csv_path}")
     return 0
 
 

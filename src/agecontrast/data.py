@@ -80,9 +80,8 @@ class TripletBatch:
 
     ``a`` holds the anchors; ``p[i]`` and ``n[i]`` are anchor i's
     positive and negative, or -1 where that candidate set is empty.
-    Training reads the arrays. ``len`` counts the slots, iterating yields
-    one ``Triplet`` per slot (None for -1), and two batches are equal
-    when their arrays are.
+    Training reads the arrays. ``len`` counts the slots and iterating
+    yields one ``Triplet`` per slot (None for -1).
     """
 
     a: Array
@@ -102,12 +101,6 @@ class TripletBatch:
     def __iter__(self) -> Iterator[Triplet]:
         for a, p, n in zip(self.a.tolist(), self.p.tolist(), self.n.tolist()):
             yield Triplet(a, p if p >= 0 else None, n if n >= 0 else None)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TripletBatch):
-            return NotImplemented
-        return all(np.array_equal(x, y) for x, y in
-                   ((self.a, other.a), (self.p, other.p), (self.n, other.n)))
 
 
 class LabeledDataset:
@@ -378,7 +371,8 @@ def load_dataset(path) -> LabeledDataset:
             raise ValueError("input_dim and num_ages must be positive JSON integers")
     except OSError as exc:  # e.g. a directory in its place
         raise DatasetError(f"cannot read metadata sidecar {meta_path}: {exc.strerror or exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+    # JSONDecodeError is a ValueError; a deeply nested document is a RecursionError.
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise DatasetError(f"metadata sidecar {meta_path} must be JSON defining "
                            "input_dim and num_ages as positive integers") from exc
 

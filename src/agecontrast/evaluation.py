@@ -226,15 +226,6 @@ def _report(cfg: TrainConfig, protocol: str, split_seed: int, folds: list[Fold],
         config=asdict(cfg))
 
 
-def run_protocol(ds: LabeledDataset, cfg: TrainConfig, protocol: str,
-                 k: int = 5, split_seed: int = 0) -> EvalReport:
-    """Train on every fold's train split and score its test split; each fold
-    model's identity variance, over the whole dataset, is averaged."""
-    folds = split_protocol(ds, protocol, k, split_seed)
-    results = [_fold_job(ds, _fold_config(cfg, i), fold) for i, fold in enumerate(folds)]
-    return _report(cfg, protocol, split_seed, folds, results)
-
-
 # ---------------------------------------------------------------------------
 # Sweeps
 
@@ -250,18 +241,6 @@ class SweepCell:
         return replace(base_cfg, weights=replace(
             base_cfg.weights, lambda_c=self.lambda_c, lambda_t=self.lambda_t,
             pair_loss=self.pair_loss))
-
-
-@dataclass
-class SweepRow:
-    label: str
-    lambda_c: float
-    lambda_t: float
-    pair_loss: str
-    fold_maes: list[float]
-    mean_mae: float
-    mu_vf: float
-    mu_vs: float
 
 
 def lambda_grid_cells(lambda_cs, lambda_ts) -> list[SweepCell]:
@@ -286,8 +265,10 @@ def loss_set_cells(lambda_c: float = 0.0, lambda_t: float = 0.0) -> list[SweepCe
 
 def sweep(ds: LabeledDataset, base_cfg: TrainConfig, cells: list[SweepCell],
           protocol: str = "se", k: int = 5, split_seed: int = 0,
-          jobs: int = 1) -> list[SweepRow]:
-    """Retrain and evaluate every cell under shared seeds; one row per cell."""
+          jobs: int = 1) -> list[EvalReport]:
+    """Retrain and evaluate every cell under shared seeds; one report per
+    cell, in cell order. Each fold's model is scored on that fold's test
+    split, and its identity variance, over the whole dataset, is averaged."""
     if not cells:
         raise ValueError("sweep: empty grid")
     configs = [cell.config(base_cfg) for cell in cells]  # all checked before any training
@@ -298,11 +279,8 @@ def sweep(ds: LabeledDataset, base_cfg: TrainConfig, cells: list[SweepCell],
         tasks[i][0].weights.lambda_t > 0, tasks[i][0].weights.lambda_c > 0))
     results = dict(zip(order, _run_jobs(ds, [tasks[i] for i in order], jobs)))
     n = len(folds)
-    reports = [_report(cfg, protocol, split_seed, folds, [results[c * n + j] for j in range(n)])
-               for c, cfg in enumerate(configs)]
-    return [SweepRow(cell.label, cell.lambda_c, cell.lambda_t, cell.pair_loss,
-                     r.fold_maes, r.mean_mae, r.mu_vf, r.mu_vs)
-            for cell, r in zip(cells, reports)]
+    return [_report(cfg, protocol, split_seed, folds, [results[c * n + j] for j in range(n)])
+            for c, cfg in enumerate(configs)]
 
 
 _worker_dataset: LabeledDataset | None = None  # set once in each pool worker

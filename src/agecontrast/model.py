@@ -185,7 +185,10 @@ def save_model(model: Model, path) -> None:
 
 def load_model(path) -> Model:
     """Read a checkpoint; any malformed content raises ValueError."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError as exc:
+        raise ValueError(f"load_model: JSON nested too deeply in {path}") from exc
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"load_model: unrecognized checkpoint format in {path}")
     try:

@@ -162,12 +162,6 @@ def generate_dataset(cfg: SynthConfig, seed: int) -> tuple[LabeledDataset, Groun
     return LabeledDataset(inputs, ages, identities, cfg.num_ages), truth
 
 
-def prior_baseline_mae(ds: LabeledDataset) -> float:
-    """MAE of the constant predictor that always answers the age median."""
-    med = float(np.median(ds.ages))
-    return float(np.mean(np.abs(ds.ages - med)))
-
-
 def save_ground_truth(truth: GroundTruth, path) -> None:
     payload = {
         "identity_codes": {k: arr.tolist() for k, arr in truth.identity_codes.items()},
@@ -175,12 +169,3 @@ def save_ground_truth(truth: GroundTruth, path) -> None:
         "sample_ages": truth.sample_ages.tolist(),
     }
     Path(path).write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
-
-
-def load_ground_truth(path) -> GroundTruth:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return GroundTruth(
-        {k: np.array(v) for k, v in payload["identity_codes"].items()},
-        list(payload["sample_identities"]),
-        np.array(payload["sample_ages"], dtype=np.int64),
-    )

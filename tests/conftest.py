@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from agecontrast.data import LabeledDataset
+from agecontrast.evaluation import SweepCell, sweep
 from agecontrast.synth import SynthConfig, generate_dataset
 
 
@@ -10,6 +11,21 @@ def make_dataset(ages, identities, num_ages, input_dim=4, seed=0):
     rng = np.random.default_rng(seed)
     return LabeledDataset(rng.normal(0.0, 1.0, (len(ages), input_dim)), ages,
                           identities, num_ages)
+
+
+def prior_baseline_mae(ds: LabeledDataset) -> float:
+    """MAE of the constant predictor that always answers the age median."""
+    med = float(np.median(ds.ages))
+    return float(np.mean(np.abs(ds.ages - med)))
+
+
+def protocol_report(ds, cfg, protocol: str, k: int, split_seed: int = 0):
+    """The EvalReport of cfg under a protocol: a serial sweep of one cell
+    that keeps cfg's pair weights."""
+    w = cfg.weights
+    [report] = sweep(ds, cfg, [SweepCell("cfg", w.lambda_c, w.lambda_t, w.pair_loss)],
+                     protocol, k, split_seed)
+    return report
 
 
 @pytest.fixture(scope="session")

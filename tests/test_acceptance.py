@@ -11,18 +11,17 @@ import pytest
 
 from agecontrast.cli import main
 from agecontrast.data import negative_set, positive_set, sample_triplet_batch
-from agecontrast.evaluation import (run_protocol, split_lopo, split_protocol,
-                                    split_subject_exclusive)
+from agecontrast.evaluation import split_lopo, split_protocol, split_subject_exclusive
 from agecontrast.autodiff import softmax_parts
 from agecontrast.losses import (LossWeights, cosine_rows, kld_rows, mean_variance_rows,
                                 triplet_rows)
 from agecontrast.evaluation import evaluate_mae, identity_variance, mean_absolute_error
 from agecontrast.manifest import sha256_file
 from agecontrast.selfcheck import GRAD_TOL, gradient_suite
-from agecontrast.synth import SynthConfig, generate_dataset, prior_baseline_mae
+from agecontrast.synth import SynthConfig, generate_dataset
 from agecontrast.training import TrainConfig, train
 
-from conftest import make_dataset
+from conftest import make_dataset, prior_baseline_mae, protocol_report
 
 FULL_LOSS = LossWeights(lambda_m=0.2, lambda_v=0.05, lambda_c=10.0, lambda_t=1.0)
 MV_BASELINE = LossWeights(lambda_m=0.2, lambda_v=0.05)
@@ -218,7 +217,7 @@ def test_criterion_7_ablation_structure(sweep_dataset, tmp_path):
 
     zero = next(r for r in grid_rows if r["lambda_c"] == 0.0 and r["lambda_t"] == 0.0)
     base = TrainConfig(epochs=2, batch_size=16, seed=4, weights=MV_BASELINE)
-    standalone = run_protocol(sweep_dataset, base, "se", k=2, split_seed=4)
+    standalone = protocol_report(sweep_dataset, base, "se", k=2, split_seed=4)
     if zero["fold_maes"] != standalone.fold_maes or zero["mu_vf"] != standalone.mu_vf:
         problems.append("zero cell differs from standalone MV run")
 

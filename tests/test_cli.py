@@ -1,14 +1,17 @@
 """CLI: artifacts, idempotence, exit codes, flag/config resolution."""
 
 import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from agecontrast.cli import GEN_SCHEMA, TRAIN_SCHEMA, main
 from agecontrast.losses import LossWeights
@@ -150,6 +153,16 @@ class TestTrain:
         assert main(["train", "--dataset", str(tiny_dataset), "--epochs", "0",
                      "--out", str(out)]) == 2
         assert "error: metadata sidecar" in capsys.readouterr().err
+
+    def test_deeply_nested_sidecar_exits_2(self, tiny_dataset, tmp_path, capsys):
+        # json raises RecursionError, not a ValueError, past its nesting limit
+        tiny_dataset.with_name("dataset.meta.json").write_text("[" * 200_000)
+        out = tmp_path / "t"
+        out.mkdir()
+        assert main(["train", "--dataset", str(tiny_dataset), "--epochs", "0",
+                     "--out", str(out)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: metadata sidecar")
 
     @pytest.mark.parametrize("which", ["csv", "sidecar"])
     def test_directory_in_place_of_a_dataset_file_exits_2(self, tiny_dataset, tmp_path,
@@ -341,12 +354,14 @@ class TestEvalBoundary:
                            {"shape": [1, 12], "data": [0.0] * 12},
                            {"shape": [12], "data": [0.0] * 12}]})
           for bad in (float("nan"), float("-inf"))),
+        pytest.param("[" * 200_000, id="nested-200000"),
     ])
     def test_schema_broken_checkpoint_exits_2(self, tiny_dataset, tmp_path, capsys, payload):
         bad = tmp_path / "bad.json"
         bad.write_text(payload)
         assert self._eval(bad, tiny_dataset, tmp_path) == 2
-        assert "error: cannot read checkpoint" in capsys.readouterr().err
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: cannot read checkpoint")
 
     def test_overflowing_checkpoint_exits_2(self, checkpoint, tiny_dataset, tmp_path, capsys):
         model = load_model(checkpoint)
@@ -654,6 +669,49 @@ def test_any_json_dimension_exits_0_or_2(twelve_rows, tmp_path, capsys, source, 
     if code == 2:
         assert len(err) == 1 and err[0].startswith("error: "), err
         assert list(out.iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(twelve_rows, tmp_path_factory):
+    """The 12-row set and the bytes of a checkpoint small enough that a
+    mutated byte often lands in its JSON structure."""
+    out = tmp_path_factory.mktemp("mutated")
+    save_model(init_model(ModelConfig(8, (4,), 3, 10), 0), out / "checkpoint.json")
+    return twelve_rows[0], (out / "checkpoint.json").read_bytes(), out
+
+
+# (kind, position as a fraction of the checkpoint's length, value)
+CHECKPOINT_MUTATIONS = st.one_of(
+    st.tuples(st.just("truncate"), st.floats(0, 1, exclude_max=True), st.just(0)),
+    st.tuples(st.just("replace"), st.floats(0, 1, exclude_max=True), st.integers(0, 255)),
+    st.tuples(st.just("nest"), st.just(0.0), st.integers(1, 250_000)))
+
+
+def mutate(raw: bytes, kind: str, at: float, value: int) -> bytes:
+    i = int(at * len(raw))
+    if kind == "truncate":
+        return raw[:i]
+    if kind == "replace":
+        return raw[:i] + bytes([value]) + raw[i + 1:]
+    return b"[" * value + raw
+
+
+@settings(max_examples=40, deadline=None)
+@example(mutation=("nest", 0.0, 200_000))
+@given(mutation=CHECKPOINT_MUTATIONS)
+def test_mutated_checkpoint_exits_0_or_2(small_checkpoint, mutation):
+    dataset, raw, out = small_checkpoint
+    checkpoint = out / "mutated.json"
+    checkpoint.write_bytes(mutate(raw, *mutation))
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["eval", "--checkpoint", str(checkpoint), "--dataset", str(dataset),
+                     "--k", "2", "--out", str(out)])
+    lines = err.getvalue().splitlines()
+    assert "Traceback" not in err.getvalue()
+    assert code in (0, 2)
+    if code == 2:
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 class TestArtifactKeyOrder:

@@ -121,8 +121,8 @@ class TestBatchSampling:
     def test_deterministic_per_seed(self, grid_dataset):
         a = sample_triplet_batch(grid_dataset, 16, seed=9)
         b = sample_triplet_batch(grid_dataset, 16, seed=9)
-        assert a == b
-        assert a != sample_triplet_batch(grid_dataset, 16, seed=10)
+        assert list(a) == list(b)
+        assert list(a) != list(sample_triplet_batch(grid_dataset, 16, seed=10))
 
     def test_anchors_without_replacement(self, grid_dataset):
         batch = sample_triplet_batch(grid_dataset, len(grid_dataset), seed=0)
@@ -149,10 +149,7 @@ class TestBatchSampling:
                                             batch.n.tolist())]
         assert all(type(v) is int for t in views for v in (t.a, t.p, t.n) if v is not None)
 
-    def test_batch_equality_and_shape_validation(self):
-        batch = TripletBatch([0, 1], [2, -1], [-1, 3])
-        assert batch == TripletBatch(np.array([0, 1]), [2, -1], [-1, 3])
-        assert batch != TripletBatch([0, 1], [2, -1], [-1, 4])
+    def test_batch_shape_validation(self):
         with pytest.raises(ValueError, match="one length"):
             TripletBatch([0, 1], [2], [3, 4])
 

@@ -1,8 +1,9 @@
-"""Fold protocols, MAE, identity variance, protocol runs, sweeps."""
+"""Fold protocols, MAE, identity variance, checkpoint evaluation, sweeps."""
 
 import os
 import pickle
 from concurrent.futures import Future
+from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
@@ -14,14 +15,14 @@ from agecontrast import evaluation
 from agecontrast.errors import IncompatibleDataError
 from agecontrast.evaluation import (Fold, evaluate_checkpoint, evaluate_mae,
                                     identity_variance, lambda_grid_cells,
-                                    loss_set_cells, mean_absolute_error, run_protocol,
+                                    loss_set_cells, mean_absolute_error,
                                     split_lopo, split_protocol, split_random,
                                     split_subject_exclusive, sweep)
 from agecontrast.losses import LossWeights
 from agecontrast.model import ModelConfig, forward_values, init_model
 from agecontrast.training import TrainConfig
 
-from conftest import make_dataset
+from conftest import make_dataset, protocol_report
 import loss_reference as ref
 
 
@@ -311,11 +312,11 @@ class TestProtocolRuns:
         npt.assert_allclose(report.fold_maes, expected, rtol=1e-13)
         assert (report.mu_vf, report.mu_vs) == identity_variance(model, ds)
 
-    def test_run_protocol_deterministic(self, small_synth):
+    def test_one_cell_sweep_deterministic(self, small_synth):
         _, ds, _ = small_synth
         cfg = TrainConfig(seed=4, **FAST)
-        r1 = run_protocol(ds, cfg, "se", k=3, split_seed=0)
-        r2 = run_protocol(ds, cfg, "se", k=3, split_seed=0)
+        r1 = protocol_report(ds, cfg, "se", k=3, split_seed=0)
+        r2 = protocol_report(ds, cfg, "se", k=3, split_seed=0)
         assert r1.fold_maes == r2.fold_maes
         assert r1.mu_vf == r2.mu_vf and r1.mu_vs == r2.mu_vs
         assert len(r1.histories) == 3 and all(len(h) == 2 for h in r1.histories)
@@ -323,7 +324,7 @@ class TestProtocolRuns:
     def test_report_round_trips_to_dict(self, small_synth):
         _, ds, _ = small_synth
         cfg = TrainConfig(seed=4, **FAST)
-        d = run_protocol(ds, cfg, "rs", k=2, split_seed=1).to_dict()
+        d = protocol_report(ds, cfg, "rs", k=2, split_seed=1).to_dict()
         assert set(d) >= {"protocol", "fold_maes", "mean_mae", "mu_vf", "mu_vs", "config"}
 
 
@@ -352,7 +353,7 @@ class TestSweep:
         rows = sweep(ds, base, lambda_grid_cells([0.0, 5.0], [0.0]), protocol="se",
                      k=2, split_seed=3)
         zero_row = rows[0]
-        standalone = run_protocol(
+        standalone = protocol_report(
             ds, TrainConfig(seed=6, weights=LossWeights(), **FAST), "se", k=2, split_seed=3)
         assert zero_row.fold_maes == standalone.fold_maes
         assert zero_row.mean_mae == standalone.mean_mae
@@ -466,10 +467,9 @@ class TestSweepPool:
                    for c, _ in pools[0].submitted]
         assert weights == sorted(weights, reverse=True)
         assert weights[:4] == [(True, True)] * 4 and weights[-2:] == [(False, False)] * 2
-        for cell, row in zip(loss_set_cells(), pooled):
-            report = run_protocol(ds, cell.config(cfg), "se", k=2)
-            assert (row.fold_maes, row.mu_vf, row.mu_vs) == (
-                report.fold_maes, report.mu_vf, report.mu_vs)
+        serial = sweep(ds, cfg, loss_set_cells(), protocol="se", k=2, jobs=1)
+        assert [r.config for r in pooled] == [asdict(c.config(cfg)) for c in loss_set_cells()]
+        assert pooled == serial
 
     @pytest.mark.parametrize("before", [None, "3"])
     def test_first_failure_raises_and_cancels_the_rest(self, small_synth, monkeypatch, before):
