@@ -11,9 +11,20 @@ manifest's echo of the resolved configuration (``asdict``).
 Exit codes: 0 success, 1 verification failure, 2 usage/config error,
 a diverged training run (OptimizationError) or a checkpoint whose
 forward pass overflows on the dataset.
+
+``OPENBLAS_NUM_THREADS`` defaults to 1 here, before anything imports
+numpy, because OpenBLAS reads it once, when it loads: a sweep can then
+fork its pool workers, which inherit the dataset and the loaded modules,
+instead of spawning interpreters that import numpy and unpickle the
+dataset again (see ``evaluation``). A value set by the user wins.
 """
 
 from __future__ import annotations
+
+import os
+
+# Before the imports below load numpy; see the module docstring.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
 import json
@@ -269,8 +280,8 @@ def cmd_sweep(args) -> int:
         _checked(cell.config, base_cfg)
 
     started = time.perf_counter()
-    reports = sweep(ds, base_cfg, cells, protocol=args.protocol, k=args.k,
-                    split_seed=base_cfg.seed, jobs=args.jobs)
+    reports, pool = sweep(ds, base_cfg, cells, protocol=args.protocol, k=args.k,
+                          split_seed=base_cfg.seed, jobs=args.jobs)
 
     rows_path = out / "sweep_rows.jsonl"
     rows_path.write_text("".join(json.dumps({
@@ -288,6 +299,8 @@ def cmd_sweep(args) -> int:
                   "cells": [c.label for c in cells]},
         {"seed": base_cfg.seed}, [Path(args.dataset)], [rows_path, csv_path],
         time.perf_counter() - started)
+    # A pool that could not fork says so here, with the thread count it saw.
+    manifest["pool"] = {**pool, "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
     write_manifest(out, manifest)
     print(f"swept {len(cells)} cells; table at {csv_path}")
     return 0

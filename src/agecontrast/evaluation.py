@@ -5,9 +5,14 @@ k-fold (se, identities never cross the train/test boundary) and
 leave-one-person-out (lopo). The identity-variance diagnostic reports
 the within-identity variance of features f and of the softmax output s
 (scaled by 100), averaged per coordinate and then per identity; higher
-values mean the representation depends less on who the person is. A
-sweep runs all its (cell, fold) jobs on one spawned process pool whose
-workers get the dataset once, at start, and one OpenBLAS thread each.
+values mean the representation depends less on who the person is.
+
+A sweep runs all its (cell, fold) jobs on one process pool whose workers
+get the dataset once, at start, and one OpenBLAS thread each. It forks
+them when this process's BLAS runs one thread, as under the CLI, so they
+inherit the dataset and the loaded modules; forked workers that inherit
+two OpenBLAS threads each made a sweep three to five times slower on two
+cores. Otherwise it spawns them under a one-thread OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
@@ -265,10 +270,11 @@ def loss_set_cells(lambda_c: float = 0.0, lambda_t: float = 0.0) -> list[SweepCe
 
 def sweep(ds: LabeledDataset, base_cfg: TrainConfig, cells: list[SweepCell],
           protocol: str = "se", k: int = 5, split_seed: int = 0,
-          jobs: int = 1) -> list[EvalReport]:
+          jobs: int = 1) -> tuple[list[EvalReport], dict]:
     """Retrain and evaluate every cell under shared seeds; one report per
-    cell, in cell order. Each fold's model is scored on that fold's test
-    split, and its identity variance, over the whole dataset, is averaged."""
+    cell, in cell order, and how the jobs ran (see ``_run_jobs``). Each
+    fold's model is scored on that fold's test split, and its identity
+    variance, over the whole dataset, is averaged."""
     if not cells:
         raise ValueError("sweep: empty grid")
     configs = [cell.config(base_cfg) for cell in cells]  # all checked before any training
@@ -277,10 +283,11 @@ def sweep(ds: LabeledDataset, base_cfg: TrainConfig, cells: list[SweepCell],
     # Longest first: cells with a triplet term, then with a pair term, then MV.
     order = sorted(range(len(tasks)), reverse=True, key=lambda i: (
         tasks[i][0].weights.lambda_t > 0, tasks[i][0].weights.lambda_c > 0))
-    results = dict(zip(order, _run_jobs(ds, [tasks[i] for i in order], jobs)))
+    ordered, pool = _run_jobs(ds, [tasks[i] for i in order], jobs)
+    results = dict(zip(order, ordered))
     n = len(folds)
     return [_report(cfg, protocol, split_seed, folds, [results[c * n + j] for j in range(n)])
-            for c, cfg in enumerate(configs)]
+            for c, cfg in enumerate(configs)], pool
 
 
 _worker_dataset: LabeledDataset | None = None  # set once in each pool worker
@@ -308,15 +315,37 @@ def _one_blas_thread():
             os.environ["OPENBLAS_NUM_THREADS"] = saved
 
 
-def _run_jobs(ds: LabeledDataset, tasks, jobs: int) -> list:
-    """Results in task order; the first failure raises and cancels the rest."""
+def _pool_start_method() -> str:
+    """"fork" when this process's BLAS runs one thread, else "spawn".
+
+    Any fork, even an earlier one in this process, stops OpenBLAS's
+    threads until a product big enough to split runs again (512 x 64 by
+    64 x 64 is; a train step's 192 x 64 is not), so one such product runs
+    before the threads are counted. Any other thread also makes fork
+    unsafe.
+    """
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return "spawn"
+    np.ones((512, 64)) @ np.ones((64, 64))
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:
+        return "spawn"
+    return "fork" if threads == 1 else "spawn"
+
+
+def _run_jobs(ds: LabeledDataset, tasks, jobs: int) -> tuple[list, dict]:
+    """Results in task order, and how the jobs ran (start method and
+    worker count); the first failure raises and cancels the rest."""
     if jobs == 1:
-        return [_fold_job(ds, cfg, fold) for cfg, fold in tasks]
-    pool = ProcessPoolExecutor(min(jobs, len(tasks)), multiprocessing.get_context("spawn"),
+        return ([_fold_job(ds, cfg, fold) for cfg, fold in tasks],
+                {"start_method": "in-process", "workers": 1})
+    workers, method = min(jobs, len(tasks)), _pool_start_method()
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context(method),
                                initializer=_init_worker, initargs=(ds, np.geterr()))
     try:
         with _one_blas_thread():  # read by the numpy of each worker that submit() spawns
             futures = [pool.submit(_worker_fold_job, cfg, fold) for cfg, fold in tasks]
-        return [f.result() for f in futures]
+        return [f.result() for f in futures], {"start_method": method, "workers": workers}
     finally:
         pool.shutdown(cancel_futures=True)

@@ -1,9 +1,22 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from agecontrast.data import LabeledDataset
 from agecontrast.evaluation import SweepCell, sweep
 from agecontrast.synth import SynthConfig, generate_dataset
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def cli_env() -> dict:
+    """This environment with the package on PYTHONPATH and without
+    OPENBLAS_NUM_THREADS, so a new interpreter sees the CLI's default."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return {**env, "PYTHONPATH": SRC}
 
 
 def make_dataset(ages, identities, num_ages, input_dim=4, seed=0):
@@ -23,8 +36,8 @@ def protocol_report(ds, cfg, protocol: str, k: int, split_seed: int = 0):
     """The EvalReport of cfg under a protocol: a serial sweep of one cell
     that keeps cfg's pair weights."""
     w = cfg.weights
-    [report] = sweep(ds, cfg, [SweepCell("cfg", w.lambda_c, w.lambda_t, w.pair_loss)],
-                     protocol, k, split_seed)
+    [report], _ = sweep(ds, cfg, [SweepCell("cfg", w.lambda_c, w.lambda_t, w.pair_loss)],
+                        protocol, k, split_seed)
     return report
 
 

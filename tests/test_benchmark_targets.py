@@ -9,14 +9,15 @@ load both modules (without editing them) and run them on the package.
 """
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from agecontrast.data import iter_epoch_batches, sample_triplet_batch
+from agecontrast.data import iter_epoch_batches, sample_triplet_batch, save_dataset
 
-from conftest import make_dataset
+from conftest import cli_env, make_dataset
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -117,3 +118,24 @@ def test_oracle_accepts_sampled_triplets(small_synth):
     a, p, n = triplets[0]
     assert oracles.check_triplets(truth.sample_ages, truth.sample_identities,
                                   [(a, a, n)] + triplets[1:]) != []
+
+
+def test_traced_cli_sweep_records_the_fold_jobs_of_its_workers(small_synth, tmp_path):
+    # The CLI forks its pool workers, which keep the launcher's span
+    # wrappers and write their spans to files of their own.
+    _, ds, _ = small_synth
+    save_dataset(ds, tmp_path / "dataset.csv")
+    (tmp_path / "out").mkdir()
+    (tmp_path / "trace").mkdir()
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "launch.py"), str(tmp_path / "trace"), "sweep",
+         "--dataset", str(tmp_path / "dataset.csv"), "--loss-sets", "--protocol", "se",
+         "--k", "2", "--epochs", "1", "--jobs", "2", "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120, env=cli_env())
+    assert proc.returncode == 0, proc.stderr
+    spans = _load_tracing().read_spans(tmp_path / "trace")
+    [cli_span] = [s for s in spans if s[2] == "cli.sweep"]
+    trains = [s for s in spans if s[2] == "training.train"]
+    workers = {s[0].split(".")[0] for s in trains}
+    assert len(trains) == 6 * 2
+    assert 1 <= len(workers) <= 2 and cli_span[0].split(".")[0] not in workers

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -20,7 +21,27 @@ from agecontrast.model import ModelConfig, init_model, load_model, save_model
 from agecontrast import selfcheck
 from agecontrast.training import TrainConfig
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+from conftest import SRC, cli_env
+
+
+def run_in_new_interpreter(*argv) -> tuple[int, list[str]]:
+    """Exit code and stderr lines of the CLI run as a user runs it. Under
+    pytest numpy is loaded before the CLI can give OpenBLAS its one-thread
+    default, so an in-process sweep spawns; a new interpreter forks. Also
+    checks that the command leaves no process of its session behind."""
+    proc = subprocess.Popen([sys.executable, "-m", "agecontrast", *argv],
+                            env=cli_env(), stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        _, err = proc.communicate(timeout=120)
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+    return proc.returncode, err.splitlines()
+
 
 GEN_CFG = """
 # tiny synthetic set
@@ -430,6 +451,15 @@ class TestEvalBoundary:
             "error: training diverged at step 2: non-finite logit"]
         assert list(out.iterdir()) == []
 
+    def test_forked_sweep_divergence_exits_2(self, tiny_dataset, tmp_path):
+        out = tmp_path / "s"
+        out.mkdir()
+        assert run_in_new_interpreter(
+            "sweep", "--dataset", str(tiny_dataset), "--loss-sets", "--lr", "1e300",
+            "--epochs", "2", "--jobs", "2", "--out", str(out)) == (
+                2, ["error: training diverged at step 2: non-finite logit"])
+        assert list(out.iterdir()) == []
+
     def test_sweep_overflowing_fold_model_exits_2(self, tiny_dataset, tmp_path, capsys):
         # one step per fold trains without a non-finite value, but the
         # fold's model then overflows when it is scored
@@ -502,6 +532,23 @@ class TestSweep:
                 outputs.append([(out / name).read_bytes()
                                 for name in ("sweep.csv", "sweep_rows.jsonl")])
             assert outputs[0] == outputs[1], dataset
+
+    def test_forked_sweep_writes_the_bytes_of_a_serial_one(self, tiny_dataset, tmp_path):
+        outputs, pools = [], []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            out.mkdir()
+            assert run_in_new_interpreter(
+                "sweep", "--dataset", str(tiny_dataset), "--loss-sets", "--epochs", "2",
+                "--batch-size", "15", "--protocol", "se", "--k", "2", "--seed", "1",
+                "--jobs", jobs, "--out", str(out)) == (0, [])
+            outputs.append([(out / name).read_bytes()
+                            for name in ("sweep.csv", "sweep_rows.jsonl")])
+            pools.append(json.loads((out / "manifest.json").read_text())["pool"])
+        assert outputs[0] == outputs[1]
+        assert pools == [
+            {"start_method": "in-process", "workers": 1, "openblas_num_threads": "1"},
+            {"start_method": "fork", "workers": 2, "openblas_num_threads": "1"}]
 
     def test_missing_grid_exits_2(self, tiny_dataset, tmp_path):
         out = tmp_path / "s"

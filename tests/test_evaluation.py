@@ -1,7 +1,10 @@
 """Fold protocols, MAE, identity variance, checkpoint evaluation, sweeps."""
 
+import json
 import os
 import pickle
+import subprocess
+import sys
 from concurrent.futures import Future
 from dataclasses import asdict
 from unittest import mock
@@ -22,7 +25,7 @@ from agecontrast.losses import LossWeights
 from agecontrast.model import ModelConfig, forward_values, init_model
 from agecontrast.training import TrainConfig
 
-from conftest import make_dataset, protocol_report
+from conftest import cli_env, make_dataset, protocol_report
 import loss_reference as ref
 
 
@@ -334,7 +337,8 @@ class TestSweep:
         cells = lambda_grid_cells([0.0, 1.0, 10.0], [0.0, 1.0])
         assert len(cells) == 6
         assert [c.lambda_c for c in cells] == [0.0, 0.0, 1.0, 1.0, 10.0, 10.0]
-        rows = sweep(ds, TrainConfig(seed=1, **FAST), cells, protocol="se", k=2)
+        rows, pool = sweep(ds, TrainConfig(seed=1, **FAST), cells, protocol="se", k=2)
+        assert pool == {"start_method": "in-process", "workers": 1}
         assert len(rows) == 6
         assert all(np.isfinite(r.mean_mae) and np.isfinite(r.mu_vf) for r in rows)
 
@@ -350,8 +354,8 @@ class TestSweep:
     def test_zero_cell_bitwise_equals_standalone_mv_run(self, small_synth):
         _, ds, _ = small_synth
         base = TrainConfig(seed=6, weights=LossWeights(lambda_c=5.0, lambda_t=2.0), **FAST)
-        rows = sweep(ds, base, lambda_grid_cells([0.0, 5.0], [0.0]), protocol="se",
-                     k=2, split_seed=3)
+        rows, _ = sweep(ds, base, lambda_grid_cells([0.0, 5.0], [0.0]), protocol="se",
+                        k=2, split_seed=3)
         zero_row = rows[0]
         standalone = protocol_report(
             ds, TrainConfig(seed=6, weights=LossWeights(), **FAST), "se", k=2, split_seed=3)
@@ -438,14 +442,24 @@ def set_blas_threads(monkeypatch, value):
 
 
 class TestSweepPool:
+    """The pool of a process whose BLAS runs more than one thread; the
+    gate's answer is pinned, so the tests do not depend on this machine."""
+
+    start_method = "spawn"
+
+    @pytest.fixture(autouse=True)
+    def gate(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "_pool_start_method", lambda: self.start_method)
+
     def test_pool_size_is_capped_by_the_job_count(self, small_synth, monkeypatch):
         _, ds, _ = small_synth
         pools = fake_pools(monkeypatch)
         cfg = TrainConfig(seed=2, **FAST)
-        rows = sweep(ds, cfg, lambda_grid_cells([0.0], [0.0]), protocol="se", k=2, jobs=64)
+        rows, how = sweep(ds, cfg, lambda_grid_cells([0.0], [0.0]), protocol="se", k=2, jobs=64)
         [pool] = pools
-        assert pool.max_workers == 2 and pool.start_method == "spawn"
-        assert rows == sweep(ds, cfg, lambda_grid_cells([0.0], [0.0]), protocol="se", k=2)
+        assert pool.max_workers == 2 and pool.start_method == self.start_method
+        assert how == {"start_method": self.start_method, "workers": 2}
+        assert rows == sweep(ds, cfg, lambda_grid_cells([0.0], [0.0]), protocol="se", k=2)[0]
 
     def test_jobs_carry_cfg_and_fold_and_workers_get_the_dataset_at_start(self, small_synth, monkeypatch):
         _, ds, _ = small_synth
@@ -462,12 +476,12 @@ class TestSweepPool:
         _, ds, _ = small_synth
         pools = fake_pools(monkeypatch)
         cfg = TrainConfig(seed=2, **FAST)
-        pooled = sweep(ds, cfg, loss_set_cells(), protocol="se", k=2, jobs=2)
+        pooled, _ = sweep(ds, cfg, loss_set_cells(), protocol="se", k=2, jobs=2)
         weights = [(c.weights.lambda_t > 0, c.weights.lambda_c > 0)
                    for c, _ in pools[0].submitted]
         assert weights == sorted(weights, reverse=True)
         assert weights[:4] == [(True, True)] * 4 and weights[-2:] == [(False, False)] * 2
-        serial = sweep(ds, cfg, loss_set_cells(), protocol="se", k=2, jobs=1)
+        serial, _ = sweep(ds, cfg, loss_set_cells(), protocol="se", k=2, jobs=1)
         assert [r.config for r in pooled] == [asdict(c.config(cfg)) for c in loss_set_cells()]
         assert pooled == serial
 
@@ -498,7 +512,78 @@ class TestSweepPool:
         _, ds, _ = small_synth
         set_blas_threads(monkeypatch, before)
         monkeypatch.setattr(evaluation, "_worker_fold_job", report_worker_state)
-        [row] = sweep(ds, TrainConfig(**FAST), lambda_grid_cells([0.0], [0.0]),
-                      protocol="se", k=2, jobs=2)
+        [row], _ = sweep(ds, TrainConfig(**FAST), lambda_grid_cells([0.0], [0.0]),
+                         protocol="se", k=2, jobs=2)
         assert row.fold_maes == [1.0, 1.0] and row.mu_vf == len(ds)
         assert os.environ.get(BLAS_THREADS) == before
+
+
+class TestForkedSweepPool(TestSweepPool):
+    """The same pool when the gate allows fork: the same initializer
+    arguments, job order, cancelling and thread-count window, and real
+    forked workers that get the dataset."""
+
+    start_method = "fork"
+
+
+def _fresh_interpreter(script: str, blas_threads=None) -> list:
+    """What script prints as JSON, run by a new interpreter whose
+    OPENBLAS_NUM_THREADS is unset or blas_threads."""
+    env = cli_env()
+    if blas_threads is not None:
+        env[BLAS_THREADS] = blas_threads
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+# Records OPENBLAS_NUM_THREADS at the moment numpy is first requested.
+WATCH_NUMPY = """
+import json, os, sys
+seen = []
+class Watch:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+sys.meta_path.insert(0, Watch())
+import agecontrast.cli
+from agecontrast.evaluation import _pool_start_method
+print(json.dumps([seen, _pool_start_method()]))
+"""
+
+# numpy loads before the CLI can give its default; the gate is asked
+# before and after a fork, in the parent and in the child.
+NUMPY_FIRST = """
+import json, os
+import numpy
+import agecontrast.cli
+from agecontrast.evaluation import _pool_start_method
+answers = [_pool_start_method()]
+read, write = os.pipe()
+pid = os.fork()
+if pid == 0:
+    os.write(write, _pool_start_method().encode())
+    os._exit(0)
+os.waitpid(pid, 0)
+answers += [_pool_start_method(), os.read(read, 16).decode()]
+print(json.dumps(answers))
+"""
+
+
+# OpenBLAS runs no more threads than this process may use cores.
+multi_core = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                                reason="a one-core BLAS runs one thread")
+
+
+class TestPoolStartMethod:
+    def test_cli_gives_blas_one_thread_before_numpy_loads_and_the_gate_forks(self):
+        assert _fresh_interpreter(WATCH_NUMPY) == [["1"], "fork"]
+
+    @multi_core
+    def test_a_thread_count_set_by_the_user_wins_and_the_gate_spawns(self):
+        assert _fresh_interpreter(WATCH_NUMPY, "3") == [["3"], "spawn"]
+
+    @multi_core
+    def test_numpy_loaded_first_spawns_also_right_after_a_fork(self):
+        assert _fresh_interpreter(NUMPY_FIRST) == ["spawn", "spawn", "spawn"]
