@@ -43,15 +43,18 @@ O(N log N).
 
 Datasets round-trip through CSV (header ``identity,age,v0,v1,...``) with
 a JSON sidecar recording input_dim and the age range. Large sets are
-formatted on up to one forked worker per CPU; the bytes do not depend on
-how many.
+formatted on up to one forked worker per CPU of ``dataset_pool``, the
+package's one process pool, which sweeps share; the bytes do not depend
+on how many.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import json
 import multiprocessing
@@ -235,15 +238,8 @@ def negative_set(ds: LabeledDataset, anchor: int) -> set[int]:
 
 
 def has_triplet_negatives(ds: LabeledDataset) -> bool:
-    """Whether any anchor has at least one negative candidate.
-
-    That holds iff the dataset has >= 2 ages and >= 2 identities. "Only
-    if" is the definition of a negative. "If": take i, j of different
-    ages; if their identities differ, j is a negative of i; otherwise any
-    k of another identity differs in age from i or from j, so k is a
-    negative of that sample.
-    """
-    return len(np.unique(ds.ages)) >= 2 and len(ds._by_identity) >= 2
+    """Whether any anchor has at least one negative candidate."""
+    return bool(ds._sampler.n_neg.any())
 
 
 def _triplets_for(ds: LabeledDataset, anchors: Array,
@@ -293,22 +289,11 @@ _CSV_CHUNK_VALUES = 32_768
 _MIN_VALUES_PER_WORKER = 131_072
 
 
-def _format_rows(ds: LabeledDataset, lo: int, hi: int) -> str:
+def _format_rows(ds: LabeledDataset, span: tuple[int, int]) -> str:
     """CSV rows lo..hi-1, each ending in a newline; floats use repr."""
+    lo, hi = span
     return "".join(f"{ident},{age},{','.join(map(repr, row))}\n" for ident, age, row in zip(
         ds.identities[lo:hi], ds.ages[lo:hi].tolist(), ds.inputs[lo:hi].tolist()))
-
-
-_csv_dataset: LabeledDataset | None = None  # set once in each forked CSV worker
-
-
-def _init_csv_worker(ds: LabeledDataset) -> None:
-    global _csv_dataset
-    _csv_dataset = ds  # inherited through fork, not pickled
-
-
-def _format_span(span: tuple[int, int]) -> str:
-    return _format_rows(_csv_dataset, *span)
 
 
 def _csv_workers(values: int) -> int:
@@ -343,16 +328,11 @@ def save_dataset(ds: LabeledDataset, path) -> None:
     n, step = len(ds), max(1, _CSV_CHUNK_VALUES // ds.input_dim)
     spans = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
     header = "identity,age," + ",".join(f"v{i}" for i in range(ds.input_dim)) + "\n"
-    workers = _csv_workers(n * ds.input_dim)
-    if workers == 1:
-        _write_text(path, header, (_format_rows(ds, lo, hi) for lo, hi in spans))
-    else:
-        # fork, not spawn: a worker inherits the dataset without a pickle
-        # or a fresh import, and runs only Python formatting, no BLAS.
-        # The workers fork before the file opens. Leaving the block
-        # terminates and joins them, also when a write fails.
-        with multiprocessing.get_context("fork").Pool(workers, _init_csv_worker, (ds,)) as pool:
-            _write_text(path, header, pool.imap(_format_span, spans))
+    # fork, not spawn: a worker inherits the dataset without a pickle or
+    # a fresh import, and runs only Python formatting, no BLAS. The
+    # workers fork before the file opens.
+    with dataset_pool(ds, _csv_workers(n * ds.input_dim), "fork") as run:
+        _write_text(path, header, run(_format_rows, spans))
     meta = {"input_dim": int(ds.input_dim), "num_ages": int(ds.num_ages)}
     _meta_path(path).write_text(json.dumps(meta, indent=1) + "\n", encoding="utf-8")
 
@@ -411,3 +391,58 @@ def load_dataset(path) -> LabeledDataset:
         identities.append(parts[0])
         ages.append(age)
     return LabeledDataset(inputs[:len(ages)], ages, identities, num_ages)
+
+
+# ---------------------------------------------------------------------------
+# The process pool
+
+_pool_dataset: LabeledDataset | None = None  # set once in each pool worker
+
+
+def _init_pool_worker(ds: LabeledDataset, errstate: dict) -> None:
+    global _pool_dataset
+    _pool_dataset = ds
+    np.seterr(**errstate)  # a spawned worker starts with numpy's defaults
+
+
+def _on_pool_dataset(fn: Callable, arg):
+    return fn(_pool_dataset, arg)
+
+
+@contextmanager
+def _one_blas_thread():
+    saved = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        yield
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+        if saved is not None:
+            os.environ["OPENBLAS_NUM_THREADS"] = saved
+
+
+@contextmanager
+def dataset_pool(ds: LabeledDataset, workers: int, method: str):
+    """Yields ``run(fn, args)``: an iterator of ``fn(ds, arg)``, in order.
+
+    One worker runs them in this process; more are ``method`` ("fork" or
+    "spawn") processes that get ds and numpy's error state at start and a
+    one-thread OPENBLAS_NUM_THREADS while ``run`` submits every job. The
+    first failure, a dead worker's included, raises; leaving the block
+    cancels the jobs not yet started and joins the workers.
+    """
+    if workers == 1:
+        yield lambda fn, args: map(partial(fn, ds), args)
+        return
+    # Imported on use: loaded with this module, train steps took page faults.
+    from concurrent.futures import ProcessPoolExecutor
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context(method),
+                               initializer=_init_pool_worker, initargs=(ds, np.geterr()))
+
+    def run(fn: Callable, args: Iterable) -> Iterator:
+        with _one_blas_thread():
+            return pool.map(partial(_on_pool_dataset, fn), args)
+    try:
+        yield run
+    finally:
+        pool.shutdown(cancel_futures=True)

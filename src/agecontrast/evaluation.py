@@ -7,25 +7,23 @@ the within-identity variance of features f and of the softmax output s
 (scaled by 100), averaged per coordinate and then per identity; higher
 values mean the representation depends less on who the person is.
 
-A sweep runs all its (cell, fold) jobs on one process pool whose workers
-get the dataset once, at start, and one OpenBLAS thread each. It forks
-them when this process's BLAS runs one thread, as under the CLI, so they
-inherit the dataset and the loaded modules; forked workers that inherit
-two OpenBLAS threads each made a sweep three to five times slower on two
-cores. Otherwise it spawns them under a one-thread OPENBLAS_NUM_THREADS.
+A sweep runs all its (cell, fold) jobs on ``data.dataset_pool``, with
+one OpenBLAS thread a worker. It forks the workers when this process's
+BLAS runs one thread, as under the CLI, so they inherit the dataset and
+the loaded modules; forked workers that inherit two OpenBLAS threads
+each made a sweep three to five times slower on two cores. Otherwise it
+spawns them.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data import LabeledDataset
+from .data import LabeledDataset, dataset_pool
 from .errors import IncompatibleDataError
 from .losses import LossBreakdown
 from .model import Model, forward_values, predict_ages
@@ -216,7 +214,8 @@ def _fold_config(cfg: TrainConfig, fold_index: int) -> TrainConfig:
     return replace(cfg, seed=int(state[0]))
 
 
-def _fold_job(ds: LabeledDataset, cfg: TrainConfig, fold: Fold) -> tuple[float, float, float, list]:
+def _fold_job(ds: LabeledDataset, task: tuple[TrainConfig, Fold]) -> tuple[float, float, float, list]:
+    cfg, fold = task
     model, history = train(ds.subset(fold.train), cfg)
     return evaluate_mae(model, ds, fold.test), *identity_variance(model, ds), history
 
@@ -290,31 +289,6 @@ def sweep(ds: LabeledDataset, base_cfg: TrainConfig, cells: list[SweepCell],
             for c, cfg in enumerate(configs)], pool
 
 
-_worker_dataset: LabeledDataset | None = None  # set once in each pool worker
-
-
-def _init_worker(ds: LabeledDataset, errstate: dict) -> None:
-    global _worker_dataset
-    _worker_dataset = ds
-    np.seterr(**errstate)  # a spawned worker starts with numpy's defaults
-
-
-def _worker_fold_job(cfg: TrainConfig, fold: Fold):
-    return _fold_job(_worker_dataset, cfg, fold)
-
-
-@contextmanager
-def _one_blas_thread():
-    saved = os.environ.get("OPENBLAS_NUM_THREADS")
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        yield
-    finally:
-        del os.environ["OPENBLAS_NUM_THREADS"]
-        if saved is not None:
-            os.environ["OPENBLAS_NUM_THREADS"] = saved
-
-
 def _pool_start_method() -> str:
     """"fork" when this process's BLAS runs one thread, else "spawn".
 
@@ -337,15 +311,7 @@ def _pool_start_method() -> str:
 def _run_jobs(ds: LabeledDataset, tasks, jobs: int) -> tuple[list, dict]:
     """Results in task order, and how the jobs ran (start method and
     worker count); the first failure raises and cancels the rest."""
-    if jobs == 1:
-        return ([_fold_job(ds, cfg, fold) for cfg, fold in tasks],
-                {"start_method": "in-process", "workers": 1})
-    workers, method = min(jobs, len(tasks)), _pool_start_method()
-    pool = ProcessPoolExecutor(workers, multiprocessing.get_context(method),
-                               initializer=_init_worker, initargs=(ds, np.geterr()))
-    try:
-        with _one_blas_thread():  # read by the numpy of each worker that submit() spawns
-            futures = [pool.submit(_worker_fold_job, cfg, fold) for cfg, fold in tasks]
-        return [f.result() for f in futures], {"start_method": method, "workers": workers}
-    finally:
-        pool.shutdown(cancel_futures=True)
+    workers = min(jobs, len(tasks))
+    method = _pool_start_method() if workers > 1 else "in-process"
+    with dataset_pool(ds, workers, method) as run:
+        return list(run(_fold_job, tasks)), {"start_method": method, "workers": workers}

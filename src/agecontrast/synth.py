@@ -64,9 +64,9 @@ class SynthConfig:
             raise ConfigError("noise_std must be finite and >= 0")
         if self.age_bin_weights is not None:
             w = tuple(float(v) for v in self.age_bin_weights)
-            if len(w) != 4 or not all(0 <= v < np.inf for v in w) or sum(w) <= 0:
-                raise ConfigError(
-                    "age_bin_weights must be 4 finite non-negative values with positive sum")
+            if len(w) != 4 or not all(0 <= v < np.inf for v in w) or not 0 < sum(w) < np.inf:
+                raise ConfigError("age_bin_weights must be 4 finite non-negative values "
+                                  "with a positive finite sum")
             object.__setattr__(self, "age_bin_weights", w)
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")

@@ -74,10 +74,6 @@ class AdamState:
     def __post_init__(self):
         self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
-    @classmethod
-    def for_model(cls, model: Model) -> "AdamState":
-        return cls(np.zeros_like(model.flat), np.zeros_like(model.flat))
-
 
 def adam_step(model: Model, grad: Array, state: AdamState, cfg: TrainConfig) -> None:
     """Standard Adam update with bias correction of ``model.flat`` in

@@ -579,6 +579,7 @@ class TestRejectedBeforeWork:
         (["gen", "--seed", "-1"], None, "seed must be >= 0, got -1"),
         (["gen"], "seed = -1", "seed must be >= 0, got -1"),
         (["gen"], "age_bin_weights = 1, 1, 1, inf", "age_bin_weights must be 4 finite"),
+        (["gen"], "age_bin_weights = 1e308, 1e308, 0, 0", "with a positive finite sum"),
         (["gen"], f"input_dim = {2 ** 60}",
          f"cannot allocate 1000 samples of input_dim {2 ** 60}"),
         (["gen"], f"samples_per_identity = {2 ** 60}",
@@ -604,12 +605,12 @@ class TestRejectedBeforeWork:
          "lambda_t must be finite and >= 0, got -1.0"),
         (["sweep", "--grid-lambda-c", "0", "--grid-lambda-t=nan"], None,
          "lambda_t must be finite and >= 0, got nan"),
-    ], ids=["gen-flag-seed", "gen-file-seed", "gen-inf-bin-weight", "gen-input-dim-2**60",
-            "gen-samples-per-identity-2**60", "gen-num-identities-2**60", "train-flag-seed",
-            "train-file-seed", "hidden-width-0", "feature-dim-neg", "hidden-width-2**60",
-            "feature-dim-2**60", "sweep-hidden-width-2**60", "sweep-jobs-2-hidden-width-2**60",
-            "eval-flag-seed", "sweep-flag-seed", "grid-lambda-c-neg", "grid-lambda-c-nan",
-            "grid-lambda-t-neg", "grid-lambda-t-nan"])
+    ], ids=["gen-flag-seed", "gen-file-seed", "gen-inf-bin-weight", "gen-bin-weight-sum-inf",
+            "gen-input-dim-2**60", "gen-samples-per-identity-2**60", "gen-num-identities-2**60",
+            "train-flag-seed", "train-file-seed", "hidden-width-0", "feature-dim-neg",
+            "hidden-width-2**60", "feature-dim-2**60", "sweep-hidden-width-2**60",
+            "sweep-jobs-2-hidden-width-2**60", "eval-flag-seed", "sweep-flag-seed",
+            "grid-lambda-c-neg", "grid-lambda-c-nan", "grid-lambda-t-neg", "grid-lambda-t-nan"])
     def test_exits_2_with_one_error_line(self, paths, tmp_path, capsys, argv, config, message):
         inputs = {"gen": [], "eval": ["--dataset", paths["dataset"],
                                       "--checkpoint", paths["checkpoint"]]}

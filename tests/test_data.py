@@ -1,7 +1,12 @@
 """Dataset indexes, candidate sets vs brute force, triplet sampling, CSV."""
 
 import errno
+import json
 import multiprocessing
+import os
+import signal
+import subprocess
+import sys
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -15,7 +20,7 @@ from agecontrast.data import (LabeledDataset, Triplet, TripletBatch, _candidate_
                               negative_set, positive_set, sample_triplet_batch, save_dataset)
 from agecontrast.errors import DatasetError
 
-from conftest import make_dataset
+from conftest import cli_env, make_dataset
 
 
 # The characters a CSV identity field cannot hold: the field separator and
@@ -443,3 +448,55 @@ class TestCsvPool:
         monkeypatch.setattr(data.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         monkeypatch.setattr(data.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         assert data._csv_workers(big) == 1
+
+
+def size_plus(ds, arg):
+    return len(ds) + arg
+
+
+# save_dataset on two forked workers whose first job ends the process,
+# as the OOM killer would; prints the seconds until save_dataset raised
+# BrokenProcessPool and how many children were left.
+DIE_IN_CSV_WORKER = """
+import json, multiprocessing, os, sys, time
+from concurrent.futures.process import BrokenProcessPool
+from agecontrast import data
+
+def die(*args):
+    os._exit(1)
+
+data._format_rows = die
+data._csv_workers = lambda values: 2
+ds = data.LabeledDataset([[0.5]] * 8, [1, 2] * 4, ["a", "b"] * 4, 2)
+start = time.perf_counter()
+try:
+    data.save_dataset(ds, sys.argv[1])
+except BrokenProcessPool:
+    print(json.dumps([time.perf_counter() - start, len(multiprocessing.active_children())]))
+"""
+
+
+class TestDatasetPool:
+    """data.dataset_pool, the one process pool of save_dataset and sweeps."""
+
+    @pytest.mark.parametrize("workers, method", [(1, "in-process"), (2, "fork"), (2, "spawn")])
+    def test_results_come_in_argument_order(self, workers, method):
+        ds = make_dataset([1, 2, 3], ["a", "b", "c"], 3)
+        with data.dataset_pool(ds, workers, method) as run:
+            assert list(run(size_plus, range(5))) == [3, 4, 5, 6, 7]
+        assert multiprocessing.active_children() == []
+
+    def test_a_dead_csv_worker_raises_instead_of_hanging(self, tmp_path):
+        proc = subprocess.Popen(
+            [sys.executable, "-c", DIE_IN_CSV_WORKER, str(tmp_path / "ds.csv")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=cli_env(),
+            start_new_session=True)
+        try:
+            out, err = proc.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)  # the interpreter and its workers
+            proc.communicate()
+            pytest.fail("save_dataset still waited 30 s after a worker died")
+        assert proc.returncode == 0, err
+        seconds, children = json.loads(out)
+        assert seconds < 10 and children == 0

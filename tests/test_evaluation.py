@@ -1,11 +1,15 @@
 """Fold protocols, MAE, identity variance, checkpoint evaluation, sweeps."""
 
+import concurrent.futures
 import json
+import multiprocessing
 import os
 import pickle
 import subprocess
 import sys
-from concurrent.futures import Future
+import time
+from concurrent.futures import Executor, Future
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict
 from unittest import mock
 
@@ -14,7 +18,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from agecontrast import evaluation
+from agecontrast import data, evaluation
 from agecontrast.errors import IncompatibleDataError
 from agecontrast.evaluation import (Fold, evaluate_checkpoint, evaluate_mae,
                                     identity_variance, lambda_grid_cells,
@@ -373,28 +377,29 @@ class TestSweep:
 BLAS_THREADS = "OPENBLAS_NUM_THREADS"
 
 
-class FakePool:
+class FakePool(Executor):
     """Stands in for ProcessPoolExecutor and starts no process: it runs its
-    initializer at construction and each job at submit, in this process."""
+    initializer at construction and each job at submit, in this process.
+    Executor's own map submits the jobs."""
 
     def __init__(self, max_workers, mp_context, initializer, initargs):
         self.max_workers = max_workers
         self.start_method = mp_context.get_start_method()
         self.initargs = initargs
-        self.submitted, self.env_at_submit, self.shutdowns = [], [], []
+        self.submitted, self.futures, self.env_at_submit, self.shutdowns = [], [], [], []
         initializer(*initargs)
 
-    def submit(self, fn, *args):
-        self.submitted.append(args)
+    def submit(self, fn, /, *args):
+        self.submitted.append((fn, *args))
         self.env_at_submit.append(os.environ.get(BLAS_THREADS))
-        future = Future()
+        self.futures.append(Future())
         try:
-            future.set_result(fn(*args))
+            self.futures[-1].set_result(fn(*args))
         except Exception as exc:
-            future.set_exception(exc)
-        return future
+            self.futures[-1].set_exception(exc)
+        return self.futures[-1]
 
-    def shutdown(self, wait=True, cancel_futures=False):
+    def shutdown(self, wait=True, *, cancel_futures=False):
         self.shutdowns.append(cancel_futures)
 
 
@@ -406,31 +411,36 @@ class Unfinished(Future):
 class FailFirstPool(FakePool):
     """The first job submitted fails; the others never finish."""
 
-    def submit(self, fn, *args):
-        self.submitted.append(args)
-        if len(self.submitted) > 1:
-            return Unfinished()
-        future = Future()
-        future.set_exception(RuntimeError(f"job 0 failed, lambda_t={args[0].weights.lambda_t}"))
-        return future
+    def submit(self, fn, /, *args):
+        self.submitted.append((fn, *args))
+        self.futures.append(Future() if len(self.submitted) == 1 else Unfinished())
+        if len(self.submitted) == 1:
+            [(cfg, _)] = args
+            self.futures[0].set_exception(
+                RuntimeError(f"job 0 failed, lambda_t={cfg.weights.lambda_t}"))
+        return self.futures[-1]
 
 
-def report_worker_state(cfg, fold):
+def report_worker_state(ds, task):
     """A fold job whose MAE is the worker's OPENBLAS_NUM_THREADS and whose
     mu_vf is the size of the dataset the worker was started with."""
-    return float(os.environ[BLAS_THREADS]), float(len(evaluation._worker_dataset)), 0.0, []
+    return float(os.environ[BLAS_THREADS]), float(len(data._pool_dataset)), 0.0, []
+
+
+def die_in_job(ds, task):
+    os._exit(1)
 
 
 def fake_pools(monkeypatch, pool_type=FakePool) -> list:
-    """Makes sweeps use pool_type in place of a process pool; returns the
-    list of pools they make."""
+    """Makes the dataset pool use pool_type in place of a process pool;
+    returns the list of pools it makes."""
     made = []
 
     def make(*args, **kwargs):
         made.append(pool_type(*args, **kwargs))
         return made[-1]
-    monkeypatch.setattr(evaluation, "_worker_dataset", None)
-    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", make)
+    monkeypatch.setattr(data, "_pool_dataset", None)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", make)
     return made
 
 
@@ -468,9 +478,9 @@ class TestSweepPool:
         [pool] = pools
         assert pool.initargs[0] is ds and pool.initargs[1:] == (np.geterr(),)
         assert len(pool.submitted) == 12 and pool.shutdowns == [True]
-        for args in pool.submitted:
-            assert [type(a) for a in args] == [TrainConfig, Fold]
-            assert len(pickle.dumps(args)) * 10 < len(pickle.dumps(ds))
+        for job, task in pool.submitted:
+            assert [type(a) for a in task] == [TrainConfig, Fold]
+            assert len(pickle.dumps((job, task))) * 10 < len(pickle.dumps(ds))
 
     def test_longest_jobs_go_first_and_rows_keep_cell_order(self, small_synth, monkeypatch):
         _, ds, _ = small_synth
@@ -478,7 +488,7 @@ class TestSweepPool:
         cfg = TrainConfig(seed=2, **FAST)
         pooled, _ = sweep(ds, cfg, loss_set_cells(), protocol="se", k=2, jobs=2)
         weights = [(c.weights.lambda_t > 0, c.weights.lambda_c > 0)
-                   for c, _ in pools[0].submitted]
+                   for _, (c, _) in pools[0].submitted]
         assert weights == sorted(weights, reverse=True)
         assert weights[:4] == [(True, True)] * 4 and weights[-2:] == [(False, False)] * 2
         serial, _ = sweep(ds, cfg, loss_set_cells(), protocol="se", k=2, jobs=1)
@@ -493,6 +503,7 @@ class TestSweepPool:
         with pytest.raises(RuntimeError, match="job 0 failed, lambda_t=1.0"):
             sweep(ds, TrainConfig(**FAST), loss_set_cells(), protocol="se", k=2, jobs=2)
         assert pools[0].shutdowns == [True]
+        assert len(pools[0].futures) == 12 and all(f.cancelled() for f in pools[0].futures[1:])
         assert os.environ.get(BLAS_THREADS) == before
 
     @pytest.mark.parametrize("before", [None, "3"])
@@ -511,7 +522,7 @@ class TestSweepPool:
                                                                  monkeypatch, before):
         _, ds, _ = small_synth
         set_blas_threads(monkeypatch, before)
-        monkeypatch.setattr(evaluation, "_worker_fold_job", report_worker_state)
+        monkeypatch.setattr(evaluation, "_fold_job", report_worker_state)
         [row], _ = sweep(ds, TrainConfig(**FAST), lambda_grid_cells([0.0], [0.0]),
                          protocol="se", k=2, jobs=2)
         assert row.fold_maes == [1.0, 1.0] and row.mu_vf == len(ds)
@@ -524,6 +535,20 @@ class TestForkedSweepPool(TestSweepPool):
     forked workers that get the dataset."""
 
     start_method = "fork"
+
+
+@pytest.mark.parametrize("start_method", ["fork", "spawn"])
+def test_a_dead_sweep_worker_raises_and_leaves_no_process(small_synth, monkeypatch,
+                                                          start_method):
+    _, ds, _ = small_synth
+    monkeypatch.setattr(evaluation, "_pool_start_method", lambda: start_method)
+    monkeypatch.setattr(evaluation, "_fold_job", die_in_job)
+    start = time.perf_counter()
+    with pytest.raises(BrokenProcessPool):
+        sweep(ds, TrainConfig(**FAST), lambda_grid_cells([0.0], [0.0]), protocol="se",
+              k=2, jobs=2)
+    assert time.perf_counter() - start < 10
+    assert multiprocessing.active_children() == []
 
 
 def _fresh_interpreter(script: str, blas_threads=None) -> list:

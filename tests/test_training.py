@@ -29,7 +29,7 @@ class TestAdam:
         # fresh state + zero gradients: parameters unchanged exactly
         model = init_model(TINY, 0)
         before = [p.copy() for p in model.parameters()]
-        state = AdamState.for_model(model)
+        state = AdamState(np.zeros_like(model.flat), np.zeros_like(model.flat))
         adam_step(model, np.zeros_like(model.flat), state, TrainConfig())
         for p, b in zip(model.parameters(), before):
             npt.assert_array_equal(p, b)
@@ -37,7 +37,7 @@ class TestAdam:
 
     def test_zero_gradients_decay_moments(self):
         model = init_model(TINY, 0)
-        state = AdamState.for_model(model)
+        state = AdamState(np.zeros_like(model.flat), np.zeros_like(model.flat))
         state.m += 1.0
         state.v += 1.0
         adam_step(model, np.zeros_like(model.flat), state, TrainConfig())
@@ -48,7 +48,8 @@ class TestAdam:
         cfg = TrainConfig(learning_rate=0.001)
         model = init_model(ModelConfig(1, (), 1, 2), 3)
         before = [p.copy() for p in model.parameters()]
-        adam_step(model, np.full_like(model.flat, 0.5), AdamState.for_model(model), cfg)
+        state = AdamState(np.zeros_like(model.flat), np.zeros_like(model.flat))
+        adam_step(model, np.full_like(model.flat, 0.5), state, cfg)
         expected_delta = -0.001 * 0.5 / (0.5 + ADAM_EPS)
         for p, b in zip(model.parameters(), before):
             npt.assert_allclose(p - b, expected_delta, rtol=1e-12)
@@ -57,13 +58,14 @@ class TestAdam:
         cfg = TrainConfig(learning_rate=0.01)
         model = init_model(ModelConfig(1, (), 1, 2), 3)
         before = [p.copy() for p in model.parameters()]
-        adam_step(model, np.full_like(model.flat, -2.0), AdamState.for_model(model), cfg)
+        state = AdamState(np.zeros_like(model.flat), np.zeros_like(model.flat))
+        adam_step(model, np.full_like(model.flat, -2.0), state, cfg)
         for p, b in zip(model.parameters(), before):
             assert np.all(p > b)
 
     def test_non_finite_gradient_aborts_with_name_and_step(self):
         model = init_model(TINY, 0)
-        state = AdamState.for_model(model)
+        state = AdamState(np.zeros_like(model.flat), np.zeros_like(model.flat))
         grad = np.zeros_like(model.flat)
         model.config.param_views(grad)[3][0] = np.nan  # the second layer's bias
         name = model.param_names()[3]
@@ -74,8 +76,9 @@ class TestAdam:
 
     def test_gradient_count_checked(self):
         model = init_model(TINY, 0)
+        state = AdamState(np.zeros_like(model.flat), np.zeros_like(model.flat))
         with pytest.raises(ValueError, match="gradients"):
-            adam_step(model, [], AdamState.for_model(model), TrainConfig())
+            adam_step(model, [], state, TrainConfig())
 
 
 @pytest.mark.parametrize("make", [
@@ -308,3 +311,14 @@ def test_train_steps_take_no_page_faults():
     steps = 3 * -(-rows // TrainConfig().batch_size)
     assert steps == 48
     assert faults < steps, f"{faults} minor page faults in {steps} steps"
+
+
+def test_importing_training_loads_no_pool_module():
+    # Loaded with training, concurrent.futures made the steps above take
+    # page faults; the pool imports it only when it starts processes.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    probe = ("import sys, agecontrast.training; print(*sorted(m for m in sys.modules "
+             "if m.startswith(('concurrent', 'agecontrast.evaluation'))))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.split() == []
