@@ -9,8 +9,8 @@ checks (a rejected value is a ConfigError before any work) and the
 manifest's echo of the resolved configuration (``asdict``).
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error,
-a diverged training run (OptimizationError) or a checkpoint whose
-forward pass overflows on the dataset.
+a diverged training run (OptimizationError), a checkpoint whose
+forward pass overflows on the dataset or a pool worker that died.
 
 ``OPENBLAS_NUM_THREADS`` defaults to 1 here, before anything imports
 numpy, because OpenBLAS reads it once, when it loads: a sweep can then
@@ -37,7 +37,8 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .data import LabeledDataset, load_dataset, save_dataset
-from .errors import ConfigError, NonFiniteError, OptimizationError, VerificationError
+from .errors import (ConfigError, NonFiniteError, OptimizationError, VerificationError,
+                     WorkerDiedError)
 from .evaluation import (PROTOCOLS, evaluate_checkpoint, lambda_grid_cells, loss_set_cells,
                          sweep)
 from .losses import LossBreakdown
@@ -280,8 +281,7 @@ def cmd_sweep(args) -> int:
         _checked(cell.config, base_cfg)
 
     started = time.perf_counter()
-    reports, pool = sweep(ds, base_cfg, cells, protocol=args.protocol, k=args.k,
-                          split_seed=base_cfg.seed, jobs=args.jobs)
+    reports, pool = sweep(ds, base_cfg, cells, protocol=args.protocol, k=args.k, jobs=args.jobs)
 
     rows_path = out / "sweep_rows.jsonl"
     rows_path.write_text("".join(json.dumps({
@@ -387,7 +387,7 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, OptimizationError, NonFiniteError) as exc:
+    except (ConfigError, OptimizationError, NonFiniteError, WorkerDiedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

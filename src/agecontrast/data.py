@@ -62,7 +62,7 @@ import os
 
 import numpy as np
 
-from .errors import DatasetError
+from .errors import DatasetError, WorkerDiedError
 
 Array = np.ndarray
 
@@ -299,10 +299,8 @@ def _format_rows(ds: LabeledDataset, span: tuple[int, int]) -> str:
 def _csv_workers(values: int) -> int:
     """Forked formatters for this many values: one per CPU this process
     may run on, each given at least _MIN_VALUES_PER_WORKER values. 1 means
-    in-process, as on a platform without fork or in a daemonic process,
-    which may have no children."""
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon):
+    in-process, as on a platform without fork."""
+    if "fork" not in multiprocessing.get_all_start_methods():
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return max(1, min(cpus or 1, values // _MIN_VALUES_PER_WORKER))
@@ -331,7 +329,7 @@ def save_dataset(ds: LabeledDataset, path) -> None:
     # fork, not spawn: a worker inherits the dataset without a pickle or
     # a fresh import, and runs only Python formatting, no BLAS. The
     # workers fork before the file opens.
-    with dataset_pool(ds, _csv_workers(n * ds.input_dim), "fork") as run:
+    with dataset_pool(ds, _csv_workers(n * ds.input_dim), "fork") as (run, _):
         _write_text(path, header, run(_format_rows, spans))
     meta = {"input_dim": int(ds.input_dim), "num_ages": int(ds.num_ages)}
     _meta_path(path).write_text(json.dumps(meta, indent=1) + "\n", encoding="utf-8")
@@ -423,19 +421,22 @@ def _one_blas_thread():
 
 @contextmanager
 def dataset_pool(ds: LabeledDataset, workers: int, method: str):
-    """Yields ``run(fn, args)``: an iterator of ``fn(ds, arg)``, in order.
+    """Yields ``(run, workers)``: ``run(fn, args)`` is an iterator of
+    ``fn(ds, arg)``, in order, and workers the count that runs them.
 
-    One worker runs them in this process; more are ``method`` ("fork" or
-    "spawn") processes that get ds and numpy's error state at start and a
+    One worker runs them in this process, as does a daemonic process,
+    which may have no children; more are ``method`` ("fork" or "spawn")
+    processes that get ds and numpy's error state at start and a
     one-thread OPENBLAS_NUM_THREADS while ``run`` submits every job. The
-    first failure, a dead worker's included, raises; leaving the block
-    cancels the jobs not yet started and joins the workers.
+    first failure raises, a dead worker's as a WorkerDiedError; leaving
+    the block cancels the jobs not yet started and joins the workers.
     """
-    if workers == 1:
-        yield lambda fn, args: map(partial(fn, ds), args)
+    if workers == 1 or multiprocessing.current_process().daemon:
+        yield (lambda fn, args: map(partial(fn, ds), args)), 1
         return
     # Imported on use: loaded with this module, train steps took page faults.
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
     pool = ProcessPoolExecutor(workers, multiprocessing.get_context(method),
                                initializer=_init_pool_worker, initargs=(ds, np.geterr()))
 
@@ -443,6 +444,9 @@ def dataset_pool(ds: LabeledDataset, workers: int, method: str):
         with _one_blas_thread():
             return pool.map(partial(_on_pool_dataset, fn), args)
     try:
-        yield run
+        yield run, workers
+    except BrokenProcessPool as exc:
+        raise WorkerDiedError("a worker process died before finishing its job "
+                              "(killed, e.g. out of memory)") from exc
     finally:
         pool.shutdown(cancel_futures=True)

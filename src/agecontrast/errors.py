@@ -1,8 +1,9 @@
 """Shared exception types.
 
 ConfigError and its DatasetError/IncompatibleDataError kin signal bad
-input or configuration, OptimizationError a diverged training run and
-NonFiniteError a forward pass that overflowed (CLI exit code 2);
+input or configuration, OptimizationError a diverged training run,
+NonFiniteError a forward pass that overflowed and WorkerDiedError a
+pool worker process that died (CLI exit code 2);
 VerificationError signals a failed self-verification (CLI exit code 1).
 """
 
@@ -25,6 +26,10 @@ class OptimizationError(RuntimeError):
 
 class NonFiniteError(ValueError):
     """A computation met a non-finite value, e.g. an overflowed logit."""
+
+
+class WorkerDiedError(RuntimeError):
+    """A process-pool worker died before finishing its job."""
 
 
 class VerificationError(Exception):

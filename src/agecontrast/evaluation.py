@@ -6,6 +6,10 @@ leave-one-person-out (lopo). The identity-variance diagnostic reports
 the within-identity variance of features f and of the softmax output s
 (scaled by 100), averaged per coordinate and then per identity; higher
 values mean the representation depends less on who the person is.
+``evaluate_mae`` and ``identity_variance`` take the rows of one forward
+over the whole dataset; ``evaluate_checkpoint`` and each sweep fold job
+score their model from one such forward, so a fold's MAE in a sweep is
+bit for bit the one ``eval`` reports for that model and fold.
 
 A sweep runs all its (cell, fold) jobs on ``data.dataset_pool``, with
 one OpenBLAS thread a worker. It forks the workers when this process's
@@ -118,27 +122,21 @@ def mean_absolute_error(predicted, actual) -> float:
     return float(np.mean(np.abs(predicted - actual)))
 
 
-def evaluate_mae(model: Model, ds: LabeledDataset, test_indices) -> float:
-    """MAE of the model's age estimates over the given sample indices."""
-    idx = np.asarray(test_indices, dtype=np.int64)
-    if idx.size == 0:
-        raise ValueError("evaluate_mae: empty test set")
-    _, s_rows = forward_values(model, ds.inputs[idx])
-    return mean_absolute_error(predict_ages(s_rows), ds.ages[idx])
+def evaluate_mae(s_rows: Array, ds: LabeledDataset, folds: list[Fold]) -> list[float]:
+    """Each fold's MAE of the age estimates of s_rows, the distributions
+    of a forward over every sample of ds."""
+    predicted = predict_ages(s_rows)
+    return [mean_absolute_error(predicted[fold.test], ds.ages[fold.test]) for fold in folds]
 
 
-def identity_variance(model: Model, ds: LabeledDataset) -> tuple[float, float]:
-    """Within-identity variance of f and of s*S_VARIANCE_SCALE.
+def identity_variance(f_rows: Array, s_rows: Array, ds: LabeledDataset) -> tuple[float, float]:
+    """Within-identity variance of f and of s*S_VARIANCE_SCALE, the rows
+    of a forward over every sample of ds.
 
     Per identity with >= 2 samples: population variance per coordinate
     across that identity's samples, averaged over coordinates; the
     result is averaged over those identities.
     """
-    return _identity_variance_of(*forward_values(model, ds.inputs), ds)
-
-
-def _identity_variance_of(f_rows: Array, s_rows: Array,
-                          ds: LabeledDataset) -> tuple[float, float]:
     # Identities with one sample count are gathered as (identities, count,
     # width); np.var over axis 1 gives each the bits of np.var of its rows.
     groups = [ds.indices_of_identity(ident) for ident in ds.unique_identities()]
@@ -155,6 +153,14 @@ def _identity_variance_of(f_rows: Array, s_rows: Array,
             vf[ids] = np.mean(np.var(f_rows[take], axis=1), axis=1)
             vs[ids] = np.mean(np.var(s_rows[take] * S_VARIANCE_SCALE, axis=1), axis=1)
     return float(np.mean(vf[kept])), float(np.mean(vs[kept]))
+
+
+def _scores(model: Model, ds: LabeledDataset,
+            folds: list[Fold]) -> tuple[list[float], float, float]:
+    """Each fold's MAE and the identity-variance pair of a model, all from
+    one forward over the whole dataset."""
+    f_rows, s_rows = forward_values(model, ds.inputs)
+    return evaluate_mae(s_rows, ds, folds), *identity_variance(f_rows, s_rows, ds)
 
 
 @dataclass
@@ -189,17 +195,9 @@ class EvalReport:
 
 def evaluate_checkpoint(model: Model, ds: LabeledDataset, protocol: str,
                         k: int = 5, seed: int = 0) -> EvalReport:
-    """Per-fold MAE of a fixed model plus its identity-variance pair.
-
-    The model is fixed, so one forward over the whole dataset serves
-    every fold's MAE and the identity variance.
-    """
+    """Per-fold MAE of a fixed model plus its identity-variance pair."""
     folds = split_protocol(ds, protocol, k, seed)
-    f_rows, s_rows = forward_values(model, ds.inputs)
-    predicted = predict_ages(s_rows)
-    fold_maes = [mean_absolute_error(predicted[fold.test], ds.ages[fold.test])
-                 for fold in folds]
-    mu_vf, mu_vs = _identity_variance_of(f_rows, s_rows, ds)
+    fold_maes, mu_vf, mu_vs = _scores(model, ds, folds)
     return EvalReport(
         protocol=protocol, k=len(folds), seed=seed,
         fold_maes=fold_maes, fold_sizes=[len(fold.test) for fold in folds],
@@ -217,14 +215,14 @@ def _fold_config(cfg: TrainConfig, fold_index: int) -> TrainConfig:
 def _fold_job(ds: LabeledDataset, task: tuple[TrainConfig, Fold]) -> tuple[float, float, float, list]:
     cfg, fold = task
     model, history = train(ds.subset(fold.train), cfg)
-    return evaluate_mae(model, ds, fold.test), *identity_variance(model, ds), history
+    [mae], mu_vf, mu_vs = _scores(model, ds, [fold])
+    return mae, mu_vf, mu_vs, history
 
 
-def _report(cfg: TrainConfig, protocol: str, split_seed: int, folds: list[Fold],
-            results) -> EvalReport:
+def _report(cfg: TrainConfig, protocol: str, folds: list[Fold], results) -> EvalReport:
     maes, vfs, vss, histories = (list(column) for column in zip(*results))
     return EvalReport(
-        protocol=protocol, k=len(folds), seed=split_seed, fold_maes=maes,
+        protocol=protocol, k=len(folds), seed=cfg.seed, fold_maes=maes,
         fold_sizes=[len(fold.test) for fold in folds], mean_mae=float(np.mean(maes)),
         mu_vf=float(np.mean(vfs)), mu_vs=float(np.mean(vss)), histories=histories,
         config=asdict(cfg))
@@ -268,16 +266,17 @@ def loss_set_cells(lambda_c: float = 0.0, lambda_t: float = 0.0) -> list[SweepCe
 
 
 def sweep(ds: LabeledDataset, base_cfg: TrainConfig, cells: list[SweepCell],
-          protocol: str = "se", k: int = 5, split_seed: int = 0,
-          jobs: int = 1) -> tuple[list[EvalReport], dict]:
+          protocol: str = "se", k: int = 5, jobs: int = 1) -> tuple[list[EvalReport], dict]:
     """Retrain and evaluate every cell under shared seeds; one report per
-    cell, in cell order, and how the jobs ran (see ``_run_jobs``). Each
-    fold's model is scored on that fold's test split, and its identity
-    variance, over the whole dataset, is averaged."""
+    cell, in cell order, and how the jobs ran (see ``_run_jobs``). The
+    folds split with base_cfg's seed. Each fold's model is scored like
+    ``evaluate_checkpoint`` scores a model: its MAE on that fold's test
+    split and its identity variance over the whole dataset, which is
+    averaged."""
     if not cells:
         raise ValueError("sweep: empty grid")
     configs = [cell.config(base_cfg) for cell in cells]  # all checked before any training
-    folds = split_protocol(ds, protocol, k, split_seed)
+    folds = split_protocol(ds, protocol, k, base_cfg.seed)
     tasks = [(_fold_config(cfg, i), fold) for cfg in configs for i, fold in enumerate(folds)]
     # Longest first: cells with a triplet term, then with a pair term, then MV.
     order = sorted(range(len(tasks)), reverse=True, key=lambda i: (
@@ -285,7 +284,7 @@ def sweep(ds: LabeledDataset, base_cfg: TrainConfig, cells: list[SweepCell],
     ordered, pool = _run_jobs(ds, [tasks[i] for i in order], jobs)
     results = dict(zip(order, ordered))
     n = len(folds)
-    return [_report(cfg, protocol, split_seed, folds, [results[c * n + j] for j in range(n)])
+    return [_report(cfg, protocol, folds, [results[c * n + j] for j in range(n)])
             for c, cfg in enumerate(configs)], pool
 
 
@@ -313,5 +312,6 @@ def _run_jobs(ds: LabeledDataset, tasks, jobs: int) -> tuple[list, dict]:
     worker count); the first failure raises and cancels the rest."""
     workers = min(jobs, len(tasks))
     method = _pool_start_method() if workers > 1 else "in-process"
-    with dataset_pool(ds, workers, method) as run:
-        return list(run(_fold_job, tasks)), {"start_method": method, "workers": workers}
+    with dataset_pool(ds, workers, method) as (run, workers):  # 1 in a daemonic process
+        results = list(run(_fold_job, tasks))
+    return results, {"start_method": method if workers > 1 else "in-process", "workers": workers}

@@ -202,16 +202,6 @@ def triplet_rows(s_a, s_p, s_n, alpha: float):
     return np.maximum(gap, 0.0).sum() * scale, pull
 
 
-def weighted_total(values, coefs) -> float:
-    """sum_i sum(coefs[i] * values[i]), accumulated term by term in the
-    order given; a coefficient is a float or an array broadcasting
-    against its value."""
-    total = 0.0
-    for value, coef in zip(values, coefs):
-        total += float(np.sum(np.asarray(coef, dtype=np.float64) * value))
-    return total
-
-
 def total_loss(l_s, l_m=0.0, l_v=0.0, l_c=0.0, l_t=0.0,
                weights: LossWeights = LossWeights()) -> tuple[float, LossBreakdown]:
     """Weighted combination of the loss values, as (total, LossBreakdown).
@@ -219,12 +209,10 @@ def total_loss(l_s, l_m=0.0, l_v=0.0, l_c=0.0, l_t=0.0,
     Terms whose weight is zero contribute nothing (and need not have
     been computed: pass 0.0).
     """
-    terms, coefs = [l_s], [1.0]
-    for lam, term in ((weights.lambda_m, l_m), (weights.lambda_v, l_v),
+    total = 0.0
+    for lam, term in ((1.0, l_s), (weights.lambda_m, l_m), (weights.lambda_v, l_v),
                       (weights.lambda_c, l_c), (weights.lambda_t, l_t)):
         if lam != 0.0:
-            terms.append(term)
-            coefs.append(lam)
-    total = weighted_total(terms, coefs)
+            total += float(lam * term)
     return total, LossBreakdown(float(l_s), float(l_m), float(l_v), float(l_c), float(l_t),
                                 total)

@@ -25,7 +25,7 @@ from .autodiff import Array
 from .data import LabeledDataset, TripletBatch, has_triplet_negatives, iter_epoch_batches
 from .errors import ConfigError, IncompatibleDataError, NonFiniteError, OptimizationError
 from .losses import (LossBreakdown, LossWeights, ce_rows, cosine_rows, kld_rows,
-                     mean_variance_rows, total_loss, triplet_rows, weighted_total)
+                     mean_variance_rows, total_loss, triplet_rows)
 from .model import Model, ModelConfig, forward_batch, init_model, integral
 
 ADAM_BETA1 = 0.9
@@ -188,7 +188,6 @@ def build_batch_loss(model: Model, ds: LabeledDataset, batch: TripletBatch,
         terms["hinge"] = (weights.lambda_t, *triplet_rows(s[pos[trip]], s[num_a + trip],
                                                           s[negatives], weights.alpha),
                           [("s", pos[trip]), ("s", num_a + trip), ("s", negatives)])
-    values = {name: term[1] for name, term in terms.items()}
 
     def pull(g):
         gz, gs = buf.z_grad[:n], buf.s_grad[:n]
@@ -226,12 +225,12 @@ def build_batch_loss(model: Model, ds: LabeledDataset, batch: TripletBatch,
                                 out=g_in)
         return grads
 
-    breakdown = LossBreakdown(
-        float(values["ce"]) * scale,
-        float(values["mv"][0]) * scale if weights.lambda_m > 0 else 0.0,
-        float(values["mv"][1]) * scale if weights.lambda_v > 0 else 0.0,
-        float(values.get("pair", 0.0)), float(values.get("hinge", 0.0)),
-        weighted_total(values.values(), [t[0] for t in terms.values()]))
+    l_m, l_v = terms["mv"][1] * scale if "mv" in terms else (0.0, 0.0)
+    _, breakdown = total_loss(
+        float(terms["ce"][1]) * scale, float(l_m) if weights.lambda_m > 0 else 0.0,
+        float(l_v) if weights.lambda_v > 0 else 0.0,
+        *(float(terms[name][1]) if name in terms else 0.0 for name in ("pair", "hinge")),
+        weights=weights)
     return breakdown, pull
 
 

@@ -32,12 +32,12 @@ def prior_baseline_mae(ds: LabeledDataset) -> float:
     return float(np.mean(np.abs(ds.ages - med)))
 
 
-def protocol_report(ds, cfg, protocol: str, k: int, split_seed: int = 0):
-    """The EvalReport of cfg under a protocol: a serial sweep of one cell
-    that keeps cfg's pair weights."""
+def protocol_report(ds, cfg, protocol: str, k: int):
+    """The EvalReport of cfg under a protocol, split with cfg's seed: a
+    serial sweep of one cell that keeps cfg's pair weights."""
     w = cfg.weights
     [report], _ = sweep(ds, cfg, [SweepCell("cfg", w.lambda_c, w.lambda_t, w.pair_loss)],
-                        protocol, k, split_seed)
+                        protocol, k)
     return report
 
 

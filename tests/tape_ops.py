@@ -8,10 +8,10 @@ closed form as one node; the primitives (``add`` ... ``take_rows``)
 compose the same formulas step by step. ``composed_batch_loss`` is the
 train step as the package once ran it: a stacked forward of ``linear``
 and ``relu`` nodes, ``softmax_rows``, one ``take_rows`` gather per loss
-operand, one node per term and a weighted sum, 24 nodes with the
-default model and every term on; it is the oracle for
-``training.build_batch_loss``. ``pullback`` turns a function of tape
-tensors into the contract of ``autodiff.grad_check``.
+operand, one node per term, one per supervised per-anchor mean and a
+weighted sum, 27 nodes with the default model and every term on; it is
+the oracle for ``training.build_batch_loss``. ``pullback`` turns a
+function of tape tensors into the contract of ``autodiff.grad_check``.
 
 A tape is single-writer. Untracked tensors are immutable value carriers.
 """
@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from agecontrast.autodiff import softmax_parts
-from agecontrast.losses import (ce_rows, cosine_rows, kld_rows, mean_variance_rows,
-                                triplet_rows, weighted_total)
+from agecontrast.losses import ce_rows, cosine_rows, kld_rows, mean_variance_rows, triplet_rows
 from agecontrast.model import Model, ModelConfig
 
 def _as_array(values):
@@ -134,13 +133,15 @@ def weighted_sum(terms, coefs) -> Tensor:
 
     A term is a tensor or a float constant; its coefficient is a float
     or an array broadcasting against it. The value accumulates term by
-    term in the order given (``losses.weighted_total``).
+    term in the order given, from 0.0, as ``losses.total_loss`` does.
     """
     terms = [_lift(t) for t in terms]
     if len(terms) != len(coefs):
         raise ValueError(f"weighted_sum: {len(terms)} terms for {len(coefs)} coefficients")
     coefs = [np.asarray(c, dtype=np.float64) for c in coefs]
-    total = weighted_total([t.data for t in terms], coefs)
+    total = 0.0
+    for t, c in zip(terms, coefs):
+        total += float(np.sum(c * t.data))
     return node(total, lambda g: [np.broadcast_to(g * c, t.data.shape)
                                   for t, c in zip(terms, coefs)], terms)
 
@@ -411,10 +412,15 @@ def composed_batch_loss(params: Tracked, ds, batch, weights):
 
     ages = ds.ages[a]
     scale = 1.0 / num_a
-    terms, coefs = [ce_sum(anchor_block(z), ages)], [scale]
+    # The supervised sums become per-anchor means, one node each, before
+    # they are weighted, as ``losses.total_loss`` weights a step's terms.
+    terms, coefs = [weighted_sum([ce_sum(anchor_block(z), ages)], [scale])], [1.0]
     if weights.lambda_m > 0 or weights.lambda_v > 0:
-        terms.append(mean_variance(anchor_block(s), ages))
-        coefs.append((scale * weights.lambda_m, scale * weights.lambda_v))
+        mv = mean_variance(anchor_block(s), ages)
+        for lam, pick in ((weights.lambda_m, (scale, 0.0)), (weights.lambda_v, (0.0, scale))):
+            if lam > 0:
+                terms.append(weighted_sum([mv], [pick]))
+                coefs.append(lam)
     if weights.lambda_c > 0 and num_p:
         pair_rows = num_a + np.arange(num_p)
         pair = cosine_mean if weights.pair_loss == "cosine" else kld_mean

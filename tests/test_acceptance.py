@@ -16,6 +16,7 @@ from agecontrast.autodiff import softmax_parts
 from agecontrast.losses import (LossWeights, cosine_rows, kld_rows, mean_variance_rows,
                                 triplet_rows)
 from agecontrast.evaluation import evaluate_mae, identity_variance, mean_absolute_error
+from agecontrast.model import forward_values
 from agecontrast.manifest import sha256_file
 from agecontrast.selfcheck import GRAD_TOL, gradient_suite
 from agecontrast.synth import SynthConfig, generate_dataset
@@ -150,14 +151,14 @@ def default_scale_runs():
         train_ds = ds.subset(fold.train)
         full_cfg = TrainConfig(weights=FULL_LOSS, seed=seed)
         mv_cfg = TrainConfig(weights=MV_BASELINE, seed=seed)
-        model_full, _ = train(train_ds, full_cfg)
-        model_mv, _ = train(train_ds, mv_cfg)
+        f_full, s_full = forward_values(train(train_ds, full_cfg)[0], ds.inputs)
+        f_mv, s_mv = forward_values(train(train_ds, mv_cfg)[0], ds.inputs)
         runs.append({
             "seed": seed,
-            "mae_full": evaluate_mae(model_full, ds, fold.test),
+            "mae_full": evaluate_mae(s_full, ds, [fold])[0],
             "baseline": prior_baseline_mae(ds),
-            "vf_full": identity_variance(model_full, ds)[0],
-            "vf_mv": identity_variance(model_mv, ds)[0],
+            "vf_full": identity_variance(f_full, s_full, ds)[0],
+            "vf_mv": identity_variance(f_mv, s_mv, ds)[0],
         })
     return runs, time.perf_counter() - started
 
@@ -217,7 +218,7 @@ def test_criterion_7_ablation_structure(sweep_dataset, tmp_path):
 
     zero = next(r for r in grid_rows if r["lambda_c"] == 0.0 and r["lambda_t"] == 0.0)
     base = TrainConfig(epochs=2, batch_size=16, seed=4, weights=MV_BASELINE)
-    standalone = protocol_report(sweep_dataset, base, "se", k=2, split_seed=4)
+    standalone = protocol_report(sweep_dataset, base, "se", k=2)
     if zero["fold_maes"] != standalone.fold_maes or zero["mu_vf"] != standalone.mu_vf:
         problems.append("zero cell differs from standalone MV run")
 

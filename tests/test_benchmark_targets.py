@@ -139,3 +139,27 @@ def test_traced_cli_sweep_records_the_fold_jobs_of_its_workers(small_synth, tmp_
     workers = {s[0].split(".")[0] for s in trains}
     assert len(trains) == 6 * 2
     assert 1 <= len(workers) <= 2 and cli_span[0].split(".")[0] not in workers
+    # Each fold job scores its model once, in the worker that trained it.
+    for name in ("evaluation.evaluate_mae", "evaluation.identity_variance"):
+        scored = [s for s in spans if s[2] == name]
+        assert len(scored) == len(trains) and {s[0].split(".")[0] for s in scored} == workers
+
+
+def test_traced_eval_scores_its_model_once(small_synth):
+    from agecontrast.evaluation import evaluate_checkpoint
+    from agecontrast.model import ModelConfig, init_model
+
+    _, ds, _ = small_synth
+    model = init_model(ModelConfig(ds.input_dim, (8,), 6, ds.num_ages), 0)
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    _, undo = tracing.install(tracer)
+    try:
+        evaluate_checkpoint(model, ds, "se", k=4)
+    finally:
+        undo()
+    names = [s[2] for s in tracer.spans]
+    assert [names.count(f"evaluation.{name}") for name in (
+        "evaluate_mae", "identity_variance")] == [1, 1]
+    metrics, _ = tracing.layer_metrics(tracer.spans, 1)
+    assert metrics["evaluation.evaluate_mae_calls"] == 1

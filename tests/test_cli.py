@@ -24,13 +24,14 @@ from agecontrast.training import TrainConfig
 from conftest import SRC, cli_env
 
 
-def run_in_new_interpreter(*argv) -> tuple[int, list[str]]:
-    """Exit code and stderr lines of the CLI run as a user runs it. Under
-    pytest numpy is loaded before the CLI can give OpenBLAS its one-thread
-    default, so an in-process sweep spawns; a new interpreter forks. Also
-    checks that the command leaves no process of its session behind."""
+def run_in_new_interpreter(*argv, env=None) -> tuple[int, list[str]]:
+    """Exit code and stderr lines of the CLI run as a user runs it (in
+    ``cli_env()`` unless env is given). Under pytest numpy is loaded
+    before the CLI can give OpenBLAS its one-thread default, so an
+    in-process sweep spawns; a new interpreter forks. Also checks that
+    the command leaves no process of its session behind."""
     proc = subprocess.Popen([sys.executable, "-m", "agecontrast", *argv],
-                            env=cli_env(), stdout=subprocess.DEVNULL,
+                            env=env or cli_env(), stdout=subprocess.DEVNULL,
                             stderr=subprocess.PIPE, text=True, start_new_session=True)
     try:
         _, err = proc.communicate(timeout=120)
@@ -482,6 +483,42 @@ class TestEvalBoundary:
                      "--out", str(out)]) == 2
         assert "error: --jobs must be >= 1" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+
+# Found first on PYTHONPATH, this ends every process the interpreter forks
+# as soon as it starts, as the OOM killer would end a pool worker.
+KILL_FORKED_CHILDREN = "import os\nos.register_at_fork(after_in_child=lambda: os._exit(3))\n"
+
+DEAD_WORKER = "error: a worker process died before finishing its job (killed, e.g. out of memory)"
+
+
+class TestDeadWorker:
+    """A pool worker that dies ends gen or sweep with exit 2 and one error
+    line, and leaves no process behind."""
+
+    @pytest.fixture()
+    def env(self, tmp_path):
+        site = tmp_path / "site"
+        site.mkdir()
+        (site / "sitecustomize.py").write_text(KILL_FORKED_CHILDREN)
+        return {**cli_env(), "PYTHONPATH": os.pathsep.join([str(site), SRC])}
+
+    def test_sweep(self, tiny_dataset, tmp_path, env):
+        out = tmp_path / "s"
+        out.mkdir()
+        assert run_in_new_interpreter(
+            "sweep", "--dataset", str(tiny_dataset), "--loss-sets", "--epochs", "1",
+            "--k", "2", "--jobs", "2", "--out", str(out), env=env) == (2, [DEAD_WORKER])
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="gen formats on one CPU")
+    def test_gen(self, tmp_path, env):
+        # 5,000 rows of 64 values: enough for two CSV workers
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text("num_identities = 1000\n")
+        out = tmp_path / "g"
+        out.mkdir()
+        assert run_in_new_interpreter("gen", "--config", str(cfg), "--out", str(out),
+                                      env=env) == (2, [DEAD_WORKER])
 
 
 class TestSweep:

@@ -437,13 +437,18 @@ class TestCsvPool:
             save_dataset(ds, tmp_path)
         assert multiprocessing.active_children() == []
 
-    def test_formats_in_process_without_fork_or_as_a_daemon(self, monkeypatch):
+    def test_formats_in_process_without_fork_or_as_a_daemon(self, ds, workers, tmp_path,
+                                                            monkeypatch):
         big = 10 ** 12
         assert data._csv_workers(big) >= 1 and data._csv_workers(0) == 1
         monkeypatch.setattr(data.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         assert data._csv_workers(big) == 4
+        # A daemonic process may have no children; its pool runs in-process.
+        counts = workers(3, 1)
         monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
-        assert data._csv_workers(big) == 1
+        save_dataset(ds, tmp_path / "ds.csv")
+        assert counts == [3] and multiprocessing.active_children() == []
+        assert (tmp_path / "ds.csv").read_text(encoding="utf-8") == reference_csv(ds)
         monkeypatch.undo()
         monkeypatch.setattr(data.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         monkeypatch.setattr(data.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
@@ -456,11 +461,11 @@ def size_plus(ds, arg):
 
 # save_dataset on two forked workers whose first job ends the process,
 # as the OOM killer would; prints the seconds until save_dataset raised
-# BrokenProcessPool and how many children were left.
+# WorkerDiedError and how many children were left.
 DIE_IN_CSV_WORKER = """
 import json, multiprocessing, os, sys, time
-from concurrent.futures.process import BrokenProcessPool
 from agecontrast import data
+from agecontrast.errors import WorkerDiedError
 
 def die(*args):
     os._exit(1)
@@ -471,7 +476,7 @@ ds = data.LabeledDataset([[0.5]] * 8, [1, 2] * 4, ["a", "b"] * 4, 2)
 start = time.perf_counter()
 try:
     data.save_dataset(ds, sys.argv[1])
-except BrokenProcessPool:
+except WorkerDiedError:
     print(json.dumps([time.perf_counter() - start, len(multiprocessing.active_children())]))
 """
 
@@ -482,8 +487,9 @@ class TestDatasetPool:
     @pytest.mark.parametrize("workers, method", [(1, "in-process"), (2, "fork"), (2, "spawn")])
     def test_results_come_in_argument_order(self, workers, method):
         ds = make_dataset([1, 2, 3], ["a", "b", "c"], 3)
-        with data.dataset_pool(ds, workers, method) as run:
+        with data.dataset_pool(ds, workers, method) as (run, ran):
             assert list(run(size_plus, range(5))) == [3, 4, 5, 6, 7]
+        assert ran == workers
         assert multiprocessing.active_children() == []
 
     def test_a_dead_csv_worker_raises_instead_of_hanging(self, tmp_path):

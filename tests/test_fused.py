@@ -24,7 +24,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from agecontrast.autodiff import grad_check
 from agecontrast.data import LabeledDataset, TripletBatch
-from agecontrast.losses import NORM_FLOOR, LossWeights
+from agecontrast.losses import NORM_FLOOR, LossWeights, total_loss
 from agecontrast.model import ModelConfig, init_model
 from agecontrast.training import StepBuffers, build_batch_loss
 
@@ -322,3 +322,12 @@ def test_fused_step_matches_the_composed_tape_bitwise(case):
     assert len(fused_grads) == len(model.parameters())
     for f, c in zip(fused_grads, composed_params.parameters()):
         npt.assert_array_equal(f, composed_grads[c.node])
+
+
+@settings(max_examples=150, deadline=None)
+@given(step_cases())
+def test_step_total_is_the_total_loss_of_its_terms(case):
+    # A step weighs its five terms as the epoch history in train_log.csv does.
+    model, ds, batch, weights = case
+    b, _ = build_batch_loss(model, ds, batch, weights)
+    assert b.total == total_loss(b.l_s, b.l_m, b.l_v, b.l_c, b.l_t, weights=weights)[0]
