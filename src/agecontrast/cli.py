@@ -193,10 +193,10 @@ def cmd_gen(args) -> int:
     ds, truth = generate_dataset(cfg, cfg.seed)
 
     csv_path = out / "dataset.csv"
-    save_dataset(ds, csv_path)  # also writes dataset.meta.json
+    save_dataset(ds, csv_path)  # also writes dataset.meta.json and dataset.cache.npy
     truth_path = out / "dataset.truth.json"
     save_ground_truth(truth, truth_path)
-    outputs = [csv_path, out / "dataset.meta.json", truth_path]
+    outputs = [csv_path, out / "dataset.meta.json", out / "dataset.cache.npy", truth_path]
     manifest = build_manifest(
         "gen", asdict(cfg), {"seed": cfg.seed}, [], outputs, time.perf_counter() - started)
     write_manifest(out, manifest)

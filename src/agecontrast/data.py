@@ -45,7 +45,12 @@ Datasets round-trip through CSV (header ``identity,age,v0,v1,...``) with
 a JSON sidecar recording input_dim and the age range. Large sets are
 formatted on up to one forked worker per CPU of ``dataset_pool``, the
 package's one process pool, which sweeps share; the bytes do not depend
-on how many.
+on how many. ``save_dataset`` also writes ``<stem>.cache.npy``, np.save
+records of the CSV's sha256 in hex, the ages, the ``"\n"``-joined UTF-8
+identities and the inputs. ``load_dataset`` builds the dataset from it
+when that key is the CSV's sha256 and the shapes match the sidecar, and
+parses the CSV otherwise, as it does a CSV from elsewhere. The cache is
+derived and safe to delete; a load never writes it.
 """
 
 from __future__ import annotations
@@ -57,12 +62,15 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 import json
+import math
 import multiprocessing
 import os
+import re
 
 import numpy as np
 
 from .errors import DatasetError, WorkerDiedError
+from .manifest import sha256_file
 
 Array = np.ndarray
 
@@ -280,6 +288,10 @@ def _meta_path(path: Path) -> Path:
     return path.with_name(path.stem + ".meta.json")
 
 
+def _cache_path(path: Path) -> Path:
+    return path.with_name(path.stem + ".cache.npy")
+
+
 # Values (rows x input_dim) one CSV chunk formats; the parent writes each
 # chunk as it arrives, so it never holds the whole text.
 _CSV_CHUNK_VALUES = 32_768
@@ -313,10 +325,10 @@ def _write_text(path: Path, header: str, chunks: Iterable[str]) -> None:
 
 
 def save_dataset(ds: LabeledDataset, path) -> None:
-    """Write the CSV plus its metadata sidecar. Floats use repr so the
-    round-trip is bitwise. Chunks of rows are formatted on up to one
-    forked worker per CPU and written in order, so the bytes do not
-    depend on the worker count."""
+    """Write the CSV, its metadata sidecar and its cache. Floats use repr
+    so the round-trip is bitwise. Chunks of rows are formatted on up to one
+    forked worker per CPU and written in order, so the bytes do not depend
+    on the worker count. A failed save leaves the earlier files as they were."""
     path = Path(path)
     for ident in ds._by_identity:
         # load_dataset splits rows with str.splitlines, which also breaks
@@ -326,13 +338,66 @@ def save_dataset(ds: LabeledDataset, path) -> None:
     n, step = len(ds), max(1, _CSV_CHUNK_VALUES // ds.input_dim)
     spans = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
     header = "identity,age," + ",".join(f"v{i}" for i in range(ds.input_dim)) + "\n"
-    # fork, not spawn: a worker inherits the dataset without a pickle or
-    # a fresh import, and runs only Python formatting, no BLAS. The
-    # workers fork before the file opens.
-    with dataset_pool(ds, _csv_workers(n * ds.input_dim), "fork") as (run, _):
-        _write_text(path, header, run(_format_rows, spans))
     meta = {"input_dim": int(ds.input_dim), "num_ages": int(ds.num_ages)}
-    _meta_path(path).write_text(json.dumps(meta, indent=1) + "\n", encoding="utf-8")
+    # Each file is written as <name>.tmp and then moved into place, the
+    # cache last: until then an earlier cache's key does not match the new CSV.
+    paths = [path, _meta_path(path), _cache_path(path)]
+    tmps = [p.with_name(p.name + ".tmp") for p in paths]
+    try:
+        # fork, not spawn: a worker inherits the dataset without a pickle or
+        # a fresh import, and runs only Python formatting, no BLAS. The
+        # workers fork before the file opens.
+        with dataset_pool(ds, _csv_workers(n * ds.input_dim), "fork") as (run, _):
+            _write_text(tmps[0], header, run(_format_rows, spans))
+        tmps[1].write_text(json.dumps(meta, indent=1) + "\n", encoding="utf-8")
+        names = "\n".join(ds.identities).encode("utf-8")
+        with tmps[2].open("wb") as fh:
+            for record in (np.frombuffer(sha256_file(tmps[0]).encode("ascii"), np.uint8),
+                           ds.ages, np.frombuffer(names, np.uint8),
+                           np.ascontiguousarray(ds.inputs)):
+                np.save(fh, record, allow_pickle=False)
+        for tmp, final in zip(tmps, paths):
+            os.replace(tmp, final)
+    finally:
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
+
+
+# np.save's header of a C-order vector or matrix, .npy version 1.0
+_NPY_HEADER = re.compile(rb"\{'descr': '([^']*)', 'fortran_order': False, "
+                         rb"'shape': \((\d+),(?: (\d+))?\), \} *\n")
+
+
+def _read_record(fh, descr: str) -> Array:
+    """The next np.save record of fh, a vector or matrix of ``descr``
+    values. Its size is checked against the bytes left in the file before
+    it is read, so a forged header allocates nothing."""
+    start = fh.read(10)
+    match = start[:8] == b"\x93NUMPY\x01\x00" and _NPY_HEADER.fullmatch(
+        fh.read(int.from_bytes(start[8:], "little")))
+    if not match or match[1] != descr.encode():
+        raise ValueError("unexpected .npy record")
+    shape = tuple(int(d) for d in match.groups()[1:] if d is not None)
+    size = math.prod(shape) * np.dtype(descr).itemsize
+    if size > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise ValueError(".npy record does not fit its file")
+    return np.frombuffer(fh.read(size), descr).reshape(shape)
+
+
+def _load_cache(path: Path, input_dim: int, num_ages: int) -> LabeledDataset | None:
+    """The dataset in path's cache, or None unless the cache is whole, its
+    key is the CSV's sha256 and its shapes and values pass the sidecar."""
+    try:
+        with _cache_path(path).open("rb") as fh:
+            key, ages, names, inputs = [_read_record(fh, d) for d in ("|u1", "<i8", "|u1", "<f8")]
+            whole = not fh.read(1)
+        # The constructor checks the ages' shape against the inputs'.
+        if (not whole or inputs.shape != (len(ages), input_dim)
+                or key.tobytes() != sha256_file(path).encode("ascii")):
+            return None
+        return LabeledDataset(inputs, ages, names.tobytes().decode("utf-8").split("\n"), num_ages)
+    except (OSError, ValueError, DatasetError):  # any mismatch: parse the CSV
+        return None
 
 
 def load_dataset(path) -> LabeledDataset:
@@ -354,6 +419,9 @@ def load_dataset(path) -> LabeledDataset:
         raise DatasetError(f"metadata sidecar {meta_path} must be JSON defining "
                            "input_dim and num_ages as positive integers") from exc
 
+    cached = _load_cache(path, input_dim, num_ages)
+    if cached is not None:
+        return cached
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:

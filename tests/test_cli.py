@@ -77,7 +77,8 @@ class TestGen:
         assert meta == {"input_dim": 64, "num_ages": 60}
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "gen"
-        assert len(manifest["outputs"]) == 3
+        assert sorted(Path(f).name for f in manifest["outputs"]) == [
+            "dataset.cache.npy", "dataset.csv", "dataset.meta.json", "dataset.truth.json"]
 
     def test_identical_checksums_on_rerun(self, tmp_path):
         sums = []
@@ -87,8 +88,8 @@ class TestGen:
             cfg = tmp_path / f"{name}.cfg"
             cfg.write_text(GEN_CFG)
             assert main(["gen", "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 0
-            sums.append([sha256_file(out / f)
-                         for f in ("dataset.csv", "dataset.meta.json", "dataset.truth.json")])
+            sums.append([sha256_file(out / f) for f in (
+                "dataset.csv", "dataset.meta.json", "dataset.cache.npy", "dataset.truth.json")])
         assert sums[0] == sums[1]
 
     def test_missing_output_dir_exits_2_without_files(self, tmp_path):
@@ -512,13 +513,18 @@ class TestDeadWorker:
 
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="gen formats on one CPU")
     def test_gen(self, tmp_path, env):
+        """...and leaves an earlier gen's files as they were, with no .tmp."""
         # 5,000 rows of 64 values: enough for two CSV workers
         cfg = tmp_path / "gen.cfg"
         cfg.write_text("num_identities = 1000\n")
         out = tmp_path / "g"
         out.mkdir()
+        assert run_in_new_interpreter("gen", "--config", str(cfg), "--seed", "1",
+                                      "--out", str(out)) == (0, [])
+        before = {f.name: f.read_bytes() for f in out.iterdir()}
         assert run_in_new_interpreter("gen", "--config", str(cfg), "--out", str(out),
                                       env=env) == (2, [DEAD_WORKER])
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == before
 
 
 class TestSweep:

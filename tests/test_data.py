@@ -1,12 +1,15 @@
 """Dataset indexes, candidate sets vs brute force, triplet sampling, CSV."""
 
 import errno
+import hashlib
+import io
 import json
 import multiprocessing
 import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -359,17 +362,66 @@ class TestCsvRoundTrip:
     @example(LabeledDataset([[-0.0, 5e-324, 1e308], [-1e308, 2.2250738585072014e-308, 0.0]],
                             [1, 3], ["a", "a\x00"], 3))
     @example(LabeledDataset([[0.5]], [1], ["a\u2028b"], 1))
+    @example(LabeledDataset([[-0.0], [1.7976931348623157e308], [-5e-324]], [2, 1, 2],
+                            ["Zoë", "日本", "\U0001f600 x"], 2))
     def test_any_saved_dataset_loads_back_bitwise(self, tmp_path, ds):
+        """From the cache and, with the cache gone, from the CSV."""
         path = tmp_path / "ds.csv"
         try:
             save_dataset(ds, path)
         except DatasetError:
             assert any(c in label for label in ds.identities for c in CSV_BREAKS)
             return
-        loaded = load_dataset(path)
-        assert loaded.inputs.tobytes() == ds.inputs.tobytes()
-        assert loaded.ages.tobytes() == ds.ages.tobytes()
-        assert loaded.identities == ds.identities and loaded.num_ages == ds.num_ages
+        assert data._load_cache(path, ds.input_dim, ds.num_ages) is not None
+        assert outcome(path) == uncached_outcome(path) == dataset_bits(ds)
+
+
+def dataset_bits(ds):
+    return (ds.inputs.view(np.int64).tobytes(), ds.ages.tobytes(), ds.identities, ds.num_ages)
+
+
+def outcome(path):
+    """What load_dataset gives: the dataset's bits, or its error message."""
+    try:
+        return dataset_bits(load_dataset(path))
+    except DatasetError as exc:
+        return str(exc)
+
+
+def cache_of(path):
+    return path.with_name(path.stem + ".cache.npy")
+
+
+def uncached_outcome(path):
+    """outcome(path) with the cache moved aside, then put back."""
+    aside = path.with_name("aside")
+    cache_of(path).rename(aside)
+    try:
+        return outcome(path)
+    finally:
+        aside.rename(cache_of(path))
+
+
+def npy_record(array, **header) -> bytes:
+    """array as np.save writes it or, given ``header`` entries, its data
+    under np.save's header with those entries changed."""
+    buf = io.BytesIO()
+    if header:
+        np.lib.format.write_array_header_1_0(buf, {
+            "descr": np.lib.format.dtype_to_descr(array.dtype), "fortran_order": False,
+            "shape": array.shape, **header})
+        buf.write(np.ascontiguousarray(array).tobytes())
+    else:
+        np.save(buf, array, allow_pickle=False)
+    return buf.getvalue()
+
+
+def reference_cache(ds, csv: bytes) -> bytes:
+    """The cache's layout: np.save records of the CSV's sha256 in hex, the
+    ages, the identities joined by newlines and the inputs."""
+    return b"".join(npy_record(a) for a in (
+        np.frombuffer(hashlib.sha256(csv).hexdigest().encode(), np.uint8), ds.ages,
+        np.frombuffer("\n".join(ds.identities).encode(), np.uint8), ds.inputs))
 
 
 def reference_csv(ds) -> str:
@@ -415,10 +467,15 @@ class TestCsvPool:
         counts = workers(cpus, min_values)
         save_dataset(ds, tmp_path / "ds.csv")
         assert counts == [expected]
-        assert (tmp_path / "ds.csv").read_text(encoding="utf-8") == reference_csv(ds)
+        csv = reference_csv(ds).encode()
+        assert (tmp_path / "ds.csv").read_bytes() == csv
+        assert (tmp_path / "ds.cache.npy").read_bytes() == reference_cache(ds, csv)
         assert multiprocessing.active_children() == []
 
     def test_workers_are_joined_after_a_failed_write(self, ds, workers, tmp_path, monkeypatch):
+        # An earlier save of other rows keeps its three files, bytes and all.
+        save_dataset(ds.subset(range(7)), tmp_path / "ds.csv")
+        before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
         counts = workers(3, 1)
 
         def write_one_chunk_then_fail(path, header, chunks):
@@ -430,6 +487,7 @@ class TestCsvPool:
         with pytest.raises(OSError, match="No space left"):
             save_dataset(ds, tmp_path / "ds.csv")
         assert counts == [3] and multiprocessing.active_children() == []
+        assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
 
     def test_workers_are_joined_when_the_file_cannot_open(self, ds, workers, tmp_path):
         workers(3, 1)
@@ -453,6 +511,150 @@ class TestCsvPool:
         monkeypatch.setattr(data.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         monkeypatch.setattr(data.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         assert data._csv_workers(big) == 1
+
+
+def _records(path):
+    """The cache's four records, read as np.save wrote them."""
+    with cache_of(path).open("rb") as fh:
+        return [np.load(fh, allow_pickle=False) for _ in range(4)]
+
+
+def _swap(records, index, record: bytes) -> bytes:
+    """The cache's bytes with record ``index`` replaced by ``record``."""
+    parts = [npy_record(r) for r in records]
+    parts[index] = record
+    return b"".join(parts)
+
+
+# An int64 vector's header whose row count has 5,000 digits, more than int() converts.
+_MANY_DIGITS = b"{'descr': '<i8', 'fortran_order': False, 'shape': (" + b"9" * 5000 + b",), }\n"
+_MANY_DIGITS = b"\x93NUMPY\x01\x00" + len(_MANY_DIGITS).to_bytes(2, "little") + _MANY_DIGITS
+
+# Each fault maps the cache's bytes and its four records to a broken cache.
+CACHE_FAULTS = {
+    "empty": lambda cache, rec: b"",
+    "garbage": lambda cache, rec: np.random.default_rng(0).bytes(len(cache)),
+    "truncated in the key": lambda cache, rec: cache[:100],
+    "truncated in the inputs": lambda cache, rec: cache[:-1],
+    "one byte too many": lambda cache, rec: cache + b"\0",
+    "stale key": lambda cache, rec: _swap(rec, 0, npy_record(np.zeros(64, np.uint8))),
+    "ages header of 10**9 rows": lambda cache, rec: _swap(
+        rec, 1, npy_record(rec[1], shape=(10 ** 9,))),
+    "inputs header of 10**9 rows": lambda cache, rec: _swap(
+        rec, 3, npy_record(rec[3], shape=(10 ** 9, 4))),
+    "identities header of 10**12 bytes": lambda cache, rec: _swap(
+        rec, 2, npy_record(rec[2], shape=(10 ** 12,))),
+    "a 5,000-digit row count": lambda cache, rec: _swap(rec, 1, _MANY_DIGITS + rec[1].tobytes()),
+    "ages as int32": lambda cache, rec: _swap(rec, 1, npy_record(rec[1].astype(np.int32))),
+    "ages as a column": lambda cache, rec: _swap(rec, 1, npy_record(rec[1][:, None])),
+    "inputs in Fortran order": lambda cache, rec: _swap(
+        rec, 3, npy_record(np.asfortranarray(rec[3]))),
+    "inputs of another width": lambda cache, rec: _swap(rec, 3, npy_record(rec[3].reshape(-1, 2))),
+    "identities not UTF-8": lambda cache, rec: _swap(
+        rec, 2, npy_record(np.full(len(rec[2]), 0xFF, np.uint8))),
+    "identities joined by commas": lambda cache, rec: _swap(
+        rec, 2, npy_record(np.where(rec[2] == ord("\n"), ord(","), rec[2]).astype(np.uint8))),
+    "an age out of range": lambda cache, rec: _swap(rec, 1, npy_record(rec[1] + 100)),
+    "a non-finite input": lambda cache, rec: _swap(rec, 3, npy_record(rec[3] * np.inf)),
+}
+
+
+class TestCsvCache:
+    """The .cache.npy that save_dataset writes beside the CSV: any load
+    with it has the outcome of the same load without it."""
+
+    @pytest.fixture
+    def saved(self, grid_dataset, tmp_path):
+        path = tmp_path / "ds.csv"
+        save_dataset(grid_dataset, path)
+        return path
+
+    def test_records_load_with_np_load(self, grid_dataset, saved):
+        key, ages, names, inputs = _records(saved)
+        assert bytes(key) == hashlib.sha256(saved.read_bytes()).hexdigest().encode()
+        assert ages.tobytes() == grid_dataset.ages.tobytes()
+        assert bytes(names).decode().split("\n") == grid_dataset.identities
+        assert inputs.tobytes() == grid_dataset.inputs.tobytes()
+
+    @pytest.mark.parametrize("fault", CACHE_FAULTS, ids=list(CACHE_FAULTS))
+    def test_a_broken_cache_falls_back_to_the_csv(self, grid_dataset, saved, fault):
+        cache = cache_of(saved)
+        cache.write_bytes(CACHE_FAULTS[fault](cache.read_bytes(), _records(saved)))
+        tracemalloc.start()
+        try:
+            assert data._load_cache(saved, 4, 5) is None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The CSV's hash reads 64 KiB blocks; a forged header's claim is 8 GB or more.
+        assert peak < 262_144
+        assert outcome(saved) == uncached_outcome(saved) == dataset_bits(grid_dataset)
+
+    def test_a_directory_in_place_of_the_cache_falls_back(self, grid_dataset, saved):
+        cache_of(saved).unlink()
+        cache_of(saved).mkdir()
+        assert data._load_cache(saved, 4, 5) is None
+        assert outcome(saved) == uncached_outcome(saved) == dataset_bits(grid_dataset)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_an_edited_csv_loads_as_without_the_cache(self, saved, draw):
+        text = saved.read_bytes()
+        at = draw.draw(st.integers(0, len(text) - 1))
+        cut = draw.draw(st.integers(0, 3))
+        saved.write_bytes(text[:at] + draw.draw(st.binary(max_size=3)) + text[at + cut:])
+        try:
+            assert outcome(saved) == uncached_outcome(saved)
+        finally:
+            saved.write_bytes(text)
+
+    @pytest.mark.parametrize("meta", [
+        '{"input_dim": 4, "num_ages": 4}', '{"input_dim": 4, "num_ages": 9}',
+        '{"input_dim": 2, "num_ages": 5}', '{"input_dim": 8, "num_ages": 5}',
+        '{"input_dim": 4}', "not json"])
+    def test_an_edited_sidecar_loads_as_without_the_cache(self, saved, meta):
+        saved.with_name("ds.meta.json").write_text(meta)
+        assert outcome(saved) == uncached_outcome(saved)
+
+    def test_a_lowered_num_ages_gives_the_csv_error(self, saved):
+        saved.with_name("ds.meta.json").write_text('{"input_dim": 4, "num_ages": 4}')
+        assert outcome(saved) == f"{saved}:6: age 5 outside 1..4"
+
+    def test_a_load_writes_nothing(self, grid_dataset, saved):
+        """With the cache and without it, in a directory without write access
+        (which root ignores, so the files are compared too)."""
+        for cached in (True, False):
+            if not cached:
+                cache_of(saved).unlink()
+            before = {f.name: (f.read_bytes(), f.stat().st_mtime_ns)
+                      for f in saved.parent.iterdir()}
+            os.chmod(saved.parent, 0o555)
+            try:
+                assert outcome(saved) == dataset_bits(grid_dataset)
+            finally:
+                os.chmod(saved.parent, 0o755)
+            assert {f.name: (f.read_bytes(), f.stat().st_mtime_ns)
+                    for f in saved.parent.iterdir()} == before
+
+    def test_a_save_cut_before_the_cache_moves_loads_the_new_csv(
+            self, grid_dataset, saved, monkeypatch):
+        replace = os.replace
+
+        def cut_at_the_cache(src, dst):
+            if str(dst).endswith(".cache.npy"):
+                raise OSError(errno.EIO, "cut")
+            replace(src, dst)
+
+        monkeypatch.setattr(data.os, "replace", cut_at_the_cache)
+        new = grid_dataset.subset(range(0, 30, 2))
+        with pytest.raises(OSError, match="cut"):
+            save_dataset(new, saved)
+        monkeypatch.undo()
+        assert sorted(f.name for f in saved.parent.iterdir()) == [
+            "ds.cache.npy", "ds.csv", "ds.meta.json"]
+        assert data._load_cache(saved, 4, 5) is None
+        assert outcome(saved) == dataset_bits(new)
 
 
 def size_plus(ds, arg):
