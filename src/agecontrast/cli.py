@@ -10,7 +10,8 @@ manifest's echo of the resolved configuration (``asdict``).
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error,
 a diverged training run (OptimizationError), a checkpoint whose
-forward pass overflows on the dataset or a pool worker that died.
+forward pass overflows on the dataset, a pool worker that died or an
+output that cannot be written (an OSError); 130 when SIGINT ends it.
 
 ``OPENBLAS_NUM_THREADS`` defaults to 1 here, before anything imports
 numpy, because OpenBLAS reads it once, when it loads: a sweep can then
@@ -42,7 +43,7 @@ from .errors import (ConfigError, NonFiniteError, OptimizationError, Verificatio
 from .evaluation import (PROTOCOLS, evaluate_checkpoint, lambda_grid_cells, loss_set_cells,
                          sweep)
 from .losses import LossBreakdown
-from .manifest import build_manifest, write_manifest
+from .manifest import atomic_write, write_json, write_manifest
 from .model import Model, forward_values, load_model, save_model
 from .selfcheck import run_all
 from .synth import SynthConfig, generate_dataset, save_ground_truth
@@ -197,9 +198,8 @@ def cmd_gen(args) -> int:
     truth_path = out / "dataset.truth.json"
     save_ground_truth(truth, truth_path)
     outputs = [csv_path, out / "dataset.meta.json", out / "dataset.cache.npy", truth_path]
-    manifest = build_manifest(
-        "gen", asdict(cfg), {"seed": cfg.seed}, [], outputs, time.perf_counter() - started)
-    write_manifest(out, manifest)
+    write_manifest(
+        out, "gen", asdict(cfg), {"seed": cfg.seed}, [], outputs, time.perf_counter() - started)
     print(f"wrote {len(ds)} samples to {csv_path}")
     return 0
 
@@ -220,16 +220,15 @@ def cmd_train(args) -> int:
 
     ckpt = out / "checkpoint.json"
     save_model(model, ckpt)
-    log_lines = ["epoch," + ",".join(LossBreakdown.FIELDS)]
-    for epoch, b in enumerate(history):
-        log_lines.append(f"{epoch}," + ",".join(repr(v) for v in b.as_row()))
     log_path = out / "train_log.csv"
-    log_path.write_text("\n".join(log_lines) + "\n", encoding="utf-8")
+    with atomic_write(log_path) as fh:
+        fh.write("epoch," + ",".join(LossBreakdown.FIELDS) + "\n")
+        fh.writelines(f"{epoch}," + ",".join(repr(v) for v in b.as_row()) + "\n"
+                      for epoch, b in enumerate(history))
 
-    manifest = build_manifest(
-        "train", asdict(cfg), {"seed": cfg.seed}, [Path(args.dataset)],
+    write_manifest(
+        out, "train", asdict(cfg), {"seed": cfg.seed}, [Path(args.dataset)],
         [ckpt, log_path], time.perf_counter() - started)
-    write_manifest(out, manifest)
     print(f"trained {cfg.epochs} epochs; checkpoint at {ckpt}")
     return 0
 
@@ -248,18 +247,17 @@ def cmd_eval(args) -> int:
             f"checkpoint {args.checkpoint} overflows on {args.dataset}: {exc}") from exc
 
     report_path = out / "eval_report.json"
-    report_path.write_text(json.dumps(report.to_dict(), indent=1) + "\n", encoding="utf-8")
-    fold_lines = ["fold,test_size,mae"]
-    for i, (mae, size) in enumerate(zip(report.fold_maes, report.fold_sizes)):
-        fold_lines.append(f"{i},{size},{repr(mae)}")
+    write_json(report_path, report.to_dict())
     csv_path = out / "eval_folds.csv"
-    csv_path.write_text("\n".join(fold_lines) + "\n", encoding="utf-8")
+    with atomic_write(csv_path) as fh:
+        fh.write("fold,test_size,mae\n")
+        fh.writelines(f"{i},{size},{mae!r}\n"
+                      for i, (mae, size) in enumerate(zip(report.fold_maes, report.fold_sizes)))
 
-    manifest = build_manifest(
-        "eval", {"protocol": args.protocol, "k": args.k, "seed": args.seed},
+    write_manifest(
+        out, "eval", {"protocol": args.protocol, "k": args.k, "seed": args.seed},
         {"seed": args.seed}, [Path(args.dataset), Path(args.checkpoint)],
         [report_path, csv_path], time.perf_counter() - started)
-    write_manifest(out, manifest)
     print(f"mean MAE {report.mean_mae:.4f} over {report.k} folds "
           f"(mu_vf {report.mu_vf:.4f}, mu_vs {report.mu_vs:.4f})")
     return 0
@@ -284,24 +282,23 @@ def cmd_sweep(args) -> int:
     reports, pool = sweep(ds, base_cfg, cells, protocol=args.protocol, k=args.k, jobs=args.jobs)
 
     rows_path = out / "sweep_rows.jsonl"
-    rows_path.write_text("".join(json.dumps({
-        **asdict(c), "fold_maes": r.fold_maes, "mean_mae": r.mean_mae, "mu_vf": r.mu_vf,
-        "mu_vs": r.mu_vs}) + "\n" for c, r in zip(cells, reports)), encoding="utf-8")
-    csv_lines = ["label,lambda_c,lambda_t,pair_loss,mean_mae,mu_vf,mu_vs"]
-    for c, r in zip(cells, reports):
-        csv_lines.append(f"{c.label},{c.lambda_c!r},{c.lambda_t!r},{c.pair_loss},"
-                         f"{r.mean_mae!r},{r.mu_vf!r},{r.mu_vs!r}")
+    with atomic_write(rows_path) as fh:
+        fh.writelines(json.dumps({
+            **asdict(c), "fold_maes": r.fold_maes, "mean_mae": r.mean_mae, "mu_vf": r.mu_vf,
+            "mu_vs": r.mu_vs}) + "\n" for c, r in zip(cells, reports))
     csv_path = out / "sweep.csv"
-    csv_path.write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
+    with atomic_write(csv_path) as fh:
+        fh.write("label,lambda_c,lambda_t,pair_loss,mean_mae,mu_vf,mu_vs\n")
+        fh.writelines(f"{c.label},{c.lambda_c!r},{c.lambda_t!r},{c.pair_loss},"
+                      f"{r.mean_mae!r},{r.mu_vf!r},{r.mu_vs!r}\n" for c, r in zip(cells, reports))
 
-    manifest = build_manifest(
-        "sweep", {**asdict(base_cfg), "protocol": args.protocol, "k": args.k,
-                  "cells": [c.label for c in cells]},
+    write_manifest(
+        out, "sweep", {**asdict(base_cfg), "protocol": args.protocol, "k": args.k,
+                       "cells": [c.label for c in cells]},
         {"seed": base_cfg.seed}, [Path(args.dataset)], [rows_path, csv_path],
-        time.perf_counter() - started)
-    # A pool that could not fork says so here, with the thread count it saw.
-    manifest["pool"] = {**pool, "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
-    write_manifest(out, manifest)
+        time.perf_counter() - started,
+        # A pool that could not fork says so here, with the thread count it saw.
+        pool={**pool, "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS")})
     print(f"swept {len(cells)} cells; table at {csv_path}")
     return 0
 
@@ -387,14 +384,13 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, OptimizationError, NonFiniteError, WorkerDiedError) as exc:
+    except (ConfigError, OptimizationError, NonFiniteError, WorkerDiedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:  # 130, as a shell reports a command that SIGINT ended
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 def entry() -> None:
-    sys.exit(main())
-
-
-if __name__ == "__main__":
     sys.exit(main())

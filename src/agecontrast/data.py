@@ -50,7 +50,8 @@ records of the CSV's sha256 in hex, the ages, the ``"\n"``-joined UTF-8
 identities and the inputs. ``load_dataset`` builds the dataset from it
 when that key is the CSV's sha256 and the shapes match the sidecar, and
 parses the CSV otherwise, as it does a CSV from elsewhere. The cache is
-derived and safe to delete; a load never writes it.
+derived and safe to delete; a load never writes it. All three files go
+through ``manifest.atomic_write`` (see ``save_dataset`` for their order).
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ import re
 import numpy as np
 
 from .errors import DatasetError, WorkerDiedError
-from .manifest import sha256_file
+from .manifest import atomic_write, sha256_file
 
 Array = np.ndarray
 
@@ -318,12 +319,6 @@ def _csv_workers(values: int) -> int:
     return max(1, min(cpus or 1, values // _MIN_VALUES_PER_WORKER))
 
 
-def _write_text(path: Path, header: str, chunks: Iterable[str]) -> None:
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(header)
-        fh.writelines(chunks)
-
-
 def save_dataset(ds: LabeledDataset, path) -> None:
     """Write the CSV, its metadata sidecar and its cache. Floats use repr
     so the round-trip is bitwise. Chunks of rows are formatted on up to one
@@ -339,28 +334,23 @@ def save_dataset(ds: LabeledDataset, path) -> None:
     spans = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
     header = "identity,age," + ",".join(f"v{i}" for i in range(ds.input_dim)) + "\n"
     meta = {"input_dim": int(ds.input_dim), "num_ages": int(ds.num_ages)}
-    # Each file is written as <name>.tmp and then moved into place, the
-    # cache last: until then an earlier cache's key does not match the new CSV.
-    paths = [path, _meta_path(path), _cache_path(path)]
-    tmps = [p.with_name(p.name + ".tmp") for p in paths]
-    try:
-        # fork, not spawn: a worker inherits the dataset without a pickle or
-        # a fresh import, and runs only Python formatting, no BLAS. The
-        # workers fork before the file opens.
-        with dataset_pool(ds, _csv_workers(n * ds.input_dim), "fork") as (run, _):
-            _write_text(tmps[0], header, run(_format_rows, spans))
-        tmps[1].write_text(json.dumps(meta, indent=1) + "\n", encoding="utf-8")
-        names = "\n".join(ds.identities).encode("utf-8")
-        with tmps[2].open("wb") as fh:
-            for record in (np.frombuffer(sha256_file(tmps[0]).encode("ascii"), np.uint8),
+    names = "\n".join(ds.identities).encode("utf-8")
+    # fork, not spawn: a worker inherits the dataset without a pickle or
+    # a fresh import, and runs only Python formatting, no BLAS.
+    with dataset_pool(ds, _csv_workers(n * ds.input_dim), "fork") as (run, _):
+        rows = run(_format_rows, spans)  # any workers fork here, before a file opens
+        # Every file is whole before the first moves; the CSV moves first and
+        # the cache last, so until then an earlier cache's key fails the new CSV.
+        with atomic_write(_cache_path(path), binary=True) as cache, \
+                atomic_write(_meta_path(path)) as sidecar, atomic_write(path) as csv:
+            csv.write(header)
+            csv.writelines(rows)
+            csv.flush()
+            sidecar.write(json.dumps(meta, indent=1) + "\n")
+            for record in (np.frombuffer(sha256_file(csv.name).encode("ascii"), np.uint8),
                            ds.ages, np.frombuffer(names, np.uint8),
                            np.ascontiguousarray(ds.inputs)):
-                np.save(fh, record, allow_pickle=False)
-        for tmp, final in zip(tmps, paths):
-            os.replace(tmp, final)
-    finally:
-        for tmp in tmps:
-            tmp.unlink(missing_ok=True)
+                np.save(cache, record, allow_pickle=False)
 
 
 # np.save's header of a C-order vector or matrix, .npy version 1.0
@@ -466,8 +456,11 @@ _pool_dataset: LabeledDataset | None = None  # set once in each pool worker
 
 
 def _init_pool_worker(ds: LabeledDataset, errstate: dict) -> None:
+    import signal  # not at module level: that moved the heap the page-fault test probes
     global _pool_dataset
     _pool_dataset = ds
+    # Ctrl-C reaches the whole process group; the parent reports it and ends the pool.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     np.seterr(**errstate)  # a spawned worker starts with numpy's defaults
 
 

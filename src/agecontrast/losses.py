@@ -203,8 +203,8 @@ def triplet_rows(s_a, s_p, s_n, alpha: float):
 
 
 def total_loss(l_s, l_m=0.0, l_v=0.0, l_c=0.0, l_t=0.0,
-               weights: LossWeights = LossWeights()) -> tuple[float, LossBreakdown]:
-    """Weighted combination of the loss values, as (total, LossBreakdown).
+               weights: LossWeights = LossWeights()) -> LossBreakdown:
+    """The loss values and their weighted combination, ``total``.
 
     Terms whose weight is zero contribute nothing (and need not have
     been computed: pass 0.0).
@@ -214,5 +214,4 @@ def total_loss(l_s, l_m=0.0, l_v=0.0, l_c=0.0, l_t=0.0,
                       (weights.lambda_c, l_c), (weights.lambda_t, l_t)):
         if lam != 0.0:
             total += float(lam * term)
-    return total, LossBreakdown(float(l_s), float(l_m), float(l_v), float(l_c), float(l_t),
-                                total)
+    return LossBreakdown(float(l_s), float(l_m), float(l_v), float(l_c), float(l_t), total)

@@ -1,12 +1,27 @@
-"""Run manifests: resolved config, seeds, artifact checksums, timing."""
+"""Run manifests and ``atomic_write``, the one way an artifact reaches disk."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import platform
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
+
+
+@contextmanager
+def atomic_write(path, binary: bool = False):
+    """Yields <path>.tmp open for writing (UTF-8 text, or bytes if binary),
+    moved over path if the block ends cleanly; the .tmp never outlives it."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb" if binary else "w", encoding=None if binary else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def sha256_file(path) -> str:
@@ -17,9 +32,10 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def build_manifest(command: str, config: dict, seeds: dict,
-                   inputs: list, outputs: list, duration_s: float) -> dict:
-    return {
+def write_manifest(out_dir, command: str, config: dict, seeds: dict, inputs: list,
+                   outputs: list, duration_s: float, **extra) -> None:
+    """Write out_dir/manifest.json, extra keys last."""
+    write_json(Path(out_dir) / "manifest.json", {
         "command": command,
         "config": config,
         "seeds": seeds,
@@ -29,10 +45,10 @@ def build_manifest(command: str, config: dict, seeds: dict,
         "duration_s": duration_s,
         "platform": platform.platform(),
         "python": platform.python_version(),
-    }
+        **extra,
+    })
 
 
-def write_manifest(out_dir, manifest: dict) -> Path:
-    path = Path(out_dir) / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=1) + "\n", encoding="utf-8")
-    return path
+def write_json(path, obj) -> None:
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(obj, indent=1) + "\n")

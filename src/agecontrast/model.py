@@ -22,6 +22,7 @@ import numpy as np
 
 from .autodiff import Array, softmax_parts
 from .errors import ConfigError
+from .manifest import write_json
 
 CHECKPOINT_FORMAT = "agecontrast-checkpoint-v1"
 
@@ -172,15 +173,14 @@ def predict_ages(s_rows: Array) -> Array:
 
 def save_model(model: Model, path) -> None:
     """Write a self-describing textual checkpoint; load(save(m)) is bitwise m."""
-    payload = {
+    write_json(path, {
         "format": CHECKPOINT_FORMAT,
         "config": asdict(model.config),
         "parameters": [
             {"name": name, "shape": list(arr.shape), "data": arr.ravel().tolist()}
             for name, arr in zip(model.param_names(), model.parameters())
         ],
-    }
-    Path(path).write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
+    })
 
 
 def load_model(path) -> Model:

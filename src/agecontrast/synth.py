@@ -13,14 +13,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from pathlib import Path
-
-import json
 
 import numpy as np
 
 from .data import LabeledDataset
 from .errors import ConfigError
+from .manifest import write_json
 
 Array = np.ndarray
 
@@ -163,9 +161,8 @@ def generate_dataset(cfg: SynthConfig, seed: int) -> tuple[LabeledDataset, Groun
 
 
 def save_ground_truth(truth: GroundTruth, path) -> None:
-    payload = {
+    write_json(path, {
         "identity_codes": {k: arr.tolist() for k, arr in truth.identity_codes.items()},
         "sample_identities": truth.sample_identities,
         "sample_ages": truth.sample_ages.tolist(),
-    }
-    Path(path).write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
+    })

@@ -226,7 +226,7 @@ def build_batch_loss(model: Model, ds: LabeledDataset, batch: TripletBatch,
         return grads
 
     l_m, l_v = terms["mv"][1] * scale if "mv" in terms else (0.0, 0.0)
-    _, breakdown = total_loss(
+    breakdown = total_loss(
         float(terms["ce"][1]) * scale, float(l_m) if weights.lambda_m > 0 else 0.0,
         float(l_v) if weights.lambda_v > 0 else 0.0,
         *(float(terms[name][1]) if name in terms else 0.0 for name in ("pair", "hinge")),
@@ -267,8 +267,7 @@ def train(ds: LabeledDataset, cfg: TrainConfig) -> tuple[Model, list[LossBreakdo
             sums += [breakdown.l_s, breakdown.l_m, breakdown.l_v, breakdown.l_c, breakdown.l_t]
             batches += 1
         means = sums / batches
-        _, epoch_breakdown = total_loss(*means, weights=cfg.weights)
-        history.append(epoch_breakdown)
+        history.append(total_loss(*means, weights=cfg.weights))
     return model, history
 
 

@@ -7,6 +7,8 @@ import os
 import signal
 import subprocess
 import sys
+import threading
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -525,6 +527,109 @@ class TestDeadWorker:
         assert run_in_new_interpreter("gen", "--config", str(cfg), "--out", str(out),
                                       env=env) == (2, [DEAD_WORKER])
         assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+
+
+# The files each command writes into its --out directory.
+OUTPUTS = {
+    "gen": ["dataset.csv", "dataset.meta.json", "dataset.cache.npy", "dataset.truth.json",
+            "manifest.json"],
+    "train": ["checkpoint.json", "train_log.csv", "manifest.json"],
+    "eval": ["eval_report.json", "eval_folds.csv", "manifest.json"],
+    "sweep": ["sweep_rows.jsonl", "sweep.csv", "manifest.json"],
+}
+
+
+class TestUnwritableOutput:
+    """A directory in place of any one output exits 2 with one error line
+    that names it, and leaves no .tmp file."""
+
+    @pytest.fixture()
+    def argv(self, tiny_dataset, tmp_path):
+        trained = tmp_path / "t"
+        trained.mkdir()
+        assert main(["train", "--dataset", str(tiny_dataset), "--epochs", "0",
+                     "--out", str(trained)]) == 0
+        train_flags = ["--dataset", str(tiny_dataset), "--epochs", "1"]
+        return {"gen": ["gen", "--config", str(tmp_path / "gen.cfg")],
+                "train": ["train", *train_flags],
+                "eval": ["eval", "--dataset", str(tiny_dataset),
+                         "--checkpoint", str(trained / "checkpoint.json")],
+                "sweep": ["sweep", *train_flags, "--loss-sets", "--k", "2"]}
+
+    @pytest.mark.parametrize("command, output", [
+        (command, output) for command, outputs in OUTPUTS.items() for output in outputs])
+    def test_exits_2_with_one_error_line(self, argv, tmp_path, capsys, command, output):
+        out = tmp_path / "o"
+        (out / output).mkdir(parents=True)
+        capsys.readouterr()
+        assert main([*argv[command], "--out", str(out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and f"{out / output}'" in line
+        assert (out / output).is_dir() and list((out / output).iterdir()) == []
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+
+# Found first on PYTHONPATH, this prints "ready" when the CLI first opens a
+# dataset sidecar, which it does inside cli.main after every import, and
+# "forked" in each process the interpreter forks.
+SAY_READY = """
+import os, sys
+
+def say_ready(event, args, said=[]):
+    if event == "open" and not said and str(args[0]).endswith(".meta.json"):
+        said.append(True)
+        print("ready", flush=True)
+
+sys.addaudithook(say_ready)
+os.register_at_fork(after_in_child=lambda: print("forked", flush=True))
+"""
+
+
+class TestInterrupt:
+    """SIGINT to a command's process group ends it with exit 130 and one
+    error line, and leaves no process, no output and no .tmp behind."""
+
+    @pytest.fixture()
+    def env(self, tmp_path):
+        site = tmp_path / "site"
+        site.mkdir()
+        (site / "sitecustomize.py").write_text(SAY_READY)
+        return {**cli_env(), "PYTHONPATH": os.pathsep.join([str(site), SRC])}
+
+    @pytest.mark.parametrize("argv, forks", [
+        (["train", "--epochs", "100000"], 0),
+        (["sweep", "--loss-sets", "--epochs", "2000", "--k", "2", "--jobs", "2"], 2),
+    ], ids=["train", "sweep-jobs-2"])
+    def test_sigint_exits_130(self, tiny_dataset, tmp_path, env, argv, forks):
+        out = tmp_path / "o"
+        out.mkdir()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "agecontrast", *argv, "--dataset", str(tiny_dataset),
+             "--out", str(out)], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, start_new_session=True)
+        watchdog = threading.Timer(60, os.killpg, (proc.pid, signal.SIGKILL))
+        watchdog.start()
+        try:
+            assert [proc.stdout.readline() for _ in range(1 + forks)] == [
+                "ready\n", *["forked\n"] * forks]
+            time.sleep(0.5)  # for the workers to leave fork and set their SIGINT handling
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate()
+        finally:
+            watchdog.cancel()
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate()
+        assert (proc.returncode, err.splitlines()) == (130, ["error: interrupted"])
+        deadline = time.monotonic() + 2
+        while True:
+            try:
+                os.killpg(proc.pid, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, "a process of the session outlived it by 2 s"
+            time.sleep(0.05)
+        assert list(out.iterdir()) == []
 
 
 class TestSweep:

@@ -10,6 +10,7 @@ import signal
 import subprocess
 import sys
 import tracemalloc
+from contextlib import contextmanager
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -477,13 +478,23 @@ class TestCsvPool:
         save_dataset(ds.subset(range(7)), tmp_path / "ds.csv")
         before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
         counts = workers(3, 1)
+        write = data.atomic_write
 
-        def write_one_chunk_then_fail(path, header, chunks):
-            rows = reference_csv(ds).splitlines(keepends=True)
-            assert next(iter(chunks)) == "".join(rows[1:5])
-            raise OSError(errno.ENOSPC, "No space left on device")
+        class OneChunkThenFull:
+            def __init__(self, fh):
+                self.write = fh.write
 
-        monkeypatch.setattr(data, "_write_text", write_one_chunk_then_fail)
+            def writelines(self, chunks):
+                rows = reference_csv(ds).splitlines(keepends=True)
+                assert next(iter(chunks)) == "".join(rows[1:5])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        @contextmanager
+        def write_one_chunk_then_fail(path, binary=False):
+            with write(path, binary) as fh:
+                yield OneChunkThenFull(fh) if path.name == "ds.csv" else fh
+
+        monkeypatch.setattr(data, "atomic_write", write_one_chunk_then_fail)
         with pytest.raises(OSError, match="No space left"):
             save_dataset(ds, tmp_path / "ds.csv")
         assert counts == [3] and multiprocessing.active_children() == []
@@ -639,14 +650,16 @@ class TestCsvCache:
 
     def test_a_save_cut_before_the_cache_moves_loads_the_new_csv(
             self, grid_dataset, saved, monkeypatch):
-        replace = os.replace
+        write = data.atomic_write
 
-        def cut_at_the_cache(src, dst):
-            if str(dst).endswith(".cache.npy"):
-                raise OSError(errno.EIO, "cut")
-            replace(src, dst)
+        @contextmanager
+        def cut_at_the_cache(path, binary=False):
+            with write(path, binary) as fh:
+                yield fh
+                if path.name.endswith(".cache.npy"):
+                    raise OSError(errno.EIO, "cut")
 
-        monkeypatch.setattr(data.os, "replace", cut_at_the_cache)
+        monkeypatch.setattr(data, "atomic_write", cut_at_the_cache)
         new = grid_dataset.subset(range(0, 30, 2))
         with pytest.raises(OSError, match="cut"):
             save_dataset(new, saved)
@@ -659,6 +672,10 @@ class TestCsvCache:
 
 def size_plus(ds, arg):
     return len(ds) + arg
+
+
+def ignores_sigint(ds, arg):
+    return signal.getsignal(signal.SIGINT) == signal.SIG_IGN
 
 
 # save_dataset on two forked workers whose first job ends the process,
@@ -693,6 +710,14 @@ class TestDatasetPool:
             assert list(run(size_plus, range(5))) == [3, 4, 5, 6, 7]
         assert ran == workers
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_workers_leave_sigint_to_the_parent(self, method):
+        """Ctrl-C signals the whole process group; only the parent reports it."""
+        ds = make_dataset([1, 2], ["a", "b"], 2)
+        with data.dataset_pool(ds, 2, method) as (run, _):
+            assert list(run(ignores_sigint, range(4))) == [True] * 4
+        assert signal.getsignal(signal.SIGINT) == signal.default_int_handler
 
     def test_a_dead_csv_worker_raises_instead_of_hanging(self, tmp_path):
         proc = subprocess.Popen(

@@ -330,4 +330,4 @@ def test_step_total_is_the_total_loss_of_its_terms(case):
     # A step weighs its five terms as the epoch history in train_log.csv does.
     model, ds, batch, weights = case
     b, _ = build_batch_loss(model, ds, batch, weights)
-    assert b.total == total_loss(b.l_s, b.l_m, b.l_v, b.l_c, b.l_t, weights=weights)[0]
+    assert b.total == total_loss(b.l_s, b.l_m, b.l_v, b.l_c, b.l_t, weights=weights).total

@@ -271,19 +271,19 @@ class TestGradients:
 
 class TestTotalLoss:
     def test_softmax_only(self):
-        total, bd = total_loss(1.7, weights=LossWeights(lambda_m=0, lambda_v=0))
-        assert total == 1.7 and bd.total == 1.7
+        bd = total_loss(1.7, weights=LossWeights(lambda_m=0, lambda_v=0))
+        assert bd.total == 1.7
 
     def test_mv_baseline_composition(self):
-        total, bd = total_loss(1.0, 2.0, 3.0, weights=LossWeights())
-        assert total == pytest.approx(1.0 + 0.2 * 2.0 + 0.05 * 3.0, rel=1e-15)
+        bd = total_loss(1.0, 2.0, 3.0, weights=LossWeights())
+        assert bd.total == pytest.approx(1.0 + 0.2 * 2.0 + 0.05 * 3.0, rel=1e-15)
         assert bd.l_c == 0.0 and bd.l_t == 0.0
 
     def test_reference_ternary_composition(self):
         w = LossWeights(lambda_c=10.0, lambda_t=1.0)
-        total, bd = total_loss(1.0, 1.0, 1.0, 1.0, 1.0, w)
-        assert total == pytest.approx(1.0 + 0.2 + 0.05 + 10.0 + 1.0, rel=1e-15)
-        assert bd.total == total
+        bd = total_loss(1.0, 1.0, 1.0, 1.0, 1.0, w)
+        assert bd.total == pytest.approx(1.0 + 0.2 + 0.05 + 10.0 + 1.0, rel=1e-15)
+        assert bd.as_row() == [1.0, 1.0, 1.0, 1.0, 1.0, bd.total]
 
     def test_breakdown_identity(self):
         rng = np.random.default_rng(7)
@@ -291,7 +291,7 @@ class TestTotalLoss:
             w = LossWeights(lambda_m=rng.uniform(0, 1), lambda_v=rng.uniform(0, 1),
                             lambda_c=rng.uniform(0, 10), lambda_t=rng.uniform(0, 2))
             parts = rng.uniform(0, 3, 5)
-            _, bd = total_loss(*parts, weights=w)
+            bd = total_loss(*parts, weights=w)
             recomposed = (bd.l_s + w.lambda_m * bd.l_m + w.lambda_v * bd.l_v
                           + w.lambda_c * bd.l_c + w.lambda_t * bd.l_t)
             assert bd.total == recomposed
