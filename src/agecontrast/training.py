@@ -9,8 +9,8 @@ The step calls that pullback, which scatters each loss term's row-block
 gradients (``losses``) into the stacked rows and runs the softmax, head
 and relu layers backwards into one gradient vector laid out like
 ``Model.flat``; Adam then makes one update over the parameter vector.
-A step writes every large array into ``StepBuffers`` that the
-``train()`` call allocates once.
+A step writes every large array into ``StepBuffers`` that a ``train()``
+call allocates once, or takes from the last call of the same shape.
 Everything is deterministic per (dataset, config): epoch e samples with
 child e of the config seed's ``SeedSequence``.
 """
@@ -237,6 +237,12 @@ def build_batch_loss(model: Model, ds: LabeledDataset, batch: TripletBatch,
 # ---------------------------------------------------------------------------
 # Training loop
 
+# The last train() call's StepBuffers and AdamState, for the next call of
+# the same (ModelConfig, rows): freed, their ~1 MB could lie at the top of
+# the heap, go back to the OS and be faulted in again page by page.
+_spare: dict = {}
+
+
 def train(ds: LabeledDataset, cfg: TrainConfig) -> tuple[Model, list[LossBreakdown]]:
     """Train a fresh model on the dataset; returns it with the per-epoch
     loss history (term means recomposed into the weighted total)."""
@@ -245,38 +251,32 @@ def train(ds: LabeledDataset, cfg: TrainConfig) -> tuple[Model, list[LossBreakdo
             "triplet margin loss is active but no anchor has a valid negative "
             "(single identity or single age): dataset is protocol-incompatible")
     config = cfg.model_config(ds)
-    # A batch stacks at most its anchors, their positives and their
-    # negatives. The step's arrays come before the model that outlives
-    # the call, so their freed memory lies below it and serves the next
-    # call instead of going back to the OS at the top of the heap.
+    key = (config, 3 * min(cfg.batch_size, len(ds)))  # anchors, positives, negatives
+    buffers, state = _spare.pop(key, (None, None))
     try:
-        buffers = StepBuffers(config, 3 * min(cfg.batch_size, len(ds)))
+        buffers = buffers or StepBuffers(*key)
     except (MemoryError, ValueError) as exc:
         raise ConfigError(f"cannot allocate a model with layer dimensions "
                           f"{config.layer_dims} and its train step: {exc}") from exc
-    state = AdamState(np.zeros_like(buffers.grad), np.zeros_like(buffers.grad))
+    state = state or AdamState(np.empty_like(buffers.grad), np.empty_like(buffers.grad))
+    state.m[:] = state.v[:] = state.step = 0
     model = init_model(config, cfg.seed)
     history: list[LossBreakdown] = []
     for epoch in range(cfg.epochs):
         # Child `epoch` of SeedSequence(cfg.seed).spawn, without spawning every epoch first.
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(epoch,)))
-        sums = np.zeros(5)
-        batches = 0
+        sums, batches = np.zeros(5), 0
         for batch in iter_epoch_batches(ds, cfg.batch_size, rng):
-            breakdown = _train_step(model, state, ds, batch, cfg, buffers)
-            sums += [breakdown.l_s, breakdown.l_m, breakdown.l_v, breakdown.l_c, breakdown.l_t]
+            try:
+                b, pull = build_batch_loss(model, ds, batch, cfg.weights, buffers)
+            except NonFiniteError as exc:
+                raise OptimizationError(f"training diverged at step {state.step + 1}: {exc}") from exc
+            pull(1.0)  # fills buffers.grad
+            adam_step(model, buffers.grad, state, cfg)
+            sums += [b.l_s, b.l_m, b.l_v, b.l_c, b.l_t]
             batches += 1
         means = sums / batches
         history.append(total_loss(*means, weights=cfg.weights))
+    _spare.clear()
+    _spare[key] = buffers, state
     return model, history
-
-
-def _train_step(model: Model, state: AdamState, ds: LabeledDataset, batch: TripletBatch,
-                cfg: TrainConfig, buffers: StepBuffers) -> LossBreakdown:
-    try:
-        breakdown, pull = build_batch_loss(model, ds, batch, cfg.weights, buffers)
-    except NonFiniteError as exc:
-        raise OptimizationError(f"training diverged at step {state.step + 1}: {exc}") from exc
-    pull(1.0)  # fills buffers.grad
-    adam_step(model, buffers.grad, state, cfg)
-    return breakdown

@@ -136,6 +136,16 @@ class TestTrain:
             npt.assert_array_equal(p, q)
         assert h1 == h2
 
+    def test_a_call_takes_the_last_calls_step_arrays(self, train_ds):
+        # Freed between calls, they could go back to the OS and be faulted
+        # in again (test_train_steps_take_no_page_faults); the bitwise test
+        # above shows the taken Adam moments start from zero.
+        train(train_ds, TrainConfig(seed=2, **SMALL_TRAIN))
+        (first,) = training._spare.values()
+        train(train_ds, TrainConfig(seed=3, **SMALL_TRAIN))
+        (second,) = training._spare.values()
+        assert second[0] is first[0] and second[1] is first[1]
+
     def test_history_composition_identity(self, train_ds):
         w = LossWeights(lambda_c=2.0, lambda_t=0.5)
         cfg = TrainConfig(seed=3, weights=w, **SMALL_TRAIN)
