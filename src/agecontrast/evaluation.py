@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -179,18 +179,8 @@ class EvalReport:
 
     def to_dict(self) -> dict:
         # fold_sizes goes to the per-fold CSV, not into the report.
-        return {
-            "protocol": self.protocol,
-            "k": self.k,
-            "seed": self.seed,
-            "fold_maes": self.fold_maes,
-            "mean_mae": self.mean_mae,
-            "mu_vf": self.mu_vf,
-            "mu_vs": self.mu_vs,
-            "histories": [[b.as_row() for b in h] for h in self.histories],
-            "config": self.config,
-            "notes": self.notes,
-        }
+        report = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "fold_sizes"}
+        return {**report, "histories": [[b.as_row() for b in h] for h in self.histories]}
 
 
 def evaluate_checkpoint(model: Model, ds: LabeledDataset, protocol: str,

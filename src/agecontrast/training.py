@@ -237,9 +237,9 @@ def build_batch_loss(model: Model, ds: LabeledDataset, batch: TripletBatch,
 # ---------------------------------------------------------------------------
 # Training loop
 
-# The last train() call's StepBuffers and AdamState, for the next call of
-# the same (ModelConfig, rows): freed, their ~1 MB could lie at the top of
-# the heap, go back to the OS and be faulted in again page by page.
+# The last train() call's StepBuffers and AdamState (~1.4 MB, alive until the
+# next call), for the next call of the same (ModelConfig, rows): freed, they
+# could lie at the top of the heap, go back to the OS and be faulted in again.
 _spare: dict = {}
 
 
@@ -265,18 +265,25 @@ def train(ds: LabeledDataset, cfg: TrainConfig) -> tuple[Model, list[LossBreakdo
     for epoch in range(cfg.epochs):
         # Child `epoch` of SeedSequence(cfg.seed).spawn, without spawning every epoch first.
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(epoch,)))
-        sums, batches = np.zeros(5), 0
+        sums = np.zeros(5)
+        batches = 0
         for batch in iter_epoch_batches(ds, cfg.batch_size, rng):
-            try:
-                b, pull = build_batch_loss(model, ds, batch, cfg.weights, buffers)
-            except NonFiniteError as exc:
-                raise OptimizationError(f"training diverged at step {state.step + 1}: {exc}") from exc
-            pull(1.0)  # fills buffers.grad
-            adam_step(model, buffers.grad, state, cfg)
-            sums += [b.l_s, b.l_m, b.l_v, b.l_c, b.l_t]
+            breakdown = _train_step(model, state, ds, batch, cfg, buffers)
+            sums += [breakdown.l_s, breakdown.l_m, breakdown.l_v, breakdown.l_c, breakdown.l_t]
             batches += 1
         means = sums / batches
         history.append(total_loss(*means, weights=cfg.weights))
     _spare.clear()
     _spare[key] = buffers, state
     return model, history
+
+
+def _train_step(model: Model, state: AdamState, ds: LabeledDataset, batch: TripletBatch,
+                cfg: TrainConfig, buffers: StepBuffers) -> LossBreakdown:
+    try:
+        breakdown, pull = build_batch_loss(model, ds, batch, cfg.weights, buffers)
+    except NonFiniteError as exc:
+        raise OptimizationError(f"training diverged at step {state.step + 1}: {exc}") from exc
+    pull(1.0)  # fills buffers.grad
+    adam_step(model, buffers.grad, state, cfg)
+    return breakdown

@@ -581,8 +581,16 @@ def say_ready(event, args, said=[]):
         print("ready", flush=True)
 
 sys.addaudithook(say_ready)
-os.register_at_fork(after_in_child=lambda: print("forked", flush=True))
+os.register_at_fork(after_in_child=lambda: print("forked", os.getpid(), flush=True))
 """
+
+
+def ignores_sigint(pid: str) -> bool:
+    """Whether SIGINT is in the process's ignored-signal mask; a process
+    that has ended raises FileNotFoundError."""
+    with open(f"/proc/{pid}/status") as status:
+        mask = next(line for line in status if line.startswith("SigIgn:")).split()[1]
+    return bool(int(mask, 16) >> (signal.SIGINT - 1) & 1)
 
 
 class TestInterrupt:
@@ -610,9 +618,14 @@ class TestInterrupt:
         watchdog = threading.Timer(60, os.killpg, (proc.pid, signal.SIGKILL))
         watchdog.start()
         try:
-            assert [proc.stdout.readline() for _ in range(1 + forks)] == [
-                "ready\n", *["forked\n"] * forks]
-            time.sleep(0.5)  # for the workers to leave fork and set their SIGINT handling
+            assert proc.stdout.readline() == "ready\n"
+            workers = [proc.stdout.readline().split() for _ in range(forks)]
+            assert [w[:1] for w in workers] == [["forked"]] * forks
+            for _, pid in workers:  # the "forked" hook runs before the worker's initializer
+                deadline = time.monotonic() + 30
+                while not ignores_sigint(pid):
+                    assert time.monotonic() < deadline, f"worker {pid} never ignored SIGINT"
+                    time.sleep(0.01)
             os.killpg(proc.pid, signal.SIGINT)
             _, err = proc.communicate()
         finally:

@@ -324,8 +324,8 @@ def test_train_steps_take_no_page_faults():
 
 
 def test_importing_training_loads_no_pool_module():
-    # Loaded with training, concurrent.futures made the steps above take
-    # page faults; the pool imports it only when it starts processes.
+    # concurrent.futures adds 16-20 ms to a command's start; the pool
+    # imports it only when it starts processes.
     src = str(Path(__file__).resolve().parent.parent / "src")
     probe = ("import sys, agecontrast.training; print(*sorted(m for m in sys.modules "
              "if m.startswith(('concurrent', 'agecontrast.evaluation'))))")
