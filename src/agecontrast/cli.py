@@ -6,7 +6,9 @@ Each setting is one field of a config dataclass (``SynthConfig``;
 the flat ``key = value`` config-file keys and their parsers (by
 annotation), the flag overrides (a flag whose dest is a key wins), the
 checks (a rejected value is a ConfigError before any work) and the
-manifest's echo of the resolved configuration (``asdict``).
+manifest's echo of the resolved configuration (``asdict``). Each command
+but selfcheck reads and writes inside one ``manifest.Run`` on ``--out``,
+which commits its outputs and ``manifest.json`` together.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error,
 a diverged training run (OptimizationError), a checkpoint whose
@@ -30,7 +32,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import argparse
 import json
 import sys
-import time
 from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -43,7 +44,7 @@ from .errors import (ConfigError, NonFiniteError, OptimizationError, Verificatio
 from .evaluation import (PROTOCOLS, evaluate_checkpoint, lambda_grid_cells, loss_set_cells,
                          sweep)
 from .losses import LossBreakdown
-from .manifest import atomic_write, write_json, write_manifest
+from .manifest import Run, atomic_write, write_json
 from .model import Model, forward_values, load_model, save_model
 from .selfcheck import run_all
 from .synth import SynthConfig, generate_dataset, save_ground_truth
@@ -189,75 +190,61 @@ def cmd_gen(args) -> int:
     # The output directory is validated before anything is generated or
     # written, so a bad invocation leaves no partial files.
     out = _require_out_dir(args.out)
-    cfg = _config(SynthConfig, GEN_SCHEMA, args)
-    started = time.perf_counter()
-    ds, truth = generate_dataset(cfg, cfg.seed)
-
-    csv_path = out / "dataset.csv"
-    save_dataset(ds, csv_path)  # also writes dataset.meta.json and dataset.cache.npy
-    truth_path = out / "dataset.truth.json"
-    save_ground_truth(truth, truth_path)
-    outputs = [csv_path, out / "dataset.meta.json", out / "dataset.cache.npy", truth_path]
-    write_manifest(
-        out, "gen", asdict(cfg), {"seed": cfg.seed}, [], outputs, time.perf_counter() - started)
+    with Run(out, "gen") as run:
+        cfg = _config(SynthConfig, GEN_SCHEMA, args)
+        ds, truth = generate_dataset(cfg, cfg.seed)
+        csv_path = out / "dataset.csv"
+        save_dataset(ds, csv_path)
+        save_ground_truth(truth, out / "dataset.truth.json")
+        run.commit(asdict(cfg), {"seed": cfg.seed})
     print(f"wrote {len(ds)} samples to {csv_path}")
     return 0
 
 
 def cmd_train(args) -> int:
     out = _require_out_dir(args.out)
-    ds = load_dataset(args.dataset)
-    cfg = _train_config(args, ds)
+    with Run(out, "train") as run:
+        ds = load_dataset(args.dataset)
+        cfg = _train_config(args, ds)
+        model, history = train(ds, cfg)
+        # The last Adam step can leave finite weights (about 1e300) whose
+        # forward overflows; eval would reject that checkpoint, so none is written.
+        try:
+            forward_values(model, ds.inputs)
+        except NonFiniteError as exc:
+            raise OptimizationError(f"training diverged at its last step: {exc}") from exc
 
-    started = time.perf_counter()
-    model, history = train(ds, cfg)
-    # The last Adam step can leave finite weights (about 1e300) whose
-    # forward overflows; eval would reject that checkpoint, so none is written.
-    try:
-        forward_values(model, ds.inputs)
-    except NonFiniteError as exc:
-        raise OptimizationError(f"training diverged at its last step: {exc}") from exc
-
-    ckpt = out / "checkpoint.json"
-    save_model(model, ckpt)
-    log_path = out / "train_log.csv"
-    with atomic_write(log_path) as fh:
-        fh.write("epoch," + ",".join(LossBreakdown.FIELDS) + "\n")
-        fh.writelines(f"{epoch}," + ",".join(repr(v) for v in b.as_row()) + "\n"
-                      for epoch, b in enumerate(history))
-
-    write_manifest(
-        out, "train", asdict(cfg), {"seed": cfg.seed}, [Path(args.dataset)],
-        [ckpt, log_path], time.perf_counter() - started)
+        ckpt = out / "checkpoint.json"
+        save_model(model, ckpt)
+        with atomic_write(out / "train_log.csv") as fh:
+            fh.write("epoch," + ",".join(LossBreakdown.FIELDS) + "\n")
+            fh.writelines(f"{epoch}," + ",".join(repr(v) for v in b.as_row()) + "\n"
+                          for epoch, b in enumerate(history))
+        run.commit(asdict(cfg), {"seed": cfg.seed}, [Path(args.dataset)])
     print(f"trained {cfg.epochs} epochs; checkpoint at {ckpt}")
     return 0
 
 
 def cmd_eval(args) -> int:
     out = _require_out_dir(args.out)
-    _require_at_least("--k", args.k, 2)
-    _require_at_least("--seed", args.seed, 0)
-    ds = load_dataset(args.dataset)
-    model = _load_checkpoint(args.checkpoint, ds)
-    started = time.perf_counter()
-    try:
-        report = evaluate_checkpoint(model, ds, args.protocol, k=args.k, seed=args.seed)
-    except NonFiniteError as exc:
-        raise ConfigError(
-            f"checkpoint {args.checkpoint} overflows on {args.dataset}: {exc}") from exc
+    with Run(out, "eval") as run:
+        _require_at_least("--k", args.k, 2)
+        _require_at_least("--seed", args.seed, 0)
+        ds = load_dataset(args.dataset)
+        model = _load_checkpoint(args.checkpoint, ds)
+        try:
+            report = evaluate_checkpoint(model, ds, args.protocol, k=args.k, seed=args.seed)
+        except NonFiniteError as exc:
+            raise ConfigError(
+                f"checkpoint {args.checkpoint} overflows on {args.dataset}: {exc}") from exc
 
-    report_path = out / "eval_report.json"
-    write_json(report_path, report.to_dict())
-    csv_path = out / "eval_folds.csv"
-    with atomic_write(csv_path) as fh:
-        fh.write("fold,test_size,mae\n")
-        fh.writelines(f"{i},{size},{mae!r}\n"
-                      for i, (mae, size) in enumerate(zip(report.fold_maes, report.fold_sizes)))
-
-    write_manifest(
-        out, "eval", {"protocol": args.protocol, "k": args.k, "seed": args.seed},
-        {"seed": args.seed}, [Path(args.dataset), Path(args.checkpoint)],
-        [report_path, csv_path], time.perf_counter() - started)
+        write_json(out / "eval_report.json", report.to_dict())
+        with atomic_write(out / "eval_folds.csv") as fh:
+            fh.write("fold,test_size,mae\n")
+            fh.writelines(f"{i},{size},{mae!r}\n" for i, (mae, size)
+                          in enumerate(zip(report.fold_maes, report.fold_sizes)))
+        run.commit({"protocol": args.protocol, "k": args.k, "seed": args.seed},
+                   {"seed": args.seed}, [Path(args.dataset), Path(args.checkpoint)])
     print(f"mean MAE {report.mean_mae:.4f} over {report.k} folds "
           f"(mu_vf {report.mu_vf:.4f}, mu_vs {report.mu_vs:.4f})")
     return 0
@@ -265,40 +252,38 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     out = _require_out_dir(args.out)
-    _require_at_least("--k", args.k, 2)
-    _require_at_least("--jobs", args.jobs, 1)
-    ds = load_dataset(args.dataset)
-    base_cfg = _train_config(args, ds)
-    if args.loss_sets:
-        cells = loss_set_cells(base_cfg.weights.lambda_c, base_cfg.weights.lambda_t)
-    elif args.grid_lambda_c and args.grid_lambda_t:
-        cells = lambda_grid_cells(args.grid_lambda_c, args.grid_lambda_t)
-    else:
-        raise ConfigError("sweep needs --loss-sets or both --grid-lambda-c and --grid-lambda-t")
-    for cell in cells:
-        _checked(cell.config, base_cfg)
+    with Run(out, "sweep") as run:
+        _require_at_least("--k", args.k, 2)
+        _require_at_least("--jobs", args.jobs, 1)
+        ds = load_dataset(args.dataset)
+        base_cfg = _train_config(args, ds)
+        if args.loss_sets:
+            cells = loss_set_cells(base_cfg.weights.lambda_c, base_cfg.weights.lambda_t)
+        elif args.grid_lambda_c and args.grid_lambda_t:
+            cells = lambda_grid_cells(args.grid_lambda_c, args.grid_lambda_t)
+        else:
+            raise ConfigError(
+                "sweep needs --loss-sets or both --grid-lambda-c and --grid-lambda-t")
+        for cell in cells:
+            _checked(cell.config, base_cfg)
+        reports, pool = sweep(ds, base_cfg, cells, protocol=args.protocol, k=args.k,
+                              jobs=args.jobs)
 
-    started = time.perf_counter()
-    reports, pool = sweep(ds, base_cfg, cells, protocol=args.protocol, k=args.k, jobs=args.jobs)
-
-    rows_path = out / "sweep_rows.jsonl"
-    with atomic_write(rows_path) as fh:
-        fh.writelines(json.dumps({
-            **asdict(c), "fold_maes": r.fold_maes, "mean_mae": r.mean_mae, "mu_vf": r.mu_vf,
-            "mu_vs": r.mu_vs}) + "\n" for c, r in zip(cells, reports))
-    csv_path = out / "sweep.csv"
-    with atomic_write(csv_path) as fh:
-        fh.write("label,lambda_c,lambda_t,pair_loss,mean_mae,mu_vf,mu_vs\n")
-        fh.writelines(f"{c.label},{c.lambda_c!r},{c.lambda_t!r},{c.pair_loss},"
-                      f"{r.mean_mae!r},{r.mu_vf!r},{r.mu_vs!r}\n" for c, r in zip(cells, reports))
-
-    write_manifest(
-        out, "sweep", {**asdict(base_cfg), "protocol": args.protocol, "k": args.k,
-                       "cells": [c.label for c in cells]},
-        {"seed": base_cfg.seed}, [Path(args.dataset)], [rows_path, csv_path],
-        time.perf_counter() - started,
-        # A pool that could not fork says so here, with the thread count it saw.
-        pool={**pool, "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS")})
+        with atomic_write(out / "sweep_rows.jsonl") as fh:
+            fh.writelines(json.dumps({
+                **asdict(c), "fold_maes": r.fold_maes, "mean_mae": r.mean_mae,
+                "mu_vf": r.mu_vf, "mu_vs": r.mu_vs}) + "\n" for c, r in zip(cells, reports))
+        csv_path = out / "sweep.csv"
+        with atomic_write(csv_path) as fh:
+            fh.write("label,lambda_c,lambda_t,pair_loss,mean_mae,mu_vf,mu_vs\n")
+            fh.writelines(f"{c.label},{c.lambda_c!r},{c.lambda_t!r},{c.pair_loss},"
+                          f"{r.mean_mae!r},{r.mu_vf!r},{r.mu_vs!r}\n"
+                          for c, r in zip(cells, reports))
+        run.commit(
+            {**asdict(base_cfg), "protocol": args.protocol, "k": args.k,
+             "cells": [c.label for c in cells]}, {"seed": base_cfg.seed}, [Path(args.dataset)],
+            # A pool that could not fork says so here, with the thread count it saw.
+            pool={**pool, "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS")})
     print(f"swept {len(cells)} cells; table at {csv_path}")
     return 0
 

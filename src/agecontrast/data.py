@@ -51,7 +51,9 @@ identities and the inputs. ``load_dataset`` builds the dataset from it
 when that key is the CSV's sha256 and the shapes match the sidecar, and
 parses the CSV otherwise, as it does a CSV from elsewhere. The cache is
 derived and safe to delete; a load never writes it. All three files go
-through ``manifest.atomic_write`` (see ``save_dataset`` for their order).
+through ``manifest.atomic_write``, so in a command's run they move at its
+commit, in the order ``save_dataset`` closes them, and the digest of the
+cache key is the one its manifest records.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """CLI: artifacts, idempotence, exit codes, flag/config resolution."""
 
 import dataclasses
+import errno
 import io
 import json
 import os
@@ -9,7 +10,9 @@ import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from agecontrast.cli import GEN_SCHEMA, TRAIN_SCHEMA, main
 from agecontrast.losses import LossWeights
+from agecontrast import manifest
 from agecontrast.manifest import sha256_file
 from agecontrast.model import ModelConfig, init_model, load_model, save_model
 from agecontrast import selfcheck
@@ -539,46 +543,132 @@ OUTPUTS = {
 }
 
 
-class TestUnwritableOutput:
-    """A directory in place of any one output exits 2 with one error line
-    that names it, and leaves no .tmp file."""
+@pytest.fixture()
+def argv(tiny_dataset, tmp_path):
+    """Each command's flags but --seed and --out, on the tiny dataset."""
+    trained = tmp_path / "t"
+    trained.mkdir()
+    assert main(["train", "--dataset", str(tiny_dataset), "--epochs", "0",
+                 "--out", str(trained)]) == 0
+    train_flags = ["--dataset", str(tiny_dataset), "--epochs", "1"]
+    return {"gen": ["gen", "--config", str(tmp_path / "gen.cfg")],
+            "train": ["train", *train_flags],
+            "eval": ["eval", "--dataset", str(tiny_dataset),
+                     "--checkpoint", str(trained / "checkpoint.json")],
+            "sweep": ["sweep", *train_flags, "--loss-sets", "--k", "2"]}
 
-    @pytest.fixture()
-    def argv(self, tiny_dataset, tmp_path):
-        trained = tmp_path / "t"
-        trained.mkdir()
-        assert main(["train", "--dataset", str(tiny_dataset), "--epochs", "0",
-                     "--out", str(trained)]) == 0
-        train_flags = ["--dataset", str(tiny_dataset), "--epochs", "1"]
-        return {"gen": ["gen", "--config", str(tmp_path / "gen.cfg")],
-                "train": ["train", *train_flags],
-                "eval": ["eval", "--dataset", str(tiny_dataset),
-                         "--checkpoint", str(trained / "checkpoint.json")],
-                "sweep": ["sweep", *train_flags, "--loss-sets", "--k", "2"]}
+
+def files(out: Path) -> dict[str, bytes]:
+    return {f.name: f.read_bytes() for f in out.iterdir() if f.is_file()}
+
+
+def manifest_holds(out: Path) -> bool:
+    """Whether out has no manifest.json, or one whose every listed file
+    hashes to its recorded sha256."""
+    if not (out / "manifest.json").exists():
+        return True
+    listed = json.loads((out / "manifest.json").read_text())
+    return all(sha256_file(path) == digest
+               for path, digest in {**listed["inputs"], **listed["outputs"]}.items())
+
+
+class TestUnwritableOutput:
+    """A directory in place of any one output of an earlier run exits 2
+    with one error line that names it, and leaves no .tmp file and the
+    earlier run's other files, manifest included, as they were."""
 
     @pytest.mark.parametrize("command, output", [
         (command, output) for command, outputs in OUTPUTS.items() for output in outputs])
     def test_exits_2_with_one_error_line(self, argv, tmp_path, capsys, command, output):
         out = tmp_path / "o"
-        (out / output).mkdir(parents=True)
+        out.mkdir()
+        assert main([*argv[command], "--seed", "1", "--out", str(out)]) == 0
+        (out / output).unlink()
+        (out / output).mkdir()
+        before = files(out)
         capsys.readouterr()
-        assert main([*argv[command], "--out", str(out)]) == 2
+        assert main([*argv[command], "--seed", "2", "--out", str(out)]) == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error: ") and f"{out / output}'" in line
         assert (out / output).is_dir() and list((out / output).iterdir()) == []
         assert list(tmp_path.rglob("*.tmp")) == []
+        assert files(out) == before
+
+
+class TestCommit:
+    """A command's outputs and its manifest.json reach disk together, and
+    the manifest times the whole command."""
+
+    @pytest.mark.parametrize("command", OUTPUTS)
+    def test_a_failed_move_leaves_no_stale_manifest(self, argv, tmp_path, capsys, monkeypatch,
+                                                    command):
+        """The k-th move of a run over an earlier one fails, for every k."""
+        out = tmp_path / "o"
+        out.mkdir()
+        replace, moves, fail_at = os.replace, [], 0
+
+        def replace_or_fail(src, dst):
+            moves.append(dst)
+            if len(moves) == fail_at:
+                raise OSError(errno.EIO, os.strerror(errno.EIO), str(src), None, str(dst))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_or_fail)
+        for k in range(1, len(OUTPUTS[command]) + 1):
+            fail_at = 0
+            assert main([*argv[command], "--seed", "1", "--out", str(out)]) == 0
+            moves.clear()
+            fail_at = k
+            capsys.readouterr()
+            assert main([*argv[command], "--seed", "2", "--out", str(out)]) == 2
+            (line,) = capsys.readouterr().err.splitlines()
+            assert line.startswith("error: ") and f"'{moves[-1]}'" in line
+            assert list(tmp_path.rglob("*.tmp")) == [] and manifest_holds(out)
+        assert [Path(m).name for m in moves] == OUTPUTS[command]
+
+    @pytest.mark.parametrize("command", OUTPUTS)
+    def test_each_file_is_hashed_once(self, argv, tmp_path, monkeypatch, command):
+        """Every file the manifest lists is read once to hash it, an
+        output as its .tmp or as itself."""
+        reads = Counter()
+
+        def counting_open(path, mode="r", *args, **kwargs):
+            if mode == "rb":
+                reads[str(path).removesuffix(".tmp")] += 1
+            return open(path, mode, *args, **kwargs)
+
+        out = tmp_path / "o"
+        out.mkdir()
+        monkeypatch.setattr(manifest, "open", counting_open, raising=False)
+        assert main([*argv[command], "--out", str(out)]) == 0
+        listed = json.loads((out / "manifest.json").read_text())
+        assert reads == Counter([*listed["inputs"], *listed["outputs"]])
+
+    def test_the_manifest_times_the_whole_command(self, argv, tmp_path):
+        out = tmp_path / "o"
+        out.mkdir()
+        start = datetime.now(timezone.utc)
+        assert main([*argv["gen"], "--out", str(out)]) == 0
+        end = datetime.now(timezone.utc)
+        listed = json.loads((out / "manifest.json").read_text())
+        started = datetime.fromisoformat(listed["started_utc"])
+        assert start <= started <= started + timedelta(seconds=listed["duration_s"]) <= end
 
 
 # Found first on PYTHONPATH, this prints "ready" when the CLI first opens a
-# dataset sidecar, which it does inside cli.main after every import, and
-# "forked" in each process the interpreter forks.
+# dataset sidecar or a dataset.csv.tmp, which it does inside cli.main after
+# every import, and "forked" in each process the interpreter forks. A tiny
+# gen ends within milliseconds of that open, so it waits there for the signal.
 SAY_READY = """
-import os, sys
+import os, sys, time
 
 def say_ready(event, args, said=[]):
-    if event == "open" and not said and str(args[0]).endswith(".meta.json"):
+    path = str(args[0]) if event == "open" else ""
+    if not said and path.endswith((".meta.json", "dataset.csv.tmp")):
         said.append(True)
         print("ready", flush=True)
+        if path.endswith(".tmp"):
+            time.sleep(60)
 
 sys.addaudithook(say_ready)
 os.register_at_fork(after_in_child=lambda: print("forked", os.getpid(), flush=True))
@@ -595,7 +685,8 @@ def ignores_sigint(pid: str) -> bool:
 
 class TestInterrupt:
     """SIGINT to a command's process group ends it with exit 130 and one
-    error line, and leaves no process, no output and no .tmp behind."""
+    error line, and leaves no process and no .tmp behind, and the files in
+    its --out as they were: none, or those of an earlier gen."""
 
     @pytest.fixture()
     def env(self, tmp_path):
@@ -605,16 +696,20 @@ class TestInterrupt:
         return {**cli_env(), "PYTHONPATH": os.pathsep.join([str(site), SRC])}
 
     @pytest.mark.parametrize("argv, forks", [
-        (["train", "--epochs", "100000"], 0),
-        (["sweep", "--loss-sets", "--epochs", "2000", "--k", "2", "--jobs", "2"], 2),
-    ], ids=["train", "sweep-jobs-2"])
+        (["train", "--dataset", "{dataset}", "--epochs", "100000"], 0),
+        (["sweep", "--dataset", "{dataset}", "--loss-sets", "--epochs", "2000", "--k", "2",
+          "--jobs", "2"], 2),
+        (["gen", "--config", "{config}", "--seed", "4"], 0),
+    ], ids=["train", "sweep-jobs-2", "gen"])
     def test_sigint_exits_130(self, tiny_dataset, tmp_path, env, argv, forks):
-        out = tmp_path / "o"
-        out.mkdir()
+        # gen runs over the finished gen of tiny_dataset.
+        out = tiny_dataset.parent if argv[0] == "gen" else tmp_path / "o"
+        out.mkdir(exist_ok=True)
+        before = files(out)
+        argv = [a.format(dataset=tiny_dataset, config=tmp_path / "gen.cfg") for a in argv]
         proc = subprocess.Popen(
-            [sys.executable, "-m", "agecontrast", *argv, "--dataset", str(tiny_dataset),
-             "--out", str(out)], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            text=True, start_new_session=True)
+            [sys.executable, "-m", "agecontrast", *argv, "--out", str(out)], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True)
         watchdog = threading.Timer(60, os.killpg, (proc.pid, signal.SIGKILL))
         watchdog.start()
         try:
@@ -642,7 +737,7 @@ class TestInterrupt:
                 break
             assert time.monotonic() < deadline, "a process of the session outlived it by 2 s"
             time.sleep(0.05)
-        assert list(out.iterdir()) == []
+        assert files(out) == before and list(tmp_path.rglob("*.tmp")) == []
 
 
 class TestSweep:

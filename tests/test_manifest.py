@@ -10,7 +10,8 @@ from agecontrast.manifest import atomic_write
 
 from conftest import SRC
 
-WRITER = "atomic_write"
+# atomic_write opens each file and Run.move moves it into place.
+WRITERS = ("atomic_write", "move")
 
 
 @pytest.mark.parametrize("binary, content", [(False, "é\n"), (True, b"\x00\xff")])
@@ -51,11 +52,11 @@ def _open_mode(call: ast.Call):
 
 
 def _writes(tree: ast.AST) -> tuple[list[int], list[int]]:
-    """Lines of the os.replace calls inside atomic_write, and lines of
+    """Lines of the os.replace calls inside the WRITERS, and lines of
     every other os.replace, .write_text, .write_bytes, and open or
     .open whose mode is not a constant read mode."""
     inside = {id(node) for fn in ast.walk(tree)
-              if isinstance(fn, ast.FunctionDef) and fn.name == WRITER for node in ast.walk(fn)}
+              if isinstance(fn, ast.FunctionDef) and fn.name in WRITERS for node in ast.walk(fn)}
     replaces, others = [], []
     for call in ast.walk(tree):
         if not isinstance(call, ast.Call):
