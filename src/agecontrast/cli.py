@@ -13,13 +13,14 @@ which commits its outputs and ``manifest.json`` together.
 Exit codes: 0 success, 1 verification failure, 2 usage/config error,
 a diverged training run (OptimizationError), a checkpoint whose
 forward pass overflows on the dataset, a pool worker that died or an
-output that cannot be written (an OSError); 130 when SIGINT ends it.
+output that cannot be written (an OSError); 130 when SIGINT ends it and
+143 when SIGTERM does, and each then ends the pool's workers too.
 
 ``OPENBLAS_NUM_THREADS`` defaults to 1 here, before anything imports
 numpy, because OpenBLAS reads it once, when it loads: a sweep can then
 fork its pool workers, which inherit the dataset and the loaded modules,
 instead of spawning interpreters that import numpy and unpickle the
-dataset again (see ``evaluation``). A value set by the user wins.
+dataset again (see ``data``). A value set by the user wins.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
 import json
+import signal
 import sys
 from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
@@ -48,7 +50,7 @@ from .manifest import Run, atomic_write, write_json
 from .model import Model, forward_values, load_model, save_model
 from .selfcheck import run_all
 from .synth import SynthConfig, generate_dataset, save_ground_truth
-from .training import TrainConfig, train
+from .training import LAST_STEP_DIVERGED, TrainConfig, train
 
 
 def _list_of(parse):
@@ -207,12 +209,11 @@ def cmd_train(args) -> int:
         ds = load_dataset(args.dataset)
         cfg = _train_config(args, ds)
         model, history = train(ds, cfg)
-        # The last Adam step can leave finite weights (about 1e300) whose
-        # forward overflows; eval would reject that checkpoint, so none is written.
+        # eval would reject a checkpoint whose forward overflows, so none is written.
         try:
             forward_values(model, ds.inputs)
         except NonFiniteError as exc:
-            raise OptimizationError(f"training diverged at its last step: {exc}") from exc
+            raise OptimizationError(LAST_STEP_DIVERGED.format(exc)) from exc
 
         ckpt = out / "checkpoint.json"
         save_model(model, ckpt)
@@ -282,8 +283,7 @@ def cmd_sweep(args) -> int:
         run.commit(
             {**asdict(base_cfg), "protocol": args.protocol, "k": args.k,
              "cells": [c.label for c in cells]}, {"seed": base_cfg.seed}, [Path(args.dataset)],
-            # A pool that could not fork says so here, with the thread count it saw.
-            pool={**pool, "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS")})
+            pool=pool)
     print(f"swept {len(cells)} cells; table at {csv_path}")
     return 0
 
@@ -357,9 +357,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _interrupt(signum, frame):
+    raise KeyboardInterrupt(signum)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # SIGTERM ends a command as Ctrl-C does; pool workers ignore both.
+    previous = signal.signal(signal.SIGTERM, _interrupt)
     try:
         # Overflow is detected where it matters (softmax logits, Adam
         # gradients) and reported as one error line; numpy's warnings
@@ -372,9 +378,11 @@ def main(argv=None) -> int:
     except (ConfigError, OptimizationError, NonFiniteError, WorkerDiedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except KeyboardInterrupt:  # 130, as a shell reports a command that SIGINT ended
+    except KeyboardInterrupt as exc:  # 128 + the signal's number, as a shell reports it
         print("error: interrupted", file=sys.stderr)
-        return 130
+        return 128 + (exc.args[0] if exc.args else signal.SIGINT)
+    finally:  # main also runs in-process, as under tests
+        signal.signal(signal.SIGTERM, previous)
 
 
 def entry() -> None:

@@ -45,13 +45,15 @@ Datasets round-trip through CSV (header ``identity,age,v0,v1,...``) with
 a JSON sidecar recording input_dim and the age range. Large sets are
 formatted on up to one forked worker per CPU of ``dataset_pool``, the
 package's one process pool, which sweeps share; the bytes do not depend
-on how many. ``save_dataset`` also writes ``<stem>.cache.npy``, np.save
-records of the CSV's sha256 in hex, the ages, the ``"\n"``-joined UTF-8
-identities and the inputs. ``load_dataset`` builds the dataset from it
-when that key is the CSV's sha256 and the shapes match the sidecar, and
-parses the CSV otherwise, as it does a CSV from elsewhere. The cache is
-derived and safe to delete; a load never writes it. All three files go
-through ``manifest.atomic_write``, so in a command's run they move at its
+on how many. That pool alone decides whether jobs run in this process,
+on forked or on spawned workers, and reports how they ran.
+``save_dataset`` also writes ``<stem>.cache.npy``, np.save records of
+the CSV's sha256 in hex, the ages, the ``"\n"``-joined UTF-8 identities
+and the inputs. ``load_dataset`` builds the dataset from it when that
+key is the CSV's sha256 and the shapes match the sidecar, and parses the
+CSV otherwise, as it does a CSV from elsewhere. The cache is derived and
+safe to delete; a load never writes it. All three files go through
+``manifest.atomic_write``, so in a command's run they move at its
 commit, in the order ``save_dataset`` closes them, and the digest of the
 cache key is the one its manifest records.
 """
@@ -62,7 +64,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import json
 import math
@@ -314,10 +316,7 @@ def _format_rows(ds: LabeledDataset, span: tuple[int, int]) -> str:
 
 def _csv_workers(values: int) -> int:
     """Forked formatters for this many values: one per CPU this process
-    may run on, each given at least _MIN_VALUES_PER_WORKER values. 1 means
-    in-process, as on a platform without fork."""
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return 1
+    may run on, each given at least _MIN_VALUES_PER_WORKER values."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return max(1, min(cpus or 1, values // _MIN_VALUES_PER_WORKER))
 
@@ -461,8 +460,9 @@ _pool_dataset: LabeledDataset | None = None  # set once in each pool worker
 def _init_pool_worker(ds: LabeledDataset, errstate: dict) -> None:
     global _pool_dataset
     _pool_dataset = ds
-    # Ctrl-C reaches the whole process group; the parent reports it and ends the pool.
+    # Ctrl-C, or a SIGTERM, reaches the whole group; the parent reports it and ends the pool.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
     np.seterr(**errstate)  # a spawned worker starts with numpy's defaults
 
 
@@ -470,46 +470,65 @@ def _on_pool_dataset(fn: Callable, arg):
     return fn(_pool_dataset, arg)
 
 
-@contextmanager
-def _one_blas_thread():
-    saved = os.environ.get("OPENBLAS_NUM_THREADS")
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+def _pool_start_method(method: str | None = None) -> str:
+    """method, or by default "fork" when this process's BLAS runs one
+    thread (forked workers that inherit two OpenBLAS threads each made a
+    sweep three to five times slower on two cores) and "spawn" otherwise;
+    "in-process" for a "fork" that this platform lacks.
+
+    Any fork, even an earlier one in this process, stops OpenBLAS's
+    threads until a product big enough to split runs again (512 x 64 by
+    64 x 64 is; a train step's 192 x 64 is not), so one such product runs
+    before the threads are counted. Any other thread also makes fork
+    unsafe.
+    """
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return "in-process" if method == "fork" else "spawn"
+    if method:
+        return method
+    np.ones((512, 64)) @ np.ones((64, 64))
     try:
-        yield
-    finally:
-        del os.environ["OPENBLAS_NUM_THREADS"]
-        if saved is not None:
-            os.environ["OPENBLAS_NUM_THREADS"] = saved
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:
+        return "spawn"
+    return "fork" if threads == 1 else "spawn"
 
 
 @contextmanager
-def dataset_pool(ds: LabeledDataset, workers: int, method: str):
-    """Yields ``(run, workers)``: ``run(fn, args)`` is an iterator of
-    ``fn(ds, arg)``, in order, and workers the count that runs them.
+def dataset_pool(ds: LabeledDataset, workers: int, method: str | None = None):
+    """Yields ``(run, record)``: ``run(fn, args)`` is an iterator of
+    ``fn(ds, arg)``, in order, and record says how they ran, as its
+    ``start_method``, ``workers`` and ``openblas_num_threads``.
 
     One worker runs them in this process, as does a daemonic process,
-    which may have no children; more are ``method`` ("fork" or "spawn")
-    processes that get ds and numpy's error state at start and a
-    one-thread OPENBLAS_NUM_THREADS while ``run`` submits every job. The
-    first failure raises, a dead worker's as a WorkerDiedError; leaving
-    the block cancels the jobs not yet started and joins the workers.
+    which may have no children; more are ``_pool_start_method(method)``
+    processes that get ds and numpy's error state at start, and
+    OPENBLAS_NUM_THREADS=1 while the pool is open. The first failure
+    raises, a dead worker's as a WorkerDiedError; leaving the block
+    cancels the jobs not yet started and joins the workers.
     """
-    if workers == 1 or multiprocessing.current_process().daemon:
-        yield (lambda fn, args: map(partial(fn, ds), args)), 1
+    in_process = workers == 1 or multiprocessing.current_process().daemon
+    method = "in-process" if in_process else _pool_start_method(method)
+    blas_threads = os.environ.get("OPENBLAS_NUM_THREADS")
+    record = {"start_method": method, "workers": 1 if method == "in-process" else workers,
+              "openblas_num_threads": blas_threads}
+    if method == "in-process":
+        yield (lambda fn, args: map(partial(fn, ds), args)), record
         return
     # Imported on use: it adds 16-20 ms to the start of a command that starts no pool.
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
     pool = ProcessPoolExecutor(workers, multiprocessing.get_context(method),
                                initializer=_init_pool_worker, initargs=(ds, np.geterr()))
-
-    def run(fn: Callable, args: Iterable) -> Iterator:
-        with _one_blas_thread():
-            return pool.map(partial(_on_pool_dataset, fn), args)
+    # Workers start as run submits the jobs; a spawned one's OpenBLAS reads this as it loads.
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
-        yield run, workers
+        yield (lambda fn, args: pool.map(partial(_on_pool_dataset, fn), args)), record
     except BrokenProcessPool as exc:
         raise WorkerDiedError("a worker process died before finishing its job "
                               "(killed, e.g. out of memory)") from exc
     finally:
         pool.shutdown(cancel_futures=True)
+        del os.environ["OPENBLAS_NUM_THREADS"]
+        if blas_threads is not None:
+            os.environ["OPENBLAS_NUM_THREADS"] = blas_threads

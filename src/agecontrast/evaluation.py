@@ -12,26 +12,21 @@ score their model from one such forward, so a fold's MAE in a sweep is
 bit for bit the one ``eval`` reports for that model and fold.
 
 A sweep runs all its (cell, fold) jobs on ``data.dataset_pool``, with
-one OpenBLAS thread a worker. It forks the workers when this process's
-BLAS runs one thread, as under the CLI, so they inherit the dataset and
-the loaded modules; forked workers that inherit two OpenBLAS threads
-each made a sweep three to five times slower on two cores. Otherwise it
-spawns them.
+one OpenBLAS thread a worker; the pool picks how its workers start and
+reports how they ran.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from .data import LabeledDataset, dataset_pool
-from .errors import IncompatibleDataError
+from .errors import IncompatibleDataError, NonFiniteError, OptimizationError
 from .losses import LossBreakdown
 from .model import Model, forward_values, predict_ages
-from .training import TrainConfig, train
+from .training import LAST_STEP_DIVERGED, TrainConfig, train
 
 Array = np.ndarray
 
@@ -205,7 +200,10 @@ def _fold_config(cfg: TrainConfig, fold_index: int) -> TrainConfig:
 def _fold_job(ds: LabeledDataset, task: tuple[TrainConfig, Fold]) -> tuple[float, float, float, list]:
     cfg, fold = task
     model, history = train(ds.subset(fold.train), cfg)
-    [mae], mu_vf, mu_vs = _scores(model, ds, [fold])
+    try:
+        [mae], mu_vf, mu_vs = _scores(model, ds, [fold])
+    except NonFiniteError as exc:
+        raise OptimizationError(LAST_STEP_DIVERGED.format(exc)) from exc
     return mae, mu_vf, mu_vs, history
 
 
@@ -258,7 +256,7 @@ def loss_set_cells(lambda_c: float = 0.0, lambda_t: float = 0.0) -> list[SweepCe
 def sweep(ds: LabeledDataset, base_cfg: TrainConfig, cells: list[SweepCell],
           protocol: str = "se", k: int = 5, jobs: int = 1) -> tuple[list[EvalReport], dict]:
     """Retrain and evaluate every cell under shared seeds; one report per
-    cell, in cell order, and how the jobs ran (see ``_run_jobs``). The
+    cell, in cell order, and the pool's record of how the jobs ran. The
     folds split with base_cfg's seed. Each fold's model is scored like
     ``evaluate_checkpoint`` scores a model: its MAE on that fold's test
     split and its identity variance over the whole dataset, which is
@@ -271,37 +269,9 @@ def sweep(ds: LabeledDataset, base_cfg: TrainConfig, cells: list[SweepCell],
     # Longest first: cells with a triplet term, then with a pair term, then MV.
     order = sorted(range(len(tasks)), reverse=True, key=lambda i: (
         tasks[i][0].weights.lambda_t > 0, tasks[i][0].weights.lambda_c > 0))
-    ordered, pool = _run_jobs(ds, [tasks[i] for i in order], jobs)
-    results = dict(zip(order, ordered))
+    with dataset_pool(ds, min(jobs, len(tasks))) as (run, pool):
+        results = dict(zip(order, run(_fold_job, [tasks[i] for i in order])))
     n = len(folds)
     return [_report(cfg, protocol, folds, [results[c * n + j] for j in range(n)])
             for c, cfg in enumerate(configs)], pool
 
-
-def _pool_start_method() -> str:
-    """"fork" when this process's BLAS runs one thread, else "spawn".
-
-    Any fork, even an earlier one in this process, stops OpenBLAS's
-    threads until a product big enough to split runs again (512 x 64 by
-    64 x 64 is; a train step's 192 x 64 is not), so one such product runs
-    before the threads are counted. Any other thread also makes fork
-    unsafe.
-    """
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return "spawn"
-    np.ones((512, 64)) @ np.ones((64, 64))
-    try:
-        threads = len(os.listdir("/proc/self/task"))
-    except OSError:
-        return "spawn"
-    return "fork" if threads == 1 else "spawn"
-
-
-def _run_jobs(ds: LabeledDataset, tasks, jobs: int) -> tuple[list, dict]:
-    """Results in task order, and how the jobs ran (start method and
-    worker count); the first failure raises and cancels the rest."""
-    workers = min(jobs, len(tasks))
-    method = _pool_start_method() if workers > 1 else "in-process"
-    with dataset_pool(ds, workers, method) as (run, workers):  # 1 in a daemonic process
-        results = list(run(_fold_job, tasks))
-    return results, {"start_method": method if workers > 1 else "in-process", "workers": workers}

@@ -31,6 +31,9 @@ from .model import Model, ModelConfig, forward_batch, init_model, integral
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# The last Adam step can leave finite weights (about 1e300) whose forward
+# overflows; train and sweep report such a model with this message.
+LAST_STEP_DIVERGED = "training diverged at its last step: {}"
 
 
 @dataclass(frozen=True)

@@ -468,14 +468,16 @@ class TestEvalBoundary:
                 2, ["error: training diverged at step 2: non-finite logit"])
         assert list(out.iterdir()) == []
 
-    def test_sweep_overflowing_fold_model_exits_2(self, tiny_dataset, tmp_path, capsys):
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_sweep_overflowing_fold_model_exits_2(self, tiny_dataset, tmp_path, capfd, jobs):
         # one step per fold trains without a non-finite value, but the
-        # fold's model then overflows when it is scored
+        # fold's model then overflows when it is scored, as train reports it
         out = tmp_path / "s"
         out.mkdir()
         assert main(["sweep", "--dataset", str(tiny_dataset), "--loss-sets", "--lr", "1e300",
-                     "--epochs", "1", "--out", str(out)]) == 2
-        assert "error: non-finite logit" in capsys.readouterr().err
+                     "--epochs", "1", "--jobs", jobs, "--out", str(out)]) == 2
+        assert capfd.readouterr().err.splitlines() == [
+            "error: training diverged at its last step: non-finite logit"]
         assert list(out.iterdir()) == []
 
     def test_eval_jobs_flag_is_gone(self, checkpoint, tiny_dataset, tmp_path):
@@ -657,8 +659,9 @@ class TestCommit:
 
 # Found first on PYTHONPATH, this prints "ready" when the CLI first opens a
 # dataset sidecar or a dataset.csv.tmp, which it does inside cli.main after
-# every import, and "forked" in each process the interpreter forks. A tiny
-# gen ends within milliseconds of that open, so it waits there for the signal.
+# every import, and "worker" with its pid in each process the interpreter
+# forks. A tiny gen ends within milliseconds of that open, so it waits there
+# for the signal.
 SAY_READY = """
 import os, sys, time
 
@@ -671,22 +674,37 @@ def say_ready(event, args, said=[]):
             time.sleep(60)
 
 sys.addaudithook(say_ready)
-os.register_at_fork(after_in_child=lambda: print("forked", os.getpid(), flush=True))
+os.register_at_fork(after_in_child=lambda: print("worker", os.getpid(), flush=True))
 """
 
 
-def ignores_sigint(pid: str) -> bool:
-    """Whether SIGINT is in the process's ignored-signal mask; a process
+def ignores(pid: str, signum: int) -> bool:
+    """Whether signum is in the process's ignored-signal mask; a process
     that has ended raises FileNotFoundError."""
     with open(f"/proc/{pid}/status") as status:
         mask = next(line for line in status if line.startswith("SigIgn:")).split()[1]
-    return bool(int(mask, 16) >> (signal.SIGINT - 1) & 1)
+    return bool(int(mask, 16) >> (signum - 1) & 1)
+
+
+SWEEP = ["sweep", "--dataset", "{dataset}", "--loss-sets", "--epochs", "2000", "--k", "2",
+         "--jobs", "2"]
+GEN = ["gen", "--config", "{config}", "--seed", "4"]
 
 
 class TestInterrupt:
-    """SIGINT to a command's process group ends it with exit 130 and one
-    error line, and leaves no process and no .tmp behind, and the files in
-    its --out as they were: none, or those of an earlier gen."""
+    """SIGINT or SIGTERM to a command's process group, or to the command
+    alone, ends it with exit 128 + the signal's number and one error line,
+    and leaves no process and no .tmp behind, and the files in its --out as
+    they were: none, or those of an earlier gen."""
+
+    CASES = [
+        pytest.param(["train", "--dataset", "{dataset}", "--epochs", "100000"], 0, True,
+                     id="train"),
+        pytest.param(SWEEP, 2, True, id="sweep-jobs-2"),
+        pytest.param(GEN, 0, True, id="gen"),
+        pytest.param(SWEEP, 2, False, id="sweep-jobs-2-parent-only"),
+        pytest.param(GEN, 0, False, id="gen-parent-only"),
+    ]
 
     @pytest.fixture()
     def env(self, tmp_path):
@@ -695,13 +713,16 @@ class TestInterrupt:
         (site / "sitecustomize.py").write_text(SAY_READY)
         return {**cli_env(), "PYTHONPATH": os.pathsep.join([str(site), SRC])}
 
-    @pytest.mark.parametrize("argv, forks", [
-        (["train", "--dataset", "{dataset}", "--epochs", "100000"], 0),
-        (["sweep", "--dataset", "{dataset}", "--loss-sets", "--epochs", "2000", "--k", "2",
-          "--jobs", "2"], 2),
-        (["gen", "--config", "{config}", "--seed", "4"], 0),
-    ], ids=["train", "sweep-jobs-2", "gen"])
-    def test_sigint_exits_130(self, tiny_dataset, tmp_path, env, argv, forks):
+    @pytest.mark.parametrize("argv, workers, to_session", CASES)
+    def test_sigint_exits_130(self, tiny_dataset, tmp_path, env, argv, workers, to_session):
+        self.interrupt(tiny_dataset, tmp_path, env, argv, workers, signal.SIGINT, to_session)
+
+    @pytest.mark.parametrize("argv, workers, to_session", CASES)
+    def test_sigterm_exits_143(self, tiny_dataset, tmp_path, env, argv, workers, to_session):
+        self.interrupt(tiny_dataset, tmp_path, env, argv, workers, signal.SIGTERM, to_session)
+
+    @staticmethod
+    def interrupt(tiny_dataset, tmp_path, env, argv, workers, signum, to_session):
         # gen runs over the finished gen of tiny_dataset.
         out = tiny_dataset.parent if argv[0] == "gen" else tmp_path / "o"
         out.mkdir(exist_ok=True)
@@ -714,21 +735,21 @@ class TestInterrupt:
         watchdog.start()
         try:
             assert proc.stdout.readline() == "ready\n"
-            workers = [proc.stdout.readline().split() for _ in range(forks)]
-            assert [w[:1] for w in workers] == [["forked"]] * forks
-            for _, pid in workers:  # the "forked" hook runs before the worker's initializer
+            started = [proc.stdout.readline().split() for _ in range(workers)]
+            assert [w[:1] for w in started] == [["worker"]] * workers
+            for _, pid in started:  # the hook runs before the worker's initializer
                 deadline = time.monotonic() + 30
-                while not ignores_sigint(pid):
-                    assert time.monotonic() < deadline, f"worker {pid} never ignored SIGINT"
+                while not ignores(pid, signum):
+                    assert time.monotonic() < deadline, f"worker {pid} never ignored {signum}"
                     time.sleep(0.01)
-            os.killpg(proc.pid, signal.SIGINT)
+            (os.killpg if to_session else os.kill)(proc.pid, signum)
             _, err = proc.communicate()
         finally:
             watchdog.cancel()
             if proc.poll() is None:
                 os.killpg(proc.pid, signal.SIGKILL)
                 proc.communicate()
-        assert (proc.returncode, err.splitlines()) == (130, ["error: interrupted"])
+        assert (proc.returncode, err.splitlines()) == (128 + signum, ["error: interrupted"])
         deadline = time.monotonic() + 2
         while True:
             try:

@@ -1,5 +1,6 @@
 """Dataset indexes, candidate sets vs brute force, triplet sampling, CSV."""
 
+import concurrent.futures
 import errno
 import hashlib
 import io
@@ -518,10 +519,14 @@ class TestCsvPool:
         save_dataset(ds, tmp_path / "ds.csv")
         assert counts == [3] and multiprocessing.active_children() == []
         assert (tmp_path / "ds.csv").read_text(encoding="utf-8") == reference_csv(ds)
+        # Without fork the pool formats in-process too, and starts no process.
         monkeypatch.undo()
-        monkeypatch.setattr(data.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        counts = workers(3, 1)
         monkeypatch.setattr(data.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        assert data._csv_workers(big) == 1
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
+        save_dataset(ds, tmp_path / "nofork.csv")
+        assert counts == [3, 3] and multiprocessing.active_children() == []
+        assert (tmp_path / "nofork.csv").read_text(encoding="utf-8") == reference_csv(ds)
 
 
 def _records(path):
@@ -703,12 +708,28 @@ except WorkerDiedError:
 class TestDatasetPool:
     """data.dataset_pool, the one process pool of save_dataset and sweeps."""
 
-    @pytest.mark.parametrize("workers, method", [(1, "in-process"), (2, "fork"), (2, "spawn")])
-    def test_results_come_in_argument_order(self, workers, method):
+    @pytest.mark.parametrize("workers, method, lacks, ran", [
+        pytest.param(1, "in-process", None, ["in-process", 1], id="1-in-process"),
+        pytest.param(2, "fork", None, ["fork", 2], id="2-fork"),
+        pytest.param(2, "spawn", None, ["spawn", 2], id="2-spawn"),
+        # A daemonic process, such as a pool worker, may have no children.
+        pytest.param(2, "fork", "children", ["in-process", 1], id="2-fork-daemonic"),
+        pytest.param(2, "fork", "fork", ["in-process", 1], id="2-fork-without-fork"),
+    ])
+    def test_results_come_in_argument_order(self, monkeypatch, workers, method, lacks, ran):
+        """The record says how the jobs ran, with the BLAS threads the
+        caller had; the pool gives its workers one while it is open."""
         ds = make_dataset([1, 2, 3], ["a", "b", "c"], 3)
-        with data.dataset_pool(ds, workers, method) as (run, ran):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        if lacks == "children":
+            monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+        if lacks == "fork":
+            monkeypatch.setattr(data.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        with data.dataset_pool(ds, workers, method) as (run, record):
             assert list(run(size_plus, range(5))) == [3, 4, 5, 6, 7]
-        assert ran == workers
+        assert list(record.items()) == [
+            ("start_method", ran[0]), ("workers", ran[1]), ("openblas_num_threads", "3")]
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("method", ["fork", "spawn"])

@@ -361,7 +361,8 @@ class TestSweep:
         assert len(cells) == 6
         assert [c.lambda_c for c in cells] == [0.0, 0.0, 1.0, 1.0, 10.0, 10.0]
         rows, pool = sweep(ds, TrainConfig(seed=1, **FAST), cells, protocol="se", k=2)
-        assert pool == {"start_method": "in-process", "workers": 1}
+        assert pool == {"start_method": "in-process", "workers": 1,
+                        "openblas_num_threads": os.environ.get(BLAS_THREADS)}
         assert len(rows) == 6
         assert all(np.isfinite(r.mean_mae) and np.isfinite(r.mu_vf) for r in rows)
 
@@ -392,8 +393,9 @@ class TestSweep:
         cfg, cells = TrainConfig(**FAST), lambda_grid_cells([0.0], [0.0])
         serial, _ = sweep(ds, cfg, cells, protocol="se", k=2)
         monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
-        assert sweep(ds, cfg, cells, protocol="se", k=2, jobs=2) == (
-            serial, {"start_method": "in-process", "workers": 1})
+        assert sweep(ds, cfg, cells, protocol="se", k=2, jobs=2) == (serial, {
+            "start_method": "in-process", "workers": 1,
+            "openblas_num_threads": os.environ.get(BLAS_THREADS)})
 
     def test_empty_grid_rejected(self, small_synth):
         _, ds, _ = small_synth
@@ -513,7 +515,7 @@ class TestSweepPool:
 
     @pytest.fixture(autouse=True)
     def gate(self, monkeypatch):
-        monkeypatch.setattr(evaluation, "_pool_start_method", lambda: self.start_method)
+        monkeypatch.setattr(data, "_pool_start_method", lambda method: self.start_method)
 
     def test_pool_size_is_capped_by_the_job_count(self, small_synth, monkeypatch):
         _, ds, _ = small_synth
@@ -522,7 +524,8 @@ class TestSweepPool:
         rows, how = sweep(ds, cfg, lambda_grid_cells([0.0], [0.0]), protocol="se", k=2, jobs=64)
         [pool] = pools
         assert pool.max_workers == 2 and pool.start_method == self.start_method
-        assert how == {"start_method": self.start_method, "workers": 2}
+        assert how == {"start_method": self.start_method, "workers": 2,
+                       "openblas_num_threads": os.environ.get(BLAS_THREADS)}
         assert rows == sweep(ds, cfg, lambda_grid_cells([0.0], [0.0]), protocol="se", k=2)[0]
 
     def test_jobs_carry_cfg_and_fold_and_workers_get_the_dataset_at_start(self, small_synth, monkeypatch):
@@ -595,7 +598,7 @@ class TestForkedSweepPool(TestSweepPool):
 def test_a_dead_sweep_worker_raises_and_leaves_no_process(small_synth, monkeypatch,
                                                           start_method):
     _, ds, _ = small_synth
-    monkeypatch.setattr(evaluation, "_pool_start_method", lambda: start_method)
+    monkeypatch.setattr(data, "_pool_start_method", lambda method: start_method)
     monkeypatch.setattr(evaluation, "_fold_job", die_in_job)
     start = time.perf_counter()
     with pytest.raises(WorkerDiedError, match="worker process died"):
@@ -627,7 +630,7 @@ class Watch:
             seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
 sys.meta_path.insert(0, Watch())
 import agecontrast.cli
-from agecontrast.evaluation import _pool_start_method
+from agecontrast.data import _pool_start_method
 print(json.dumps([seen, _pool_start_method()]))
 """
 
@@ -637,7 +640,7 @@ NUMPY_FIRST = """
 import json, os
 import numpy
 import agecontrast.cli
-from agecontrast.evaluation import _pool_start_method
+from agecontrast.data import _pool_start_method
 answers = [_pool_start_method()]
 read, write = os.pipe()
 pid = os.fork()

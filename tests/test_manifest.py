@@ -99,3 +99,45 @@ def test_the_check_finds_each_write(source):
 
 def test_the_check_passes_reads():
     assert _writes(ast.parse("open(p)\nopen(p, 'rb')\np.open('rb')\np.open()")) == ([], [])
+
+
+def _pool_uses(tree: ast.AST) -> list[int]:
+    """Lines that import multiprocessing or concurrent.futures, or name a
+    /proc path."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = [node.value]
+        else:
+            continue
+        if any(n.split(".")[0] in ("multiprocessing", "concurrent") or n.startswith("/proc/")
+               for n in names):
+            found.append(node.lineno)
+    return found
+
+
+def test_only_data_starts_worker_processes():
+    """data.dataset_pool alone picks how pool workers start (its probe
+    reads /proc) and reports how they ran."""
+    found = [f"{path.name}:{line}"
+             for path in sorted((Path(SRC) / "agecontrast").glob("*.py"))
+             for line in _pool_uses(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found and all(f.startswith("data.py:") for f in found), found
+
+
+@pytest.mark.parametrize("source", [
+    "import multiprocessing", "import os, multiprocessing.pool",
+    "from multiprocessing import get_context", "import concurrent.futures",
+    "from concurrent.futures.process import BrokenProcessPool", "from concurrent import futures",
+    "os.listdir('/proc/self/task')", "open(f'/proc/{pid}/status')"])
+def test_the_pool_check_finds_each_use(source):
+    assert _pool_uses(ast.parse(source)) == [1]
+
+
+def test_the_pool_check_passes_other_imports_and_strings():
+    source = "import os\nfrom . import data\nfrom .data import dataset_pool\nx = 'a /proc path'"
+    assert _pool_uses(ast.parse(source)) == []
